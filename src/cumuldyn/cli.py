@@ -6,8 +6,7 @@ command run twice with the same inputs produces byte-identical files.
 
 Exit codes: 0 on success, 2 for usage or validation problems, 3 for I/O
 failures.  A ``--config FILE`` of ``key=value`` lines can stand in for
-flags; explicitly passed flags win on conflict.  ``CUMULDYN_THREADS`` caps
-the number of technologies the sweep command measures concurrently.
+flags; explicitly passed flags win on conflict.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import __version__
 from .core import (
@@ -48,6 +45,8 @@ from .measures import measure_checkpoints
 from .predictions import rate_predictions
 
 __all__ = ["main", "entry_point"]
+
+T = TypeVar("T")
 
 _SERIES_COLUMNS = ("n", "id", "ipl", "mipl", "ed")
 _FIT_COLUMNS = ("quantity", "slope", "intercept", "r2", "se", "f", "n_obs")
@@ -100,34 +99,52 @@ class ReportBundle:
             handle.write("\n")
 
 
-def _load_series(path: str) -> CumulativenessSeries:
-    points = []
+def _read_table(
+    path: str, columns: Sequence[str], parse_row: Callable[[dict], T]
+) -> list[T]:
+    """Parse each row of a CSV table whose header must name ``columns``.
+
+    A missing column raises ValueError naming the file; a row short of
+    ``columns`` or one ``parse_row`` rejects with ValueError raises
+    ValueError naming ``file:line``.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        missing = [c for c in _SERIES_COLUMNS if c not in (reader.fieldnames or [])]
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
         if missing:
-            raise ValueError(f"{path}: missing series column(s) {', '.join(missing)}")
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        parsed = []
         for row in reader:
-            points.append(
-                SeriesPoint(
-                    n=int(row["n"]),
-                    id=float(row["id"]),
-                    ipl=float(row["ipl"]),
-                    mipl=int(float(row["mipl"])),
-                    ed=float(row["ed"]),
-                )
-            )
+            try:
+                if any(row[c] is None for c in columns):
+                    raise ValueError("too few fields")
+                parsed.append(parse_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return parsed
+
+
+def _load_series(path: str) -> CumulativenessSeries:
+    points = _read_table(
+        path,
+        _SERIES_COLUMNS,
+        lambda row: SeriesPoint(
+            n=int(row["n"]),
+            id=float(row["id"]),
+            ipl=float(row["ipl"]),
+            mipl=int(float(row["mipl"])),
+            ed=float(row["ed"]),
+        ),
+    )
     if not points:
         raise ValueError(f"{path}: empty series")
     return CumulativenessSeries(checkpoints=tuple(points))
 
 
 def _load_backlinks(path: str) -> list[int]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            rows.append((int(row["ordinal"]), int(row["m"])))
+    rows = _read_table(
+        path, ("ordinal", "m"), lambda row: (int(row["ordinal"]), int(row["m"]))
+    )
     rows.sort()
     return [m for _, m in rows]
 
@@ -141,9 +158,13 @@ def _parse_count(raw: str) -> int | float:
 
 def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
     grouped: dict[int, dict[int, int]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            grouped.setdefault(int(row["n"]), {})[int(row["m"])] = int(row["count"])
+    rows = _read_table(
+        path,
+        ("n", "m", "count"),
+        lambda row: (int(row["n"]), int(row["m"]), int(row["count"])),
+    )
+    for n, m, count in rows:
+        grouped.setdefault(n, {})[m] = count
     return {
         n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()
     }
@@ -151,12 +172,18 @@ def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
 
 def _load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
     grouped: dict[int, dict[int, tuple[int | float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            grouped.setdefault(int(row["n"]), {})[int(row["k"])] = (
-                _parse_count(row["count"]),
-                float(row["normalized"]),
-            )
+    rows = _read_table(
+        path,
+        ("n", "k", "count", "normalized"),
+        lambda row: (
+            int(row["n"]),
+            int(row["k"]),
+            _parse_count(row["count"]),
+            float(row["normalized"]),
+        ),
+    )
+    for n, k, count, normalized in rows:
+        grouped.setdefault(n, {})[k] = (count, normalized)
     dists = {}
     for n, entries in grouped.items():
         counts = {k: c for k, (c, _) in entries.items()}
@@ -353,10 +380,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_fitted_params(path: str) -> tuple[float, float]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            if row.get("quantity") == "id":
-                return float(row["slope"]), float(row["intercept"])
+    rows = _read_table(
+        path,
+        ("quantity", "slope", "intercept"),
+        lambda row: (row["quantity"], float(row["slope"]), float(row["intercept"])),
+    )
+    for quantity, slope, intercept in rows:
+        if quantity == "id":
+            return slope, intercept
     raise ValueError(f"{path}: no 'id' row to take fitted q and m0 from")
 
 
@@ -422,19 +453,17 @@ def cmd_gof(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tech_row(row: dict) -> tuple[str, str]:
+    name, prefix = row["group_name"].strip(), row["prefix"].strip()
+    if not name or not prefix:
+        raise ValueError("empty group_name or prefix")
+    return name, prefix
+
+
 def _read_tech_table(path: str) -> dict[str, set[str]]:
     techs: dict[str, set[str]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in ("group_name", "prefix") if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            name = (row.get("group_name") or "").strip()
-            prefix = (row.get("prefix") or "").strip()
-            if not name or not prefix:
-                raise ValueError(f"{path}:{reader.line_num}: empty group_name or prefix")
-            techs.setdefault(name, set()).add(prefix)
+    for name, prefix in _read_table(path, ("group_name", "prefix"), _tech_row):
+        techs.setdefault(name, set()).add(prefix)
     if not techs:
         raise ValueError(f"{path}: no technologies listed")
     return techs
@@ -482,13 +511,8 @@ def _sweep_one(corpus, name, prefixes, args):
 def cmd_sweep(args: argparse.Namespace) -> int:
     techs = _read_tech_table(args.tech_table)
     corpus = load_corpus(args.nodes, args.edges)
-    env_threads = os.environ.get("CUMULDYN_THREADS")
-    max_workers = max(1, int(env_threads)) if env_threads else min(8, os.cpu_count() or 1)
     names = sorted(techs)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(
-            pool.map(lambda name: _sweep_one(corpus, name, techs[name], args), names)
-        )
+    results = [_sweep_one(corpus, name, techs[name], args) for name in names]
 
     labels = [""] * len(results)
     cross_rows = []
@@ -564,7 +588,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "granted_only": args.granted_only,
             "mode": args.mode,
             "technologies": names,
-            "max_workers": max_workers,
         },
     )
     bundle.add_table(

@@ -15,8 +15,10 @@ import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import chi2
+
+# scipy.special is imported inside the functions that use it, so that
+# importing the package (and every CLI start-up) loads no scipy module;
+# tests/test_startup.py checks this.
 
 from .core import (
     BacklinkDistribution,
@@ -160,7 +162,9 @@ def _chi_square(
     statistic = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     if not math.isfinite(statistic):
         return math.inf, dof, 0.0
-    return statistic, dof, float(chi2.sf(statistic, dof))
+    from scipy.special import chdtrc
+
+    return statistic, dof, float(chdtrc(dof, statistic))
 
 
 def geometric_gof(
@@ -199,6 +203,8 @@ def geometric_gof(
 def _pathlength_model(
     dist: PathLengthDistribution, n_prime: int, family: str, ks: np.ndarray
 ) -> tuple[Mapping[str, float], np.ndarray]:
+    from scipy.special import gammaln
+
     mean = dist.ipl
     if family == "binomial-type":
         pmf = binomial_path_dist(n_prime)

@@ -17,7 +17,10 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln
+
+# scipy.special is imported inside the functions that use it, so that
+# importing the package (and every CLI start-up) loads no scipy module;
+# tests/test_startup.py checks this.
 
 from .core import ModelParams, PathLengthDistribution, RatePredictions
 
@@ -57,6 +60,8 @@ def harmonic_number(n: int) -> float:
 
 def harmonic_real(x: float) -> float:
     """Harmonic number extended to real arguments via the digamma function."""
+    from scipy.special import digamma
+
     return float(digamma(x + 1.0)) + _EULER_GAMMA
 
 
@@ -67,6 +72,8 @@ def expected_id(n: int, params: ModelParams) -> float:
 
 def _log_binomial(n: float, k: np.ndarray) -> np.ndarray:
     """log C(n, k) for real n and integer k with n - k > -1."""
+    from scipy.special import gammaln
+
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 

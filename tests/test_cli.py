@@ -273,8 +273,7 @@ class TestSweep:
         )
         return nodes, edges, table
 
-    def test_three_technologies(self, tmp_path, multi_corpus, monkeypatch):
-        monkeypatch.setenv("CUMULDYN_THREADS", "2")
+    def test_three_technologies(self, tmp_path, multi_corpus):
         nodes, edges, table = multi_corpus
         out = tmp_path / "sweep"
         code = run(
@@ -354,8 +353,7 @@ class TestSweep:
         exponent = float(cross["rate_on_q_loglog"]["exponent"])
         assert exponent == pytest.approx(-0.6, abs=0.15)
 
-    def test_deterministic_parallel(self, tmp_path, multi_corpus, monkeypatch):
-        monkeypatch.setenv("CUMULDYN_THREADS", "3")
+    def test_deterministic_parallel(self, tmp_path, multi_corpus):
         nodes, edges, table = multi_corpus
         outs = []
         for name in ("s1", "s2"):
@@ -366,6 +364,59 @@ class TestSweep:
             ) == 0
             outs.append(out)
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+
+class TestTableReaders:
+    SERIES = "n,id,ipl,mipl,ed\n10,1.0,1.0,2,0.0\n20,1.5,2.0,3,0.0\n30,2.0,3.0,5,0.0\n"
+
+    def _argv(self, tmp_path, reader, table):
+        out = str(tmp_path / "out")
+        if reader == "backlinks":
+            series = tmp_path / "series.csv"
+            series.write_text(self.SERIES)
+            return ["fit", "--series", str(series), "--backlinks", str(table), "--out", out]
+        if reader == "series":
+            return ["fit", "--series", str(table), "--out", out]
+        if reader == "fits":
+            dist = tmp_path / "backlink_dist.csv"
+            dist.write_text("n,m,count\n10,0,5\n10,1,5\n")
+            return ["gof", "--backlink-dist", str(dist), "--fits", str(table), "--out", out]
+        if reader == "tech-table":
+            # The table is read before the corpus, which need not exist.
+            return ["sweep", "--nodes", "none.csv", "--edges", "none.csv",
+                    "--tech-table", str(table), "--out", out]
+        return ["gof", f"--{reader}", str(table), "--q", "0.01", "--m0", "1.0", "--out", out]
+
+    @pytest.mark.parametrize(
+        "reader, content, message",
+        [
+            ("series", "n,id,ipl,mipl\n10,1.0,1.0,2\n", ": missing column(s) ed"),
+            ("series", SERIES.replace("20,", "2x,"), ":3: invalid literal"),
+            ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
+            ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
+            ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
+            ("backlinks", "ordinal,node_id,m\n0,a,1\n1,b,x\n", ":3: invalid literal"),
+            ("backlinks", "ordinal,node_id,m\n0,a\n", ":2: too few fields"),
+            ("backlink-dist", "n,m\n10,0\n", ": missing column(s) count"),
+            ("backlink-dist", "n,m,count\n10,0,x\n", ":2: invalid literal"),
+            ("pathlen-dist", "n,k,normalized\n5,0,1.0\n", ": missing column(s) count"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,1,x\n", ":2: could not convert"),
+            ("tech-table", "group_name\nalpha\n", ": missing column(s) prefix"),
+            ("tech-table", "group_name,prefix\nalpha,A01\nbeta, \n", ":3: empty group_name"),
+        ],
+        ids=[
+            "series-missing", "series-bad", "fits-missing", "fits-bad",
+            "backlinks-missing", "backlinks-bad", "backlinks-short",
+            "backlink-dist-missing", "backlink-dist-bad",
+            "pathlen-dist-missing", "pathlen-dist-bad",
+            "tech-table-missing", "tech-table-empty",
+        ],
+    )
+    def test_bad_table_exit_2_naming_the_file(self, tmp_path, capsys, reader, content, message):
+        table = tmp_path / "table.csv"
+        table.write_text(content)
+        assert run(*self._argv(tmp_path, reader, table)) == 2
+        assert f"{table}{message}" in capsys.readouterr().err
 
 
 class TestConfigFile:

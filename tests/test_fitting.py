@@ -253,6 +253,21 @@ class TestChiSquareMonotonicity:
             ps = [chi2.sf(s, dof) for s in stats]
             assert ps == sorted(ps, reverse=True)
 
+    @pytest.mark.parametrize("dof", [1, 2, 3, 5, 10, 30, 100, 299])
+    def test_p_value_equals_scipy_stats(self, dof):
+        from scipy.stats import chi2
+
+        from cumuldyn.fitting import _chi_square
+
+        # dof + 1 bins of expected count 20; the observed counts are shifted
+        # by +d, -d alternately, so the statistic grows like d squared.
+        expected = np.full(dof + 1, 20.0)
+        signs = np.where(np.arange(dof + 1) % 2 == 0, 1.0, -1.0)
+        for d in (0.0, 0.5, 1.0, 3.0, 6.0, 12.0, 19.0):
+            statistic, got_dof, p_value = _chi_square(expected + d * signs, expected)
+            assert got_dof == dof
+            assert p_value == float(chi2.sf(statistic, dof))
+
 
 class TestPowerLawFit:
     def test_exact_power_law(self):

@@ -1,0 +1,93 @@
+"""Which modules the command line loads.
+
+Every CLI process pays for its imports before it does any work, so the
+commands that need no statistics (simulate, measure, sweep) must not load
+scipy at all, and fit/gof must load only ``scipy.special``.  Each check runs
+in a fresh interpreter, since this test process has scipy loaded already.
+The checks look at ``sys.modules``, never at a clock.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import cumuldyn
+
+SRC = str(Path(cumuldyn.__file__).resolve().parent.parent)
+
+SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    import cumuldyn.cli
+    from cumuldyn.cli import main
+
+    loaded = {"import": scipy_modules()}
+    tmp = sys.argv[1]
+    codes = [
+        main(["simulate", "--q", "0.01", "--m1", "2", "--n", "200",
+              "--seed", "3", "--out", f"{tmp}/sim"]),
+        main(["measure", "--nodes", f"{tmp}/nodes.csv", "--edges", f"{tmp}/edges.csv",
+              "--prefix", "A01", "--stride", "10", "--out", f"{tmp}/measured"]),
+        main(["sweep", "--nodes", f"{tmp}/nodes.csv", "--edges", f"{tmp}/edges.csv",
+              "--tech-table", f"{tmp}/techs.csv", "--stride", "10",
+              "--out", f"{tmp}/sweep"]),
+    ]
+    loaded["simulate_measure_sweep"] = scipy_modules()
+    codes += [
+        main(["fit", "--series", f"{tmp}/measured/series.csv", "--out", f"{tmp}/fit"]),
+        main(["gof", "--backlink-dist", f"{tmp}/measured/backlink_dist.csv",
+              "--pathlen-dist", f"{tmp}/measured/pathlen_dist.csv",
+              "--fits", f"{tmp}/fit/fits.csv", "--families", "binomial-type,poisson,binomial",
+              "--out", f"{tmp}/gof"]),
+    ]
+    loaded["fit_gof"] = scipy_modules()
+    print(json.dumps({"codes": codes, "loaded": loaded}))
+    """
+)
+
+
+def _write_corpus(tmp_path: Path) -> None:
+    """Three dated technologies of 40 nodes, each node citing its two predecessors."""
+    nodes = ["node_id,year,classes"]
+    edges = ["citing_id,cited_id,origin"]
+    for prefix in ("A01", "B02", "C03"):
+        for i in range(40):
+            nodes.append(f"{prefix}N{i:02d},{2000 + i // 5},{prefix} 1/00")
+            edges.extend(
+                f"{prefix}N{i:02d},{prefix}N{j:02d},APP" for j in range(max(0, i - 2), i)
+            )
+    (tmp_path / "nodes.csv").write_text("\n".join(nodes) + "\n")
+    (tmp_path / "edges.csv").write_text("\n".join(edges) + "\n")
+    (tmp_path / "techs.csv").write_text("group_name,prefix\na,A01\nb,B02\nc,C03\n")
+
+
+def test_commands_load_scipy_only_where_needed(tmp_path):
+    _write_corpus(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0, 0]
+    loaded = report["loaded"]
+    assert loaded["import"] == []
+    assert loaded["simulate_measure_sweep"] == []
+    assert "scipy.special" in loaded["fit_gof"]
+    assert not any(m.startswith("scipy.stats") for m in loaded["fit_gof"])
