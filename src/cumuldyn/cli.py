@@ -124,16 +124,28 @@ def _read_table(
     return parsed
 
 
+def _finite(column: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {value}")
+    return value
+
+
+def _in_range(column: str, value: T, low: float = 0, high: float = math.inf) -> T:
+    if not low <= value <= high:  # also rejects nan
+        raise ValueError(f"{column} must lie in [{low}, {high}], got {value}")
+    return value
+
+
 def _load_series(path: str) -> CumulativenessSeries:
     points = _read_table(
         path,
         _SERIES_COLUMNS,
         lambda row: SeriesPoint(
             n=int(row["n"]),
-            id=float(row["id"]),
-            ipl=float(row["ipl"]),
-            mipl=int(float(row["mipl"])),
-            ed=float(row["ed"]),
+            id=_finite("id", float(row["id"])),
+            ipl=_finite("ipl", float(row["ipl"])),
+            mipl=int(_finite("mipl", float(row["mipl"]))),
+            ed=_finite("ed", float(row["ed"])),
         ),
     )
     if not points:
@@ -143,17 +155,19 @@ def _load_series(path: str) -> CumulativenessSeries:
 
 def _load_backlinks(path: str) -> list[int]:
     rows = _read_table(
-        path, ("ordinal", "m"), lambda row: (int(row["ordinal"]), int(row["m"]))
+        path, ("ordinal", "m"), lambda row: (int(row["ordinal"]), _in_range("m", int(row["m"])))
     )
     rows.sort()
     return [m for _, m in rows]
 
 
 def _parse_count(raw: str) -> int | float:
+    """An integer count, or a float one (``inf`` where float mode overflowed)."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return float(raw)
+        value = float(raw)
+    return _in_range("count", value)
 
 
 def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
@@ -161,13 +175,18 @@ def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
     rows = _read_table(
         path,
         ("n", "m", "count"),
-        lambda row: (int(row["n"]), int(row["m"]), int(row["count"])),
+        lambda row: (
+            int(row["n"]),
+            _in_range("m", int(row["m"])),
+            _in_range("count", int(row["count"])),
+        ),
     )
     for n, m, count in rows:
         grouped.setdefault(n, {})[m] = count
-    return {
-        n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()
-    }
+    try:
+        return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
+    except ValueError as exc:  # a histogram whose counts do not add up to n
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
@@ -179,7 +198,7 @@ def _load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
             int(row["n"]),
             int(row["k"]),
             _parse_count(row["count"]),
-            float(row["normalized"]),
+            _in_range("normalized", float(row["normalized"]), 0, 1),
         ),
     )
     for n, k, count, normalized in rows:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
+import numpy as np
+
 __all__ = [
     "InventionNode",
     "KnowledgeGraph",
@@ -151,6 +153,24 @@ class PathLengthDistribution:
     ipl: float
     mipl: int
     log_counts: Mapping[int, float] | None = None
+
+    @classmethod
+    def from_logs(cls, n: int, logs: np.ndarray) -> PathLengthDistribution:
+        """Distribution with ``log(counts[k]) = logs[k]``, normalized in log space."""
+        peak = float(np.max(logs))
+        log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
+        norm = np.exp(logs - log_total)
+        ks = np.arange(len(logs))
+        with np.errstate(over="ignore"):
+            raw = np.exp(logs)
+        return cls(
+            n=n,
+            counts={int(k): float(raw[k]) for k in ks},
+            normalized={int(k): float(norm[k]) for k in ks},
+            ipl=float(np.dot(ks, norm)),
+            mipl=len(logs) - 1,
+            log_counts={int(k): float(logs[k]) for k in ks},
+        )
 
     @property
     def total_paths(self) -> int | float:

@@ -159,7 +159,8 @@ def _chi_square(
     dof = len(obs_arr) - 1
     if dof < 1 or np.any(exp_arr <= 0.0):
         return math.nan, max(dof, 0), math.nan
-    statistic = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
+    with np.errstate(over="ignore"):  # counts past 1e154 overflow to inf, handled next
+        statistic = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     if not math.isfinite(statistic):
         return math.inf, dof, 0.0
     from scipy.special import chdtrc

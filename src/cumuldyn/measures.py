@@ -4,15 +4,14 @@ The transversal indicator (internal dependence, ``id``) is a simple edge
 count.  The longitudinal indicators (internal path length ``ipl``, maximum
 path length ``mipl``) require the full distribution of path lengths, where a
 path starts at an invention without internal backward links and follows
-links forward in time.  Path counts grow exponentially with the graph, so
-they are computed by a single dynamic-programming sweep in topological
-(= ordinal) order: the vector of path counts ending at a node is the sum of
-its cited nodes' vectors shifted by one.
-
-Two accumulation modes are provided: exact arbitrary-precision integers
-(default up to :data:`EXACT_MODE_LIMIT` nodes) and a floating log-space mode
-that accumulates natural logs with log-sum-exp (relative error per
-accumulation well below 1e-9), for graphs whose path counts overflow floats.
+links forward in time.  One engine counts them level by level: the paths of
+length k ending at a node are the sum, over the nodes it cites, of their
+paths of length k-1.  It runs in exact arbitrary-precision integers (default
+up to :data:`EXACT_MODE_LIMIT` nodes) or, for graphs whose path counts
+overflow floats, in natural logs.  The log mode sums each node's cited
+counts by a log-sum-exp shifted by their own maximum, so a count's relative
+error stays near machine precision per level however widely one level's
+counts spread.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, count
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -52,8 +52,6 @@ __all__ = [
 EXACT_MODE_LIMIT = 50_000
 
 Mode = Literal["auto", "exact", "float"]
-
-_NEG_INF = float("-inf")
 
 
 def _check_prefix(graph: KnowledgeGraph, n: int) -> None:
@@ -118,116 +116,91 @@ class NodePathVector:
         return f"NodePathVector({self.as_dict()})"
 
 
-class _ExactAccumulator:
-    """Integer DP state: per-node path vectors plus running length totals."""
+def _log_segment_sum(logs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Log of the summed counts of ``logs[bounds[i]:bounds[i + 1]]`` for each i.
 
-    mode = "exact"
-
-    def __init__(self) -> None:
-        self.vectors: list[NodePathVector] = []
-        self.totals: list[int] = []
-
-    def add_node(self, cited: Sequence[int]) -> None:
-        if not cited:
-            vec = NodePathVector(0, [1])
-        else:
-            offset = min(self.vectors[j].offset for j in cited) + 1
-            top = max(self.vectors[j].offset + len(self.vectors[j].counts) for j in cited)
-            acc = [0] * (top + 1 - offset)
-            for j in cited:
-                src = self.vectors[j]
-                base = src.offset + 1 - offset
-                counts = src.counts
-                for t in range(len(counts)):
-                    acc[base + t] += counts[t]
-            vec = NodePathVector(offset, acc)
-        self.vectors.append(vec)
-        totals = self.totals
-        need = vec.offset + len(vec.counts) - len(totals)
-        if need > 0:
-            totals.extend([0] * need)
-        for t, value in enumerate(vec.counts):
-            totals[vec.offset + t] += value
-
-    def snapshot(self, n: int) -> PathLengthDistribution:
-        totals = self.totals
-        counts = {k: totals[k] for k in range(len(totals))}
-        total = sum(totals)
-        if total > 0:
-            normalized = {k: totals[k] / total for k in range(len(totals))}
-            weighted = sum(k * totals[k] for k in range(len(totals)))
-            ipl = weighted / total
-        else:  # unreachable for n >= 1: every node ends at least one path
-            normalized = {}
-            ipl = 0.0
-        return PathLengthDistribution(
-            n=n,
-            counts=counts,
-            normalized=normalized,
-            ipl=ipl,
-            mipl=len(totals) - 1 if totals else 0,
-        )
+    Each segment is shifted by its own maximum, clipped at 0 (the least log
+    of a positive count), so no segment over- or underflows however widely
+    the level's counts spread; an all-zero segment sums to ``-inf``.
+    """
+    starts = bounds[:-1]
+    shift = np.maximum.reduceat(logs, starts)
+    np.maximum(shift, 0.0, out=shift)
+    terms = np.exp(logs - shift.repeat(bounds[1:] - starts))
+    with np.errstate(divide="ignore"):
+        return np.log(np.add.reduceat(terms, starts)) + shift
 
 
-class _LogAccumulator:
-    """Log-space DP state: vectors and totals hold natural logs of counts."""
-
-    mode = "float"
-
-    def __init__(self) -> None:
-        self.vectors: list[tuple[int, np.ndarray]] = []
-        self.totals = np.full(8, _NEG_INF)
-        self.max_k = 0
-
-    def add_node(self, cited: Sequence[int]) -> None:
-        if not cited:
-            offset, acc = 0, np.zeros(1)
-        else:
-            offset = min(self.vectors[j][0] for j in cited) + 1
-            top = max(self.vectors[j][0] + len(self.vectors[j][1]) for j in cited)
-            acc = np.full(top + 1 - offset, _NEG_INF)
-            for j in cited:
-                src_offset, src = self.vectors[j]
-                base = src_offset + 1 - offset
-                seg = acc[base : base + len(src)]
-                np.logaddexp(seg, src, out=seg)
-        self.vectors.append((offset, acc))
-        top = offset + len(acc)
-        if top > len(self.totals):
-            grown = np.full(max(top, 2 * len(self.totals)), _NEG_INF)
-            grown[: len(self.totals)] = self.totals
-            self.totals = grown
-        seg = self.totals[offset:top]
-        np.logaddexp(seg, acc, out=seg)
-        if top > self.max_k:
-            self.max_k = top
-
-    def snapshot(self, n: int) -> PathLengthDistribution:
-        logs = self.totals[: self.max_k]
-        peak = float(np.max(logs))
-        log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
-        norm = np.exp(logs - log_total)
-        ks = np.arange(len(logs))
-        with np.errstate(over="ignore"):
-            raw = np.exp(logs)
-        return PathLengthDistribution(
-            n=n,
-            counts={int(k): float(raw[k]) for k in ks},
-            normalized={int(k): float(norm[k]) for k in ks},
-            ipl=float(np.dot(ks, norm)),
-            mipl=len(logs) - 1,
-            log_counts={int(k): float(logs[k]) for k in ks},
-        )
+# Per mode: dtype, count of no path, count of one path, sum over each
+# segment of a level's edges (given its bounds), running sum over nodes.
+_ARITHMETIC = {
+    "exact": (object, 0, 1, lambda v, bounds: np.add.reduceat(v, bounds[:-1]), np.add.accumulate),
+    "float": (np.float64, -math.inf, 0.0, _log_segment_sum, np.logaddexp.accumulate),
+}
 
 
-def _run_accumulator(
+def _path_levels(
     graph: KnowledgeGraph, n: int, mode: str
-) -> _ExactAccumulator | _LogAccumulator:
-    acc = _ExactAccumulator() if mode == "exact" else _LogAccumulator()
-    backward = graph.backward_lists
-    for i in range(n):
-        acc.add_node(backward[i])
-    return acc
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(nodes, counts)`` for path lengths k = 0, 1, 2, ... over the first n nodes.
+
+    ``nodes`` (ascending) are the prefix nodes where a path of length k or
+    more ends and ``counts`` their numbers of length-k paths, in ``mode``'s
+    arithmetic.  Level k is one segmented sum of level k-1 over the edges
+    whose cited node is still on level k-1; the generator stops after the
+    longest path.
+    """
+    dtype, no_path, one_path, segment_sum, _ = _ARITHMETIC[mode]
+    backward = graph.backward_lists[:n]
+    degree = np.fromiter(map(len, backward), np.intp, n)
+    cited = np.fromiter(chain.from_iterable(backward), np.intp, int(degree.sum()))
+    citing = np.repeat(np.arange(n), degree)
+    nodes = np.arange(n)
+    counts = np.where(degree == 0, one_path, no_path).astype(dtype)
+    value = counts.copy()  # each node's count on the last level it is on
+    last = np.zeros(n, np.intp)  # the last level each node is on, so far
+    for k in count():
+        yield nodes, counts
+        value[nodes] = counts
+        last[nodes] = k
+        keep = last[cited] == k
+        citing, cited = citing[keep], cited[keep]
+        if not citing.size:
+            return
+        # The edge positions where a citing node's run begins, then the end.
+        bounds = np.flatnonzero(np.concatenate(([True], citing[1:] != citing[:-1], [True])))
+        nodes = citing[bounds[:-1]]
+        counts = segment_sum(value[cited], bounds)
+
+
+def _exact_distribution(n: int, row: np.ndarray) -> PathLengthDistribution:
+    totals = row.tolist()
+    total = sum(totals)
+    return PathLengthDistribution(
+        n=n,
+        counts=dict(enumerate(totals)),
+        normalized={k: c / total for k, c in enumerate(totals)},
+        ipl=sum(k * c for k, c in enumerate(totals)) / total,
+        mipl=len(totals) - 1,
+    )
+
+
+def _path_distributions(
+    graph: KnowledgeGraph, sizes: Sequence[int], mode: str
+) -> list[PathLengthDistribution]:
+    """Path-length distribution of each prefix in ``sizes`` (ascending)."""
+    *_, running_sum = _ARITHMETIC[mode]
+    targets = np.asarray(sizes)
+    columns = []  # per level: its running total at each prefix size
+    firsts = []  # per level: its lowest node, which never falls from level to level
+    for nodes, counts in _path_levels(graph, sizes[-1], mode):
+        columns.append(running_sum(counts)[nodes.searchsorted(targets) - 1])
+        firsts.append(nodes[0])
+    # A prefix reaches the levels whose lowest node lies inside it; the
+    # columns of the levels it does not reach hold no total of its own.
+    levels = np.searchsorted(firsts, targets).tolist()
+    build = _exact_distribution if mode == "exact" else PathLengthDistribution.from_logs
+    return [build(n, row[:m]) for n, row, m in zip(sizes, np.array(columns).T, levels)]
 
 
 def path_length_distribution(
@@ -240,20 +213,25 @@ def path_length_distribution(
     themselves start at an initial node are counted in their own right.
     """
     _check_prefix(graph, n)
-    return _run_accumulator(graph, n, _resolve_mode(mode, n)).snapshot(n)
+    return _path_distributions(graph, [n], _resolve_mode(mode, n))[0]
 
 
 def node_path_vectors(graph: KnowledgeGraph, n: int) -> list[NodePathVector]:
     """Per-node path-length vectors for the first n nodes (exact integers)."""
     _check_prefix(graph, n)
-    acc = _run_accumulator(graph, n, "exact")
-    assert isinstance(acc, _ExactAccumulator)
-    return acc.vectors
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for nodes, counts in _path_levels(graph, n, "exact"):
+        for i, c in zip(nodes.tolist(), counts.tolist()):
+            rows[i].append(c)
+    # A node is on every level up to its longest path; its vector starts at
+    # its shortest one.
+    offsets = [next(k for k, c in enumerate(row) if c) for row in rows]
+    return [NodePathVector(k, row[k:]) for k, row in zip(offsets, rows)]
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """All measurements of one prefix, produced by the incremental sweep."""
+    """All measurements of one prefix, produced by one sweep over the graph."""
 
     n: int
     id: float
@@ -272,53 +250,34 @@ class Checkpoint:
         )
 
 
-def _checkpoint_sizes(n_nodes: int, stride: int) -> list[int]:
-    sizes = list(range(stride, n_nodes + 1, stride))
-    if not sizes or sizes[-1] != n_nodes:
-        sizes.append(n_nodes)
-    return sizes
-
-
 def iter_checkpoints(
     graph: KnowledgeGraph, stride: int, mode: Mode = "auto"
 ) -> Iterator[Checkpoint]:
     """Measure every indicator at n = stride, 2*stride, ..., N in one sweep.
 
-    Incremental and equivalent to recomputing at each prefix (bit-exact in
-    integer mode): earlier nodes never gain backward links, so a new node
-    only ever adds its own contributions to the running totals.
+    Equivalent to measuring each prefix on its own (bit-exact in integer
+    mode): earlier nodes never gain backward links, so each prefix total is
+    a running sum over the nodes below it.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if graph.n_nodes == 0:
         raise ValueError("cannot measure an empty graph")
-    mode_name = _resolve_mode(mode, graph.n_nodes)
-    acc = _ExactAccumulator() if mode_name == "exact" else _LogAccumulator()
-    backward = graph.backward_lists
-    external = graph.external_backlink_counts
-    targets = _checkpoint_sizes(graph.n_nodes, stride)
-    next_target = 0
-    edge_total = 0
-    external_total = 0
+    sizes = [*range(stride, graph.n_nodes, stride), graph.n_nodes]
+    dists = _path_distributions(graph, sizes, _resolve_mode(mode, graph.n_nodes))
+    links = graph.backlink_counts
+    edge_totals = list(accumulate(links))
+    external_totals = list(accumulate(graph.external_backlink_counts))
     histogram: Counter[int] = Counter()
-    for i in range(graph.n_nodes):
-        cited = backward[i]
-        acc.add_node(cited)
-        edge_total += len(cited)
-        external_total += external[i]
-        histogram[len(cited)] += 1
-        n = i + 1
-        if n == targets[next_target]:
-            next_target += 1
-            yield Checkpoint(
-                n=n,
-                id=edge_total / n,
-                ed=external_total / n,
-                path_dist=acc.snapshot(n),
-                backlink_dist=BacklinkDistribution(n=n, counts=dict(histogram)),
-            )
-            if next_target == len(targets):
-                return
+    for start, n, path_dist in zip([0, *sizes], sizes, dists):
+        histogram.update(links[start:n])
+        yield Checkpoint(
+            n=n,
+            id=edge_totals[n - 1] / n,
+            ed=external_totals[n - 1] / n,
+            path_dist=path_dist,
+            backlink_dist=BacklinkDistribution(n=n, counts=dict(histogram)),
+        )
 
 
 def measure_checkpoints(

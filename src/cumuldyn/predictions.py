@@ -103,19 +103,7 @@ def analytic_path_counts(n: int, params: ModelParams) -> PathLengthDistribution:
         raise ValueError(f"n must be >= 1, got {n}")
     ks = np.arange(n)
     logs = math.log(params.r) + ks * math.log(params.q) + _log_binomial(float(n), ks + 1.0)
-    peak = float(np.max(logs))
-    log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
-    norm = np.exp(logs - log_total)
-    with np.errstate(over="ignore"):
-        raw = np.exp(logs)
-    return PathLengthDistribution(
-        n=n,
-        counts={int(k): float(raw[k]) for k in ks},
-        normalized={int(k): float(norm[k]) for k in ks},
-        ipl=float(np.dot(ks, norm)),
-        mipl=n - 1,
-        log_counts={int(k): float(logs[k]) for k in ks},
-    )
+    return PathLengthDistribution.from_logs(n, logs)
 
 
 def normalized_path_dist(n: int, q: float) -> dict[int, float]:

@@ -108,6 +108,29 @@ class TestMeasure:
         summary = read_csv(gof_out / "gof_summary.csv")
         assert all(-1.0 <= float(r["correlation"]) <= 1.0 for r in summary)
 
+    def test_overflowing_float_counts_round_trip_through_gof(self, tmp_path, recwarn):
+        # Node i cites i-1 and i-2, so the longest lengths' path counts pass
+        # the float range and float mode writes them as inf.
+        n = 1600
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        nodes.write_text("node_id,year,classes\n" + "".join(f"f{i:04d},,FIB\n" for i in range(n)))
+        edges.write_text("citing_id,cited_id,origin\n" + "".join(
+            f"f{i:04d},f{i - d:04d},\n" for i in range(1, n) for d in (1, 2) if i >= d
+        ))
+        out = tmp_path / "measured"
+        assert run(
+            "measure", "--nodes", str(nodes), "--edges", str(edges), "--prefix", "FIB",
+            "--mode", "float", "--stride", "400", "--out", str(out),
+        ) == 0
+        assert any(r["count"] == "inf" for r in read_csv(out / "pathlen_dist.csv"))
+        gof_out = tmp_path / "gof"
+        assert run(
+            "gof", "--pathlen-dist", str(out / "pathlen_dist.csv"),
+            "--q", "0.5", "--m0", "1.0", "--out", str(gof_out),
+        ) == 0
+        assert len(read_csv(gof_out / "gof_summary.csv")) == 4
+        assert not recwarn.list
+
     def test_zero_match_query_exit_2(self, tmp_path, sim_dir, capsys):
         code = run(
             "measure", "--nodes", str(sim_dir / "nodes.csv"),
@@ -392,23 +415,42 @@ class TestTableReaders:
         [
             ("series", "n,id,ipl,mipl\n10,1.0,1.0,2\n", ": missing column(s) ed"),
             ("series", SERIES.replace("20,", "2x,"), ":3: invalid literal"),
+            ("series", SERIES.replace("20,1.5", "20,inf"), ":3: id must be finite, got inf"),
+            ("series", SERIES.replace(",5,", ",nan,"), ":4: mipl must be finite, got nan"),
             ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
             ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
             ("backlinks", "ordinal,node_id,m\n0,a,1\n1,b,x\n", ":3: invalid literal"),
             ("backlinks", "ordinal,node_id,m\n0,a\n", ":2: too few fields"),
+            ("backlinks", "ordinal,node_id,m\n0,a,0\n1,b,-3\n", ":3: m must lie in [0, inf]"),
             ("backlink-dist", "n,m\n10,0\n", ": missing column(s) count"),
             ("backlink-dist", "n,m,count\n10,0,x\n", ":2: invalid literal"),
+            ("backlink-dist", "n,m,count\n10,-1,5\n10,1,5\n", ":2: m must lie in [0, inf]"),
+            ("backlink-dist", "n,m,count\n10,0,-5\n10,1,15\n", ":2: count must lie in [0, inf]"),
+            ("backlink-dist", "n,m,count\n10,0,5\n10,1,4\n",
+             ": histogram total 9 != prefix size 10"),
             ("pathlen-dist", "n,k,normalized\n5,0,1.0\n", ": missing column(s) count"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,1,x\n", ":2: could not convert"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,nan\n5,1,2,0.4\n",
+             ":2: normalized must lie in [0, 1], got nan"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,1.5\n",
+             ":2: normalized must lie in [0, 1], got 1.5"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,-3,0.6\n5,1,2,0.4\n",
+             ":2: count must lie in [0, inf], got -3"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.6\n5,1,nan,0.4\n",
+             ":3: count must lie in [0, inf], got nan"),
             ("tech-table", "group_name\nalpha\n", ": missing column(s) prefix"),
             ("tech-table", "group_name,prefix\nalpha,A01\nbeta, \n", ":3: empty group_name"),
         ],
         ids=[
-            "series-missing", "series-bad", "fits-missing", "fits-bad",
-            "backlinks-missing", "backlinks-bad", "backlinks-short",
+            "series-missing", "series-bad", "series-inf-id", "series-nan-mipl",
+            "fits-missing", "fits-bad",
+            "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
             "backlink-dist-missing", "backlink-dist-bad",
+            "backlink-dist-negative-m", "backlink-dist-negative-count", "backlink-dist-total",
             "pathlen-dist-missing", "pathlen-dist-bad",
+            "pathlen-dist-nan-normalized", "pathlen-dist-normalized-above-1",
+            "pathlen-dist-negative-count", "pathlen-dist-nan-count",
             "tech-table-missing", "tech-table-empty",
         ],
     )
@@ -417,6 +459,25 @@ class TestTableReaders:
         table.write_text(content)
         assert run(*self._argv(tmp_path, reader, table)) == 2
         assert f"{table}{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reader, content",
+        [
+            ("series", SERIES.replace("20,1.5", "20,inf")),
+            ("series", SERIES.replace(",5,", ",inf,")),
+            ("backlink-dist", "n,m,count\n10,-1,5\n10,1,5\n"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,nan\n5,1,2,0.4\n"),
+        ],
+        ids=["series-inf-id", "series-inf-mipl", "backlink-dist-negative-m", "pathlen-dist-nan"],
+    )
+    def test_bad_value_raises_no_warning(self, tmp_path, capsys, recwarn, reader, content):
+        table = tmp_path / "table.csv"
+        table.write_text(content)
+        assert run(*self._argv(tmp_path, reader, table)) == 2
+        err = capsys.readouterr().err
+        assert f"{table}:" in err
+        assert "Warning" not in err
+        assert not recwarn.list
 
 
 class TestConfigFile:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumuldyn.measures import (
     backlink_distribution,
@@ -11,6 +15,7 @@ from cumuldyn.measures import (
     external_dependence,
     initial_fraction,
     internal_dependence,
+    iter_checkpoints,
     measure_checkpoints,
     node_path_vectors,
     path_length_distribution,
@@ -215,3 +220,73 @@ class TestBacklinkDistribution:
 
     def test_prefix_histogram(self, example_graph):
         assert backlink_distribution(example_graph, 2).counts == {0: 2}
+
+
+@st.composite
+def backward_dags(draw, max_nodes: int = 13):
+    """A graph whose node i cites any subset of the nodes before it."""
+    n = draw(st.integers(1, max_nodes))
+    edges = [
+        (i, j) for i in range(1, n) for j in sorted(draw(st.sets(st.integers(0, i - 1))))
+    ]
+    return make_graph(n, edges)
+
+
+# Derandomized and bounded, so every run checks the same few hundred graphs.
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def assert_float_matches_exact(floating, exact):
+    assert floating.mipl == exact.mipl
+    assert floating.ipl == pytest.approx(exact.ipl, rel=1e-9)
+    assert floating.counts.keys() == exact.counts.keys()
+    for k, c in exact.counts.items():
+        # Within 1e-9 relative on the count is within 1e-9 absolute on its log.
+        assert floating.log_counts[k] == pytest.approx(math.log(c), rel=0, abs=1e-9)
+        assert floating.normalized[k] == pytest.approx(exact.normalized[k], rel=1e-9)
+
+
+class TestPathEngineProperties:
+    @PROPERTY
+    @given(graph=backward_dags(), data=st.data())
+    def test_exact_equals_brute_force(self, graph, data):
+        n = data.draw(st.integers(1, graph.n_nodes))
+        assert path_length_distribution(graph, n, mode="exact").counts == (
+            brute_force_path_counts(graph, n)
+        )
+
+    @PROPERTY
+    @given(graph=backward_dags())
+    def test_float_within_1e9_of_exact(self, graph):
+        n = graph.n_nodes
+        assert_float_matches_exact(
+            path_length_distribution(graph, n, mode="float"),
+            path_length_distribution(graph, n, mode="exact"),
+        )
+
+    @PROPERTY
+    @given(
+        graph=backward_dags(), stride=st.integers(1, 5), mode=st.sampled_from(["exact", "float"])
+    )
+    def test_every_checkpoint_equals_pointwise(self, graph, stride, mode):
+        for cp in iter_checkpoints(graph, stride, mode):
+            assert cp.path_dist == path_length_distribution(graph, cp.n, mode)
+            assert cp.backlink_dist == backlink_distribution(graph, cp.n)
+            assert cp.id == internal_dependence(graph, cp.n)
+            assert cp.ed == external_dependence(graph, cp.n)
+
+    def test_float_matches_exact_past_the_float_range(self):
+        # Up to node 1600, node i cites i-1 and i-2, so path counts grow like
+        # Fibonacci numbers and pass the float range.  The nodes after it
+        # form a chain that reaches those long levels but whose far end has
+        # no path of their length: zero counts beside overflowing ones.
+        n, fib = 1800, 1600
+        graph = make_graph(
+            n, [(i, i - d) for i in range(1, n) for d in (1, 2) if i >= d and (d == 1 or i < fib)]
+        )
+        floating = measure_checkpoints(graph, 100, mode="float")
+        exact = measure_checkpoints(graph, 100, mode="exact")
+        assert [cp.n for cp in floating] == [cp.n for cp in exact]
+        for f, e in zip(floating, exact):
+            assert_float_matches_exact(f.path_dist, e.path_dist)
+        assert any(math.isinf(c) for c in floating[-1].path_dist.counts.values())
