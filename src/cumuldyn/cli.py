@@ -40,7 +40,7 @@ from .fitting import (
     power_law_fit,
 )
 from .growth import GENERATOR_NAME, simulate
-from .ingest import CorpusError, TechnologyQuery, build_graph, load_corpus
+from .ingest import CorpusError, TechnologyQuery, build_graph, load_corpus, open_csv
 from .measures import measure_checkpoints
 from .predictions import rate_predictions
 
@@ -105,20 +105,23 @@ def _read_table(
     """Parse each row of a CSV table whose header must name ``columns``.
 
     A missing column raises ValueError naming the file; a row short of
-    ``columns`` or one ``parse_row`` rejects with ValueError raises
-    ValueError naming ``file:line``.
+    ``columns`` or one ``parse_row`` rejects with ValueError, bytes that are
+    not UTF-8 and an overlong field raise ValueError naming ``file:line``.
+    Blank lines are skipped and a leading byte-order mark is ignored.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    with open_csv(path) as reader:
+        header = next(reader, None) or []
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        width = max(index[c] for c in columns) + 1
         parsed = []
-        for row in reader:
+        for fields in filter(None, reader):
             try:
-                if any(row[c] is None for c in columns):
+                if len(fields) < width:
                     raise ValueError("too few fields")
-                parsed.append(parse_row(row))
+                parsed.append(parse_row(dict(zip(header, fields))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return parsed
@@ -210,6 +213,9 @@ def _load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
         positive = [k for k, c in counts.items() if c > 0]
         if not positive:
             raise ValueError(f"{path}: distribution at n={n} has no paths")
+        total = math.fsum(normalized.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"{path}: normalized values at n={n} sum to {total!r}, not 1")
         dists[n] = PathLengthDistribution(
             n=n,
             counts=counts,
@@ -492,7 +498,7 @@ def _sweep_one(corpus, name, prefixes, args):
     query = TechnologyQuery(
         name=name, class_prefixes=frozenset(prefixes), year_cutoff=args.year_cutoff
     )
-    graph, _ = build_graph(
+    graph, diagnostics = build_graph(
         corpus, query, origin=args.origin, granted_only=args.granted_only
     )
     checkpoints = measure_checkpoints(graph, args.stride, args.mode)
@@ -524,6 +530,7 @@ def _sweep_one(corpus, name, prefixes, args):
         "q": q_hat,
         "p": p_hat,
         "rate": rate,
+        "diagnostics": diagnostics.as_dict(),
     }
 
 
@@ -607,6 +614,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "granted_only": args.granted_only,
             "mode": args.mode,
             "technologies": names,
+        },
+        diagnostics={
+            "self_citations_dropped": corpus.self_citations_dropped,
+            "technologies": {r["tech"]: r["diagnostics"] for r in results},
         },
     )
     bundle.add_table(

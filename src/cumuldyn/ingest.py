@@ -3,21 +3,41 @@
 A corpus is a pair of CSV files: nodes (``node_id,year,classes`` with an
 optional ``granted`` boolean column, classes ``;``-separated) and citations
 (``citing_id,cited_id,origin`` with origin APP, EXA or empty for unknown).
-Node ids are opaque strings, assumed pre-aggregated to one node per
-invention (e.g. one patent family).
+Files are UTF-8; a leading byte-order mark is skipped.  Node ids are opaque
+strings, assumed pre-aggregated to one node per invention (e.g. one patent
+family).
 
 A technology is selected by class-prefix match (whitespace-insensitive, so
 the query "Y02E10/5" matches the label "Y02E 10/50").  Selected nodes are
 ordered by (year, node_id) — undated nodes sort last — and citations among
 them become internal edges; citations leaving the selection only bump the
 citing node's external count.
+
+A :class:`Corpus` is held by column.  Each id is interned once: the node
+rows get codes 0…n−1 in file order and ids that only occur in citations get
+the codes after that, so the citations are three integer arrays (citing,
+cited, origin).  Years, class lists, ``granted`` flags and origins are parsed
+once per distinct raw value, since patent data repeats them heavily.
+:func:`build_graph` is array code over these columns: a class mask matched
+once per distinct class list, one ``np.lexsort`` for the chronological
+order, and a sort of (citing, cited) pair keys to collapse duplicate
+citations.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
+import io
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from itertools import islice
+from operator import itemgetter
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .core import InventionNode, KnowledgeGraph
 
@@ -28,12 +48,14 @@ __all__ = [
     "CorpusNode",
     "Corpus",
     "IngestDiagnostics",
+    "open_csv",
     "load_corpus",
     "build_graph",
     "class_grouping",
 ]
 
-_ORIGINS = {"APP": "APP", "EXA": "EXA", "": "UNKNOWN"}
+ORIGINS = ("APP", "EXA", "UNKNOWN")
+_ORIGIN_CODES = {"APP": 0, "EXA": 1, "": 2}
 
 
 class CorpusError(ValueError):
@@ -85,13 +107,92 @@ class CorpusNode:
     granted: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """A parsed corpus plus load-time diagnostics."""
+    """A parsed corpus, held by column, plus load-time diagnostics.
 
-    nodes: tuple[CorpusNode, ...]
-    citations: tuple[CitationRecord, ...]
+    ``ids[code]`` is the id of each code: the ``n_nodes`` node rows in file
+    order, then the ids that occur only in citations.  Per node row,
+    ``year_rank`` indexes ``years`` (the distinct years in ascending order,
+    then ``None`` for undated nodes), ``class_code`` indexes ``class_lists``
+    and ``granted`` is the flag.  The citations, self-citations dropped, are
+    the code arrays ``citing`` and ``cited`` and ``origin``, an index into
+    :data:`ORIGINS`.
+    """
+
+    ids: tuple[str, ...]
+    n_nodes: int
+    years: tuple[int | None, ...]
+    year_rank: np.ndarray
+    class_lists: tuple[tuple[str, ...], ...]
+    class_code: np.ndarray
+    granted: np.ndarray
+    citing: np.ndarray
+    cited: np.ndarray
+    origin: np.ndarray
     self_citations_dropped: int = 0
+
+    def __post_init__(self) -> None:
+        for column in (
+            self.year_rank, self.class_code, self.granted, self.citing, self.cited, self.origin
+        ):
+            column.flags.writeable = False
+
+    @cached_property
+    def nodes(self) -> tuple[CorpusNode, ...]:
+        """The node rows as records, built on first access."""
+        return tuple(
+            CorpusNode(node_id, self.years[rank], self.class_lists[code], granted)
+            for node_id, rank, code, granted in zip(
+                self.ids,
+                self.year_rank.tolist(),
+                self.class_code.tolist(),
+                self.granted.tolist(),
+            )
+        )
+
+    @cached_property
+    def citations(self) -> tuple[CitationRecord, ...]:
+        """The kept citation rows as records, built on first access."""
+        ids = self.ids
+        return tuple(
+            CitationRecord(ids[citing], ids[cited], ORIGINS[origin])
+            for citing, cited, origin in zip(
+                self.citing.tolist(), self.cited.tolist(), self.origin.tolist()
+            )
+        )
+
+    @cached_property
+    def _id_rank(self) -> np.ndarray:
+        """Each node's position in the (Python string) order of the node ids."""
+        rank = np.empty(self.n_nodes, dtype=np.int64)
+        rank[sorted(range(self.n_nodes), key=self.ids.__getitem__)] = np.arange(self.n_nodes)
+        return rank
+
+    @cached_property
+    def _class_labels(self) -> tuple[frozenset[str], ...]:
+        return tuple(frozenset(classes) for classes in self.class_lists)
+
+    @cached_property
+    def _label_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The distinct labels with whitespace removed and, for each label of
+        each class list, the label's index and the class list's index."""
+        labels: dict[str, int] = {}
+        pairs = [
+            (labels.setdefault(_strip_spaces(label), len(labels)), owner)
+            for owner, classes in enumerate(self.class_lists)
+            for label in classes
+        ]
+        label, owner = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return list(labels), label, owner
+
+    def class_mask(self, query: TechnologyQuery) -> np.ndarray:
+        """Which nodes ``query`` selects by class, matched once per distinct label."""
+        labels, label, owner = self._label_index
+        prefixes = tuple(query.class_prefixes)
+        hit = np.array([text.startswith(prefixes) for text in labels], dtype=bool)
+        matched = np.bincount(owner[hit[label]], minlength=len(self.class_lists)) > 0
+        return matched[self.class_code]
 
 
 @dataclass(frozen=True)
@@ -116,91 +217,186 @@ class IngestDiagnostics:
         }
 
 
-def _parse_bool(raw: str, where: str) -> bool:
+def _undecodable_line(path: str) -> int:
+    """Line number of the first byte of ``path`` that is not UTF-8."""
+    data = Path(path).read_bytes()
+    end = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        end = exc.start
+    # Counted as csv counts lines: a line ends at \n, \r or \r\n.
+    return sum(1 for _ in io.StringIO(data[:end].decode("utf-8") + "_", newline=""))
+
+
+@contextmanager
+def open_csv(path: str) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over a UTF-8 file, skipping a leading byte-order mark.
+
+    Bytes that are not UTF-8 or a field longer than csv's field size limit
+    raise :class:`CorpusError` naming ``file:line``.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+            ) from None
+
+
+def _read_columns(path: str, required: tuple[str, ...], optional: str) -> list[list[str | None]]:
+    """The ``required`` columns and the ``optional`` one of a CSV file.
+
+    Blank lines are skipped and extra fields ignored.  A field missing from a
+    short row reads as None, and so does every field of an absent optional
+    column.  A header naming a column twice takes the later one.
+    """
+    with open_csv(path) as reader:
+        index = {name: i for i, name in enumerate(next(reader, None) or [])}
+        missing = [c for c in required if c not in index]
+        if missing:
+            raise CorpusError(f"{path}: missing required column(s) {', '.join(missing)}")
+        rows = [row for row in reader if row]
+    wanted = [index.get(name) for name in (*required, optional)]
+    width = max(i for i in wanted if i is not None) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    return [[None] * len(rows) if i is None else list(map(itemgetter(i), rows)) for i in wanted]
+
+
+def _intern(
+    values: list, parse: Callable
+) -> tuple[np.ndarray, list, tuple[int, str] | None]:
+    """Number the distinct values by first appearance and parse each once.
+
+    Returns each row's code, the parsed value per code and, if ``parse``
+    rejected a value with ValueError, the row where the first rejected value
+    first appears and the message.  Codes follow first appearance, so that
+    row is the earliest row holding any rejected value.
+    """
+    table: dict = {}
+    codes = np.array([table.setdefault(v, len(table)) for v in values], dtype=np.int64)
+    parsed = []
+    for code, value in enumerate(table):
+        try:
+            parsed.append(parse(value))
+        except ValueError as exc:
+            return codes, parsed, (int(np.argmax(codes == code)), str(exc))
+    return codes, parsed, None
+
+
+def _raise_earliest(path: str, errors: list[tuple[int, str] | None]) -> None:
+    """Raise the error of the earliest data row (0-based, blank lines not
+    counted), the first one listed on a tie, naming the row's line."""
+    found = [(e[0], order, e[1]) for order, e in enumerate(errors) if e is not None]
+    if found:
+        row, _, message = min(found)
+        with open_csv(path) as reader:
+            next(reader)
+            lines = (reader.line_num for fields in reader if fields)
+            raise CorpusError(f"{path}:{next(islice(lines, row, None))}: {message}")
+
+
+def _parse_year(raw: str | None) -> int | None:
+    value = (raw or "").strip()
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid year {value!r}") from None
+
+
+def _parse_classes(raw: str | None) -> tuple[str, ...]:
+    if raw is None:
+        raise ValueError("missing classes column value")
+    return tuple(c.strip() for c in raw.split(";") if c.strip())
+
+
+def _parse_bool(raw: str | None) -> bool:
+    raw = raw or ""
     value = raw.strip().lower()
     if value in ("", "true", "1", "yes"):
         return True
     if value in ("false", "0", "no"):
         return False
-    raise CorpusError(f"{where}: invalid boolean {raw!r}")
+    raise ValueError(f"invalid boolean {raw!r}")
 
 
-def _require_columns(fieldnames: list[str] | None, required: tuple[str, ...], path: str) -> None:
-    have = set(fieldnames or [])
-    missing = [c for c in required if c not in have]
-    if missing:
-        raise CorpusError(f"{path}: missing required column(s) {', '.join(missing)}")
+def _parse_origin(raw: str | None) -> int:
+    value = (raw or "").strip().upper()
+    if value not in _ORIGIN_CODES:
+        raise ValueError(f"invalid origin {value!r}")
+    return _ORIGIN_CODES[value]
 
 
 def load_corpus(node_file: str, edge_file: str) -> Corpus:
     """Parse node and citation CSVs, rejecting malformed rows by line number.
 
     Duplicate node ids and rows with missing or unparsable fields raise
-    :class:`CorpusError`.  Self-citations are dropped (with a count) because
-    a node cannot build on itself.
+    :class:`CorpusError` naming the earliest bad row.  Self-citations are
+    dropped (with a count) because a node cannot build on itself.
     """
-    nodes: list[CorpusNode] = []
-    seen_ids: set[str] = set()
-    with open(node_file, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(reader.fieldnames, ("node_id", "year", "classes"), node_file)
-        for row in reader:
-            where = f"{node_file}:{reader.line_num}"
-            node_id = (row.get("node_id") or "").strip()
-            if not node_id:
-                raise CorpusError(f"{where}: empty node_id")
-            if node_id in seen_ids:
-                raise CorpusError(f"{where}: duplicate node id {node_id!r}")
-            seen_ids.add(node_id)
-            raw_year = (row.get("year") or "").strip()
-            if raw_year:
-                try:
-                    year = int(raw_year)
-                except ValueError:
-                    raise CorpusError(f"{where}: invalid year {raw_year!r}") from None
-            else:
-                year = None
-            raw_classes = row.get("classes")
-            if raw_classes is None:
-                raise CorpusError(f"{where}: missing classes column value")
-            classes = tuple(c.strip() for c in raw_classes.split(";") if c.strip())
-            granted = _parse_bool(row.get("granted") or "", where)
-            nodes.append(
-                CorpusNode(node_id=node_id, year=year, classes=classes, granted=granted)
-            )
+    raw_ids, raw_years, raw_classes, raw_granted = _read_columns(
+        node_file, ("node_id", "year", "classes"), "granted"
+    )
+    node_ids = [(v or "").strip() for v in raw_ids]
+    n_nodes = len(node_ids)
+    code = {node_id: i for i, node_id in enumerate(node_ids)}
+    year_code, year_values, year_error = _intern(raw_years, _parse_year)
+    class_code, class_lists, class_error = _intern(raw_classes, _parse_classes)
+    granted_code, granted_values, granted_error = _intern(raw_granted, _parse_bool)
+    empty = (node_ids.index(""), "empty node_id") if "" in code else None
+    duplicate = None
+    if len(code) < n_nodes:
+        first: dict[str, int] = {}
+        row = next(i for i, v in enumerate(node_ids) if first.setdefault(v, i) != i)
+        duplicate = (row, f"duplicate node id {node_ids[row]!r}")
+    _raise_earliest(node_file, [empty, duplicate, year_error, class_error, granted_error])
+    years = (*sorted({y for y in year_values if y is not None}), None)
+    rank_of = {year: rank for rank, year in enumerate(years)}
 
-    citations: list[CitationRecord] = []
-    self_dropped = 0
-    with open(edge_file, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(reader.fieldnames, ("citing_id", "cited_id"), edge_file)
-        for row in reader:
-            where = f"{edge_file}:{reader.line_num}"
-            citing = (row.get("citing_id") or "").strip()
-            cited = (row.get("cited_id") or "").strip()
-            if not citing or not cited:
-                raise CorpusError(f"{where}: citation row needs citing_id and cited_id")
-            raw_origin = (row.get("origin") or "").strip().upper()
-            if raw_origin not in _ORIGINS:
-                raise CorpusError(f"{where}: invalid origin {raw_origin!r}")
-            if citing == cited:
-                self_dropped += 1
-                continue
-            citations.append(
-                CitationRecord(citing_id=citing, cited_id=cited, origin=_ORIGINS[raw_origin])
-            )
+    raw_citing, raw_cited, raw_origins = _read_columns(
+        edge_file, ("citing_id", "cited_id"), "origin"
+    )
+    citing_ids = [(v or "").strip() for v in raw_citing]
+    cited_ids = [(v or "").strip() for v in raw_cited]
+    origin_code, origin_values, origin_error = _intern(raw_origins, _parse_origin)
+    empty = None
+    if "" in citing_ids or "" in cited_ids:
+        row = next(i for i, pair in enumerate(zip(citing_ids, cited_ids)) if "" in pair)
+        empty = (row, "citation row needs citing_id and cited_id")
+    _raise_earliest(edge_file, [empty, origin_error])
+    citing = np.array([code.setdefault(i, len(code)) for i in citing_ids], dtype=np.int64)
+    cited = np.array([code.setdefault(i, len(code)) for i in cited_ids], dtype=np.int64)
+    keep = citing != cited
     return Corpus(
-        nodes=tuple(nodes),
-        citations=tuple(citations),
-        self_citations_dropped=self_dropped,
+        ids=tuple(code),
+        n_nodes=n_nodes,
+        years=years,
+        year_rank=np.array([rank_of[y] for y in year_values], dtype=np.int64)[year_code],
+        class_lists=tuple(class_lists),
+        class_code=class_code,
+        granted=np.array(granted_values, dtype=bool)[granted_code],
+        citing=citing[keep],
+        cited=cited[keep],
+        origin=np.array(origin_values, dtype=np.int8)[origin_code][keep],
+        self_citations_dropped=int(len(keep) - keep.sum()),
     )
 
 
-def _sort_key(node: CorpusNode) -> tuple[int, int, str]:
-    # Undated nodes sort after all dated ones; year ties break on node_id.
-    if node.year is None:
-        return (1, 0, node.node_id)
-    return (0, node.year, node.node_id)
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative ``keys``, ascending.
+
+    ``np.unique`` would do, but its first call imports ``numpy.ma``, which
+    costs a one-shot command about 15 ms and 1 MB.
+    """
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def build_graph(
@@ -223,70 +419,56 @@ def build_graph(
     """
     if origin not in ("all", "app"):
         raise ValueError(f"origin filter must be 'all' or 'app', got {origin!r}")
-    selected = [
-        node
-        for node in corpus.nodes
-        if (not granted_only or node.granted)
-        and query.matches(node.classes)
-        and (query.year_cutoff is None or (node.year is not None and node.year <= query.year_cutoff))
-    ]
-    if not selected:
+    member = corpus.class_mask(query)
+    if granted_only:
+        member &= corpus.granted
+    if query.year_cutoff is not None:
+        dated = len(corpus.years) - 1
+        member &= corpus.year_rank < bisect.bisect_right(corpus.years, query.year_cutoff, 0, dated)
+    selected = np.flatnonzero(member)
+    if not len(selected):
         raise ValueError(f"query {query.name!r} matches zero nodes")
-    selected.sort(key=_sort_key)
-    ordinal_of = {node.node_id: i for i, node in enumerate(selected)}
+    year_rank = corpus.year_rank[selected]
+    order = np.lexsort((corpus._id_rank[selected], year_rank))
+    selected, year_rank = selected[order], year_rank[order]
+    n, n_codes = len(selected), len(corpus.ids)
+    ordinal = np.full(n_codes, -1, dtype=np.int64)
+    ordinal[selected] = np.arange(n)
 
-    internal: set[tuple[int, int]] = set()
-    external: set[tuple[int, str]] = set()
-    duplicates = 0
-    non_backward = 0
-    ignored = 0
-    for citation in corpus.citations:
-        if origin == "app" and citation.origin != "APP":
-            continue
-        citing = ordinal_of.get(citation.citing_id)
-        if citing is None:
-            ignored += 1
-            continue
-        cited = ordinal_of.get(citation.cited_id)
-        if cited is None:
-            key = (citing, citation.cited_id)
-            if key in external:
-                duplicates += 1
-            else:
-                external.add(key)
-            continue
-        if cited >= citing:
-            non_backward += 1
-            continue
-        if (citing, cited) in internal:
-            duplicates += 1
-        else:
-            internal.add((citing, cited))
+    citing, cited = corpus.citing, corpus.cited
+    if origin == "app":
+        applicant = corpus.origin == _ORIGIN_CODES["APP"]
+        citing, cited = citing[applicant], cited[applicant]
+    source = ordinal[citing]
+    inside = source >= 0
+    source, cited = source[inside], cited[inside]
+    target = ordinal[cited]
+    leaving = target < 0
+    external = _distinct(source[leaving] * n_codes + cited[leaving])
+    source, target = source[~leaving], target[~leaving]
+    backward = target < source
+    internal = _distinct(source[backward] * n + target[backward])
+    n_backward = int(backward.sum())
 
-    external_counts = [0] * len(selected)
-    for citing, _ in external:
-        external_counts[citing] += 1
+    ids, years, labels = corpus.ids, corpus.years, corpus._class_labels
     nodes = tuple(
-        InventionNode(
-            node_id=node.node_id,
-            ordinal=i,
-            year=node.year,
-            class_labels=frozenset(node.classes),
+        InventionNode(ids[code], i, years[rank], labels[classes])
+        for i, (code, rank, classes) in enumerate(
+            zip(selected.tolist(), year_rank.tolist(), corpus.class_code[selected].tolist())
         )
-        for i, node in enumerate(selected)
     )
     graph = KnowledgeGraph(
         nodes=nodes,
-        internal_edges=tuple(sorted(internal)),
-        external_backlink_counts=tuple(external_counts),
+        internal_edges=tuple(zip((internal // n).tolist(), (internal % n).tolist())),
+        external_backlink_counts=tuple(np.bincount(external // n_codes, minlength=n).tolist()),
     )
     diagnostics = IngestDiagnostics(
-        matched_nodes=len(selected),
+        matched_nodes=n,
         internal_edges=len(internal),
         external_links=len(external),
-        duplicates_collapsed=duplicates,
-        dropped_non_backward=non_backward,
-        ignored_citations=ignored,
+        duplicates_collapsed=int(leaving.sum()) - len(external) + n_backward - len(internal),
+        dropped_non_backward=len(backward) - n_backward,
+        ignored_citations=len(inside) - int(inside.sum()),
     )
     return graph, diagnostics
 
@@ -307,6 +489,6 @@ def class_grouping(
             raise ValueError(f"group {name!r} has no class prefixes")
         queries[name] = TechnologyQuery(name=name, class_prefixes=prefix_set)
     return {
-        name: {node.node_id for node in corpus.nodes if query.matches(node.classes)}
+        name: {corpus.ids[i] for i in np.flatnonzero(corpus.class_mask(query)).tolist()}
         for name, query in queries.items()
     }

@@ -376,6 +376,26 @@ class TestSweep:
         exponent = float(cross["rate_on_q_loglog"]["exponent"])
         assert exponent == pytest.approx(-0.6, abs=0.15)
 
+    def test_meta_records_each_technology_diagnostics(self, tmp_path, multi_corpus):
+        nodes, edges, table = multi_corpus
+        with open(edges, "a") as handle:
+            handle.write("A01N001,A01N001,APP\nA01N002,A01N001,\nA01N002,A01N001,\n")
+        out = tmp_path / "sweep"
+        assert run(
+            "sweep", "--nodes", str(nodes), "--edges", str(edges),
+            "--tech-table", str(table), "--stride", "10", "--out", str(out),
+        ) == 0
+        diagnostics = json.loads((out / "meta.json").read_text())["diagnostics"]
+        assert diagnostics["self_citations_dropped"] == 1
+        techs = diagnostics["technologies"]
+        assert sorted(techs) == ["alpha", "beta", "gamma"]
+        rows = {r["tech"]: r for r in read_csv(out / "sweep.csv")}
+        for name, diag in techs.items():
+            assert diag["matched_nodes"] == int(rows[name]["n"])
+            assert diag["internal_edges"] / diag["matched_nodes"] == float(rows[name]["id"])
+            assert diag["ignored_citations"] > 0
+        assert techs["alpha"]["duplicates_collapsed"] >= 1
+
     def test_deterministic_parallel(self, tmp_path, multi_corpus):
         nodes, edges, table = multi_corpus
         outs = []
@@ -404,6 +424,11 @@ class TestTableReaders:
             dist = tmp_path / "backlink_dist.csv"
             dist.write_text("n,m,count\n10,0,5\n10,1,5\n")
             return ["gof", "--backlink-dist", str(dist), "--fits", str(table), "--out", out]
+        if reader == "nodes":
+            edges = tmp_path / "edges.csv"
+            edges.write_text("citing_id,cited_id,origin\n")
+            return ["measure", "--nodes", str(table), "--edges", str(edges),
+                    "--prefix", "X", "--out", out]
         if reader == "tech-table":
             # The table is read before the corpus, which need not exist.
             return ["sweep", "--nodes", "none.csv", "--edges", "none.csv",
@@ -439,8 +464,14 @@ class TestTableReaders:
              ":2: count must lie in [0, inf], got -3"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.6\n5,1,nan,0.4\n",
              ":3: count must lie in [0, inf], got nan"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.9\n5,1,2,0.9\n",
+             ": normalized values at n=5 sum to 1.8, not 1"),
             ("tech-table", "group_name\nalpha\n", ": missing column(s) prefix"),
             ("tech-table", "group_name,prefix\nalpha,A01\nbeta, \n", ":3: empty group_name"),
+            ("series", SERIES + "40,2.0," + "9" * 140_000 + ",5,0.0\n",
+             ":5: field larger than field limit"),
+            ("nodes", "node_id,year,classes\nA,2000,X\nB,2001," + "X" * 140_000 + "\n",
+             ":3: field larger than field limit"),
         ],
         ids=[
             "series-missing", "series-bad", "series-inf-id", "series-nan-mipl",
@@ -451,7 +482,9 @@ class TestTableReaders:
             "pathlen-dist-missing", "pathlen-dist-bad",
             "pathlen-dist-nan-normalized", "pathlen-dist-normalized-above-1",
             "pathlen-dist-negative-count", "pathlen-dist-nan-count",
+            "pathlen-dist-normalized-sum",
             "tech-table-missing", "tech-table-empty",
+            "series-overlong-field", "nodes-overlong-field",
         ],
     )
     def test_bad_table_exit_2_naming_the_file(self, tmp_path, capsys, reader, content, message):
@@ -467,8 +500,12 @@ class TestTableReaders:
             ("series", SERIES.replace(",5,", ",inf,")),
             ("backlink-dist", "n,m,count\n10,-1,5\n10,1,5\n"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,nan\n5,1,2,0.4\n"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.9\n5,1,2,0.9\n"),
         ],
-        ids=["series-inf-id", "series-inf-mipl", "backlink-dist-negative-m", "pathlen-dist-nan"],
+        ids=[
+            "series-inf-id", "series-inf-mipl", "backlink-dist-negative-m", "pathlen-dist-nan",
+            "pathlen-dist-normalized-sum",
+        ],
     )
     def test_bad_value_raises_no_warning(self, tmp_path, capsys, recwarn, reader, content):
         table = tmp_path / "table.csv"
@@ -478,6 +515,30 @@ class TestTableReaders:
         assert f"{table}:" in err
         assert "Warning" not in err
         assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "reader, content, message",
+        [
+            ("series", SERIES.encode() + b"40,2.5,\xff,6,0.0\n", ":5: not UTF-8"),
+            ("tech-table", b"group_name,prefix\nalpha,A01\nbeta,B\xe90\n", ":3: not UTF-8"),
+            ("nodes", b"node_id,year,classes\r\nA,2000,X\r\nB,2001,\xc3\n", ":3: not UTF-8"),
+        ],
+        ids=["series", "tech-table", "nodes"],
+    )
+    def test_undecodable_table_exit_2_naming_the_line(
+        self, tmp_path, capsys, reader, content, message
+    ):
+        table = tmp_path / "table.csv"
+        table.write_bytes(content)
+        assert run(*self._argv(tmp_path, reader, table)) == 2
+        assert f"{table}{message}" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        table = tmp_path / "series.csv"
+        table.write_text("\ufeff" + self.SERIES, encoding="utf-8")
+        assert run(*self._argv(tmp_path, "series", table)) == 0
+        fits = {r["quantity"]: r for r in read_csv(tmp_path / "out" / "fits.csv")}
+        assert float(fits["id"]["slope"]) == pytest.approx(0.05)
 
 
 class TestConfigFile:

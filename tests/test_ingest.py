@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumuldyn.core import validate_graph
 from cumuldyn.ingest import (
@@ -16,6 +20,8 @@ from cumuldyn.ingest import (
     load_corpus,
 )
 from cumuldyn.measures import internal_dependence, path_length_distribution
+
+from conftest import reference_build_graph, reference_load_corpus
 
 
 def write(path, text):
@@ -92,6 +98,48 @@ class TestLoadCorpus:
         corpus = load_corpus(nodes, edges)
         assert corpus.citations == ()
         assert corpus.self_citations_dropped == 1
+
+    @pytest.mark.parametrize(
+        "node_bytes, edge_bytes, message",
+        [
+            (b"node_id,year,classes\nA,2000,X\nB,2001," + b"X" * 140_000 + b"\n",
+             b"citing_id,cited_id\n", r"n\.csv:3: field larger than field limit"),
+            (b"node_id,year,classes\nA,2000,X\n", b"citing_id,cited_id,origin\nA,B\xff,\n",
+             r"e\.csv:2: not UTF-8"),
+            (b"node_id,year,classes\n\nA,2000,X\xe9\n", b"citing_id,cited_id\n",
+             r"n\.csv:3: not UTF-8"),
+        ],
+        ids=["overlong-field", "edges-not-utf8", "nodes-not-utf8"],
+    )
+    def test_unreadable_file_reports_line(self, tmp_path, node_bytes, edge_bytes, message):
+        (tmp_path / "n.csv").write_bytes(node_bytes)
+        (tmp_path / "e.csv").write_bytes(edge_bytes)
+        with pytest.raises(CorpusError, match=message):
+            load_corpus(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("A,2000,true,X\nA,x,maybe\n", ":3: duplicate node id 'A'"),
+            ("A,2000,true,X\nB,x,maybe\n", ":3: invalid year 'x'"),
+            ("A,2000,true,X\nB,2000,maybe\n", ":3: missing classes column value"),
+            ("A,2000,true,X\nB,2000,maybe,X\nC,x,true,X\n", ":3: invalid boolean 'maybe'"),
+        ],
+        ids=["duplicate-id", "year", "classes", "granted"],
+    )
+    def test_first_failing_check_of_the_first_bad_row(self, tmp_path, rows, message):
+        # The classes column comes last, so a short row misses it.
+        nodes = write(tmp_path / "n.csv", "node_id,year,granted,classes\n" + rows)
+        edges = write(tmp_path / "e.csv", "citing_id,cited_id,origin\n")
+        with pytest.raises(CorpusError, match=f"n\\.csv{message}$"):
+            load_corpus(nodes, edges)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        nodes = write(tmp_path / "n.csv", "\ufeffnode_id,year,classes\nA,2000,X\n")
+        edges = write(tmp_path / "e.csv", "\ufeffciting_id,cited_id,origin\nA,B,APP\n")
+        corpus = load_corpus(nodes, edges)
+        assert [n.node_id for n in corpus.nodes] == ["A"]
+        assert corpus.citations[0].origin == "APP"
 
     def test_missing_year_allowed(self, tmp_path):
         nodes = write(tmp_path / "n.csv", "node_id,year,classes\nA,,X\n")
@@ -318,3 +366,124 @@ class TestClassGrouping:
     def test_empty_group_rejected(self, small_corpus):
         with pytest.raises(ValueError, match="no class prefixes"):
             class_grouping(small_corpus, {"g": set()})
+
+
+NODE_IDS = ["P1", "P2", "P3", " P4", "P5 ", "Q6", "Q7"]
+UNKNOWN_IDS = ["U1"]
+FIELDS = {
+    "year": ["2000", "2001", " 2001", "02000", "1999", ""],
+    "classes": ["X1 2/0;Y2", "X1", " Y2 5 ; X9", "Y2", "", ";"],
+    "granted": ["", "true", "False", "0", "yes", "NO"],
+    "origin": ["", "APP", "EXA", " app", "exa "],
+}
+# One bad value per checked field; "node_id" also repeats an id.
+DEFECTS = {
+    "node_id": ["", " ", "P1"],
+    "year": [" 20x0"],
+    "granted": [" Maybe"],
+    "citing_id": [""],
+    "cited_id": [" "],
+    "origin": [" self"],
+}
+
+
+@st.composite
+def csv_text(draw, header: list[str], rows: list[dict[str, str]], defects: list[str]) -> str:
+    """A CSV file of ``rows`` in a shuffled column order, with the quirks
+    real exports have (blank lines, short rows, extra fields) and one bad
+    value from DEFECTS in a random row for each of ``defects`` it has."""
+    header = draw(st.permutations(header))
+    for column in defects:
+        if rows and column in header:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[column] = draw(st.sampled_from(DEFECTS[column]))
+    short = set()
+    if rows and draw(st.integers(0, 3)) == 3:
+        short.add(draw(st.integers(0, len(rows) - 1)))
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        fields = [row[c] for c in header]
+        if i in short:
+            fields = fields[: draw(st.integers(1, len(fields) - 1))]
+        fields += draw(st.sampled_from([[]] * 4 + [["extra"]]))
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 5:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def corpus_files(draw) -> tuple[str, str]:
+    """Small node and citation files: duplicate, forward, self and unknown
+    citations, and up to two defects."""
+    defects = []
+    if draw(st.booleans()):
+        defects = draw(st.lists(st.sampled_from(sorted(DEFECTS)), max_size=2))
+    ids = draw(st.lists(st.sampled_from(NODE_IDS), min_size=2, max_size=7, unique=True))
+    node_header = ["node_id", "year", "classes"]
+    if "granted" in defects or draw(st.booleans()):
+        node_header.append("granted")
+    node_rows = [
+        {"node_id": node_id, **{c: draw(st.sampled_from(FIELDS[c])) for c in node_header[1:]}}
+        for node_id in ids
+    ]
+    edge_header = ["citing_id", "cited_id"]
+    if "origin" in defects or draw(st.booleans()):
+        edge_header.append("origin")
+    targets = st.sampled_from(ids + UNKNOWN_IDS)
+    edge_rows = [
+        {
+            "citing_id": draw(targets),
+            "cited_id": draw(targets),
+            "origin": draw(st.sampled_from(FIELDS["origin"])),
+        }
+        for _ in range(draw(st.integers(0, 20)))
+    ]
+    return (
+        draw(csv_text(node_header, node_rows, defects)),
+        draw(csv_text(edge_header, edge_rows, defects)),
+    )
+
+
+# Derandomized and bounded, so every run checks the same few hundred corpora.
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+class TestIngestProperties:
+    @PROPERTY
+    @given(files=corpus_files())
+    def test_columnar_ingest_equals_row_by_row_reference(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            nodes, edges = str(Path(tmp) / "nodes.csv"), str(Path(tmp) / "edges.csv")
+            Path(nodes).write_text(files[0], encoding="utf-8")
+            Path(edges).write_text(files[1], encoding="utf-8")
+            try:
+                records = reference_load_corpus(nodes, edges)
+            except CorpusError as expected:
+                with pytest.raises(CorpusError) as got:
+                    load_corpus(nodes, edges)
+                assert str(got.value) == str(expected)
+                return
+            corpus = load_corpus(nodes, edges)
+        assert (corpus.nodes, corpus.citations, corpus.self_citations_dropped) == records
+        for prefixes in ({"X1"}, {"Y2", "X9"}):
+            groups = class_grouping(corpus, {"g": prefixes})
+            for year_cutoff in (None, 2000):
+                query = TechnologyQuery("t", frozenset(prefixes), year_cutoff)
+                assert groups["g"] == {n.node_id for n in records[0] if query.matches(n.classes)}
+                for origin in ("all", "app"):
+                    for granted_only in (False, True):
+                        self.assert_carves_alike(records, corpus, query, origin, granted_only)
+
+    @staticmethod
+    def assert_carves_alike(records, corpus, query, origin, granted_only):
+        try:
+            expected = reference_build_graph(records[0], records[1], query, origin, granted_only)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                build_graph(corpus, query, origin=origin, granted_only=granted_only)
+            assert str(got.value) == str(exc)
+            return
+        graph, diagnostics = build_graph(corpus, query, origin=origin, granted_only=granted_only)
+        assert (graph, diagnostics.as_dict()) == expected
+        assert validate_graph(graph) == []

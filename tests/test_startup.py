@@ -91,3 +91,30 @@ def test_commands_load_scipy_only_where_needed(tmp_path):
     assert loaded["simulate_measure_sweep"] == []
     assert "scipy.special" in loaded["fit_gof"]
     assert not any(m.startswith("scipy.stats") for m in loaded["fit_gof"])
+
+
+def test_measure_and_sweep_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use, about 15 ms of a one-shot run.
+    _write_corpus(tmp_path)
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from cumuldyn.cli import main
+        tmp = {str(tmp_path)!r}
+        codes = [
+            main(["measure", "--nodes", f"{{tmp}}/nodes.csv", "--edges", f"{{tmp}}/edges.csv",
+                  "--prefix", "A01", "--stride", "10", "--out", f"{{tmp}}/measured"]),
+            main(["sweep", "--nodes", f"{{tmp}}/nodes.csv", "--edges", f"{{tmp}}/edges.csv",
+                  "--tech-table", f"{{tmp}}/techs.csv", "--stride", "10",
+                  "--out", f"{{tmp}}/sweep"]),
+        ]
+        print(codes, "numpy.ma" in sys.modules)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[0, 0] False"
