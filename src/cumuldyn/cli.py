@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -40,7 +41,14 @@ from .fitting import (
     power_law_fit,
 )
 from .growth import GENERATOR_NAME, simulate
-from .ingest import CorpusError, TechnologyQuery, build_graph, load_corpus, open_csv
+from .ingest import (
+    CorpusError,
+    TechnologyQuery,
+    _undecodable_line,
+    build_graph,
+    load_corpus,
+    open_csv,
+)
 from .measures import measure_checkpoints
 from .predictions import rate_predictions
 
@@ -52,18 +60,13 @@ _SERIES_COLUMNS = ("n", "id", "ipl", "mipl", "ed")
 _FIT_COLUMNS = ("quantity", "slope", "intercept", "r2", "se", "f", "n_obs")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # includes numpy scalars, hence the cast
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    # csv writes each cell as str(cell), which for Python floats and numpy
+    # float64 is the shortest repr that reads back to the same value.
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 @dataclass
@@ -72,12 +75,15 @@ class ReportBundle:
 
     The metadata (command, resolved parameters, seed, package version)
     suffices to reproduce the run; tables map file names to (header, rows).
+    ``warnings``, when not None, is written to ``meta.json`` as the list of
+    warnings the run raised.
     """
 
     command: str
     params: dict
     diagnostics: dict = field(default_factory=dict)
     tables: dict[str, tuple[Sequence[str], list]] = field(default_factory=dict)
+    warnings: list[str] | None = None
 
     def add_table(self, name: str, header: Sequence[str], rows: list) -> None:
         self.tables[name] = (header, rows)
@@ -94,6 +100,8 @@ class ReportBundle:
             "diagnostics": self.diagnostics,
             "tables": sorted(self.tables),
         }
+        if self.warnings is not None:
+            meta["warnings"] = self.warnings
         with open(out_dir / "meta.json", "w", encoding="utf-8") as handle:
             json.dump(meta, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -416,6 +424,17 @@ def _read_fitted_params(path: str) -> tuple[float, float]:
     raise ValueError(f"{path}: no 'id' row to take fitted q and m0 from")
 
 
+def _recorded_fit(warned: list[str], label: str, fit_fn: Callable[..., T], *args) -> T:
+    """``fit_fn(*args)``, printing and appending each warning it raised as ``label: message``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_fn(*args)
+    for warning in caught:
+        warned.append(f"{label}: {warning.message}")
+        print(f"cumuldyn: warning: {warned[-1]}", file=sys.stderr)
+    return fit
+
+
 def cmd_gof(args: argparse.Namespace) -> int:
     if args.fits is not None:
         q_hat, m0_hat = _read_fitted_params(args.fits)
@@ -428,9 +447,12 @@ def cmd_gof(args: argparse.Namespace) -> int:
 
     summary_rows = []
     point_rows = []
+    warned: list[str] = []
     if args.backlink_dist:
         for n, hist in sorted(_load_backlink_dists(args.backlink_dist).items()):
-            fit = geometric_gof(hist, params, n)
+            fit = _recorded_fit(
+                warned, f"n={n} backlinks geometric", geometric_gof, hist, params, n
+            )
             statistic, dof, p_value = fit.chi_square
             summary_rows.append(
                 [n, "backlinks", fit.family, fit.plot_correlation, statistic, dof, p_value]
@@ -442,7 +464,9 @@ def cmd_gof(args: argparse.Namespace) -> int:
     if args.pathlen_dist:
         for n, dist in sorted(_load_pathlen_dists(args.pathlen_dist).items()):
             for family in families:
-                fit = pathlength_gof(dist, family=family)
+                fit = _recorded_fit(
+                    warned, f"n={n} pathlengths {family}", pathlength_gof, dist, None, family
+                )
                 statistic, dof, p_value = fit.chi_square
                 summary_rows.append(
                     [n, "pathlengths", family, fit.plot_correlation, statistic, dof, p_value]
@@ -463,6 +487,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
             "pathlen_dist": args.pathlen_dist,
             "families": families,
         },
+        warnings=warned,
     )
     bundle.add_table(
         "gof_summary.csv",
@@ -730,16 +755,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict[str, str]:
+    """The ``key=value`` lines of a UTF-8 config file; a leading byte-order mark is skipped."""
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_num, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{line_num}: expected key=value")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+    with open(path, encoding="utf-8-sig") as handle:
+        try:
+            for line_num, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ValueError(f"{path}:{line_num}: expected key=value")
+                key, _, value = stripped.partition("=")
+                values[key.strip()] = value.strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+            ) from None
     return values
 
 

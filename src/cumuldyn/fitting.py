@@ -30,7 +30,7 @@ from .core import (
     PathLengthDistribution,
 )
 from .growth import rho
-from .predictions import binomial_path_dist
+from .predictions import binomial_path_pmf
 
 __all__ = [
     "ols_fit",
@@ -110,17 +110,20 @@ def fit_series(series: CumulativenessSeries, which: str) -> LinearFit:
     return ols_fit(series.ns(), series.component(which))
 
 
-def _plot_correlation(points: Sequence[tuple[float, float]], context: str) -> float:
-    if len(points) < 2:
+def _plot_correlation(emp: np.ndarray, mod: np.ndarray, context: str) -> float:
+    """Pearson correlation of the (empirical, model) probability pairs."""
+    if len(emp) < 2:
         warnings.warn(
             f"{context}: degenerate distribution with a single support point; "
             "probability-plot correlation reported as 1",
             stacklevel=3,
         )
         return 1.0
-    emp = np.array([p[0] for p in points])
-    mod = np.array([p[1] for p in points])
-    if emp.std() == 0.0 or mod.std() == 0.0:
+    dx = emp - emp.mean()
+    dy = mod - mod.mean()
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx == 0.0 or syy == 0.0:
         matched = bool(np.allclose(emp, mod))
         warnings.warn(
             f"{context}: constant probabilities on one axis; correlation "
@@ -128,7 +131,8 @@ def _plot_correlation(points: Sequence[tuple[float, float]], context: str) -> fl
             stacklevel=3,
         )
         return 1.0 if matched else 0.0
-    return float(np.corrcoef(emp, mod)[0, 1])
+    # Divided one root at a time: sxx * syy can underflow for tiny deviations.
+    return min(max(float(dx @ dy) / math.sqrt(sxx) / math.sqrt(syy), -1.0), 1.0)
 
 
 def _chi_square(
@@ -140,9 +144,9 @@ def _chi_square(
     acc_obs = 0.0
     acc_exp = 0.0
     # Walk from the tail so underpopulated high bins merge downward.
-    for o, e in zip(observed[::-1], expected[::-1]):
-        acc_obs += float(o)
-        acc_exp += float(e)
+    for o, e in zip(observed[::-1].tolist(), expected[::-1].tolist()):
+        acc_obs += o
+        acc_exp += e
         if acc_exp >= _MIN_EXPECTED:
             obs_pooled.append(acc_obs)
             exp_pooled.append(acc_exp)
@@ -183,10 +187,9 @@ def geometric_gof(
     max_m = hist.max_links
     ms = np.arange(max_m + 1)
     model = np.exp(ms * math.log1p(-p)) * p if p < 1.0 else (ms == 0).astype(float)
-    observed = np.array([hist.counts.get(int(m), 0) for m in ms], dtype=float)
+    observed = np.array([hist.counts.get(m, 0) for m in range(max_m + 1)], dtype=float)
     empirical = observed / hist.n
-    points = tuple((float(e), float(mo)) for e, mo in zip(empirical, model))
-    correlation = _plot_correlation(points, "geometric fit")
+    correlation = _plot_correlation(empirical, model, "geometric fit")
     expected = hist.n * model
     tail = hist.n * math.exp((max_m + 1) * math.log1p(-p)) if p < 1.0 else 0.0
     statistic, dof, p_value = _chi_square(
@@ -195,7 +198,7 @@ def geometric_gof(
     return DistributionFit(
         family="geometric",
         params={"rho": p},
-        plot_points=points,
+        plot_points=tuple(zip(empirical.tolist(), model.tolist())),
         plot_correlation=correlation,
         chi_square=(statistic, dof, p_value),
     )
@@ -208,10 +211,9 @@ def _pathlength_model(
 
     mean = dist.ipl
     if family == "binomial-type":
-        pmf = binomial_path_dist(n_prime)
-        return {"n_prime": float(n_prime)}, np.array(
-            [pmf.get(int(k), 0.0) for k in ks]
-        )
+        model = np.zeros(len(ks))
+        model[:n_prime] = binomial_path_pmf(n_prime)  # ks always reaches n_prime - 1
+        return {"n_prime": float(n_prime)}, model
     if family == "poisson":
         logs = ks * math.log(mean) - mean - gammaln(ks + 1.0) if mean > 0 else None
         model = np.exp(logs) if logs is not None else (ks == 0).astype(float)
@@ -273,10 +275,9 @@ def pathlength_gof(
     if n_prime is None:
         n_prime = dist.mipl
     ks = np.arange(max(dist.mipl, n_prime - 1) + 1)
-    empirical = np.array([dist.normalized.get(int(k), 0.0) for k in ks])
+    empirical = np.array([dist.normalized.get(k, 0.0) for k in range(len(ks))])
     params, model = _pathlength_model(dist, n_prime, family, ks)
-    points = tuple((float(e), float(mo)) for e, mo in zip(empirical, model))
-    correlation = _plot_correlation(points, f"{family} path-length fit")
+    correlation = _plot_correlation(empirical, model, f"{family} path-length fit")
     try:
         sample = float(total)
     except OverflowError:
@@ -288,7 +289,7 @@ def pathlength_gof(
     return DistributionFit(
         family=family,
         params=params,
-        plot_points=points,
+        plot_points=tuple(zip(empirical.tolist(), model.tolist())),
         plot_correlation=correlation,
         chi_square=(statistic, dof, p_value),
     )

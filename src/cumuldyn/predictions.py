@@ -36,6 +36,7 @@ __all__ = [
     "corrected_rate_a",
     "corrected_rate_b",
     "rate_predictions",
+    "binomial_path_pmf",
     "binomial_path_dist",
     "binomial_path_dist_np",
     "max_speed",
@@ -195,14 +196,17 @@ def rate_predictions(
     )
 
 
-def binomial_path_dist(n_prime: int) -> dict[int, float]:
-    """Binomial-type path-length distribution: C(n', k+1) / (2^n' - 1)."""
+def binomial_path_pmf(n_prime: int) -> np.ndarray:
+    """Binomial-type path-length pmf over k = 0 .. n'-1: C(n', k+1) / (2^n' - 1)."""
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
-    ks = np.arange(n_prime)
     log_z = _log_expm1(n_prime * math.log(2.0))
-    logs = _log_binomial(float(n_prime), ks + 1.0) - log_z
-    return {int(k): float(v) for k, v in zip(ks, np.exp(logs))}
+    return np.exp(_log_binomial(float(n_prime), np.arange(n_prime) + 1.0) - log_z)
+
+
+def binomial_path_dist(n_prime: int) -> dict[int, float]:
+    """Binomial-type path-length distribution: C(n', k+1) / (2^n' - 1)."""
+    return dict(enumerate(binomial_path_pmf(n_prime).tolist()))
 
 
 def binomial_path_dist_np(n: int, p: float) -> dict[int, float]:

@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from cumuldyn.core import InventionNode, KnowledgeGraph
+from cumuldyn.core import (
+    BacklinkDistribution,
+    DistributionFit,
+    InventionNode,
+    KnowledgeGraph,
+    ModelParams,
+    PathLengthDistribution,
+)
+from cumuldyn.growth import rho
 from cumuldyn.ingest import CitationRecord, CorpusError, CorpusNode, TechnologyQuery
+from cumuldyn.predictions import binomial_path_dist
 
 
 def make_graph(
@@ -182,6 +193,150 @@ def reference_build_graph(
         "ignored_citations": ignored,
     }
     return graph, diagnostics
+
+
+def _reference_plot_correlation(points, context: str) -> float:
+    if len(points) < 2:
+        warnings.warn(
+            f"{context}: degenerate distribution with a single support point; "
+            "probability-plot correlation reported as 1"
+        )
+        return 1.0
+    emp = np.array([p[0] for p in points])
+    mod = np.array([p[1] for p in points])
+    if emp.std() == 0.0 or mod.std() == 0.0:
+        matched = bool(np.allclose(emp, mod))
+        warnings.warn(
+            f"{context}: constant probabilities on one axis; correlation "
+            f"reported as {1.0 if matched else 0.0}"
+        )
+        return 1.0 if matched else 0.0
+    return float(np.corrcoef(emp, mod)[0, 1])
+
+
+def _reference_chi_square(observed, expected) -> tuple[float, int, float]:
+    from scipy.special import chdtrc
+
+    obs_pooled: list[float] = []
+    exp_pooled: list[float] = []
+    acc_obs = acc_exp = 0.0
+    for o, e in zip(observed[::-1], expected[::-1]):
+        acc_obs += float(o)
+        acc_exp += float(e)
+        if acc_exp >= 5.0:
+            obs_pooled.append(acc_obs)
+            exp_pooled.append(acc_exp)
+            acc_obs = acc_exp = 0.0
+    if acc_exp > 0.0 or acc_obs > 0.0:
+        if obs_pooled:
+            obs_pooled[-1] += acc_obs
+            exp_pooled[-1] += acc_exp
+        else:
+            obs_pooled.append(acc_obs)
+            exp_pooled.append(acc_exp)
+    obs_arr = np.array(obs_pooled)
+    exp_arr = np.array(exp_pooled)
+    dof = len(obs_arr) - 1
+    if dof < 1 or np.any(exp_arr <= 0.0):
+        return math.nan, max(dof, 0), math.nan
+    with np.errstate(over="ignore"):
+        statistic = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
+    if not math.isfinite(statistic):
+        return math.inf, dof, 0.0
+    return statistic, dof, float(chdtrc(dof, statistic))
+
+
+def reference_geometric_gof(
+    hist: BacklinkDistribution, params: ModelParams, n: int
+) -> DistributionFit:
+    """Geometric fit one numpy scalar at a time, with ``np.corrcoef``.
+
+    Deliberately independent of the array kernels in ``cumuldyn.fitting``:
+    plot points built pair by pair, chi-square bins pooled element-wise.
+    """
+    if not hist.counts:
+        raise ValueError("empty backlink histogram")
+    p = rho(n, params)
+    max_m = hist.max_links
+    ms = np.arange(max_m + 1)
+    model = np.exp(ms * math.log1p(-p)) * p if p < 1.0 else (ms == 0).astype(float)
+    observed = np.array([hist.counts.get(int(m), 0) for m in ms], dtype=float)
+    empirical = observed / hist.n
+    points = tuple((float(e), float(mo)) for e, mo in zip(empirical, model))
+    correlation = _reference_plot_correlation(points, "geometric fit")
+    tail = hist.n * math.exp((max_m + 1) * math.log1p(-p)) if p < 1.0 else 0.0
+    chi = _reference_chi_square(np.append(observed, 0.0), np.append(hist.n * model, tail))
+    return DistributionFit("geometric", {"rho": p}, points, correlation, chi)
+
+
+def _reference_pathlength_model(dist, n_prime, family, ks):
+    from scipy.special import gammaln
+
+    mean = dist.ipl
+    if family == "binomial-type":
+        pmf = binomial_path_dist(n_prime)
+        return {"n_prime": float(n_prime)}, np.array([pmf.get(int(k), 0.0) for k in ks])
+    if family == "poisson":
+        if mean <= 0:
+            return {"rate": mean}, (ks == 0).astype(float)
+        return {"rate": mean}, np.exp(ks * math.log(mean) - mean - gammaln(ks + 1.0))
+    if family == "normal":
+        var = sum(k * k * w for k, w in dist.normalized.items()) - mean * mean
+        if var <= 0:
+            return {"mean": mean, "var": var}, (ks == round(mean)).astype(float)
+        model = np.exp(-((ks - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+        return {"mean": mean, "var": var}, model
+    if family == "binomial":
+        size = max(dist.mipl, 1)
+        prob = min(max(mean / size, 0.0), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = (
+                gammaln(size + 1.0)
+                - gammaln(ks + 1.0)
+                - gammaln(size - ks + 1.0)
+                + ks * np.log(prob)
+                + (size - ks) * np.log1p(-prob)
+            )
+        model = np.nan_to_num(np.where(ks <= size, np.exp(logs), 0.0), nan=0.0)
+        return {"n": float(size), "p": prob}, model
+    raise ValueError(f"unknown path-length family {family!r}")
+
+
+def reference_pathlength_gof(
+    dist: PathLengthDistribution, n_prime: int | None = None, family: str = "binomial-type"
+) -> DistributionFit:
+    """Path-length fit one numpy scalar at a time, with ``np.corrcoef``.
+
+    Deliberately independent of the array kernels in ``cumuldyn.fitting``:
+    the empirical and binomial-type probabilities looked up one k at a time,
+    plot points built pair by pair, chi-square bins pooled element-wise.
+    """
+    total = dist.total_paths
+    if not dist.counts or total <= 0:
+        raise ValueError("path-length distribution has no paths")
+    if sum(1 for w in dist.normalized.values() if w > 0.0) < 2:
+        warnings.warn(
+            "degenerate path-length distribution with a single length; "
+            "correlation reported as 1"
+        )
+        params = {"n_prime": float(n_prime or max(dist.mipl, 1))}
+        return DistributionFit(family, params, ((1.0, 1.0),), 1.0, (math.nan, 0, math.nan))
+    if n_prime is None:
+        n_prime = dist.mipl
+    ks = np.arange(max(dist.mipl, n_prime - 1) + 1)
+    empirical = np.array([dist.normalized.get(int(k), 0.0) for k in ks])
+    params, model = _reference_pathlength_model(dist, n_prime, family, ks)
+    points = tuple((float(e), float(mo)) for e, mo in zip(empirical, model))
+    correlation = _reference_plot_correlation(points, f"{family} path-length fit")
+    try:
+        sample = float(total)
+    except OverflowError:
+        sample = math.inf
+    if math.isfinite(sample):
+        chi = _reference_chi_square(sample * empirical, sample * model)
+    else:
+        chi = (math.inf, len(ks) - 1, 0.0)
+    return DistributionFit(family, params, points, correlation, chi)
 
 
 def random_dag(rng: np.random.Generator, n_max: int = 12, density: float = 0.5) -> KnowledgeGraph:

@@ -6,9 +6,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from cumuldyn.cli import main
+from cumuldyn.cli import ReportBundle, main
 
 
 def read_csv(path):
@@ -265,6 +266,68 @@ class TestGof:
             "--out", str(tmp_path / "g"),
         )
         assert code == 2
+
+
+    def test_warnings_are_deterministic_lines(self, tmp_path, capsys, recwarn):
+        dist = tmp_path / "pathlen_dist.csv"
+        dist.write_text("n,k,count,normalized\n5,0,3,1.0\n")
+        message = (
+            "degenerate path-length distribution with a single length; "
+            "correlation reported as 1"
+        )
+        expected = [
+            f"n=5 pathlengths binomial-type: {message}",
+            f"n=5 pathlengths poisson: {message}",
+        ]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(
+                "gof", "--pathlen-dist", str(dist), "--q", "0.01", "--m0", "1.0",
+                "--families", "binomial-type,poisson", "--out", str(out),
+            ) == 0
+            err = capsys.readouterr().err
+            assert err == "".join(f"cumuldyn: warning: {line}\n" for line in expected)
+            assert json.loads((out / "meta.json").read_text())["warnings"] == expected
+        assert not recwarn.list
+        for name in ("gof_summary.csv", "gof_points.csv", "meta.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_meta_lists_no_warnings_for_a_clean_run(self, tmp_path, measured_dir, capsys):
+        out = tmp_path / "gof"
+        assert run(
+            "gof", "--backlink-dist", str(measured_dir / "backlink_dist.csv"),
+            "--q", "0.002", "--m0", "2.0", "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "meta.json").read_text())["warnings"] == []
+
+
+def _old_fmt(value) -> str:
+    """The writer's former per-cell formatting, kept as the reference."""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+class TestReportBundleWrite:
+    CELLS = [
+        0.1, 1 / 3, np.float64(0.1), np.float64(1 / 3), math.inf, -math.inf, math.nan,
+        np.float64(math.inf), np.float64(-math.inf), np.float64(math.nan), -0.0,
+        np.float64(-0.0), 1e16, np.float64(1e16), 1e-5, np.float64(1e-5), 5e-324,
+        np.float64(5e-324), 1.7976931348623157e308, 0, -3, np.int64(7), np.int32(-7),
+        np.uint64(2**64 - 1), 2**64, -(2**70) - 1, "text", "",
+    ]
+
+    def test_cells_read_as_the_old_format(self, tmp_path):
+        bundle = ReportBundle(command="test", params={})
+        rows = [self.CELLS, self.CELLS[::-1]]
+        bundle.add_table("cells.csv", [f"c{i}" for i in range(len(self.CELLS))], rows)
+        bundle.write(tmp_path)
+        with open(tmp_path / "cells.csv", newline="", encoding="utf-8") as handle:
+            written = list(csv.reader(handle))[1:]
+        assert written == [[_old_fmt(v) for v in row] for row in rows]
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert "warnings" not in meta
 
 
 class TestSweep:
@@ -566,6 +629,19 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         assert run("simulate", "--config", str(cfg), "--q", "0.1", "--m1", "2",
                    "--n", "5", "--out", str(tmp_path / "o")) == 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfq=0.01\nm1=2\nn=50\nseed=5\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        assert json.loads((out / "meta.json").read_text())["params"]["q"] == 0.01
+
+    def test_undecodable_config_exit_2_naming_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"q=0.01\r\nm1=2\r\nn=\xff50\r\n")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert f"{cfg}:3: not UTF-8" in capsys.readouterr().err
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "none.cfg"),

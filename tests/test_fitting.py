@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumuldyn.core import (
     BacklinkDistribution,
@@ -14,6 +17,7 @@ from cumuldyn.core import (
     PathLengthDistribution,
 )
 from cumuldyn.fitting import (
+    PATHLENGTH_FAMILIES,
     classify_relative_cumulativeness,
     fit_series,
     geometric_gof,
@@ -30,7 +34,7 @@ from cumuldyn.measures import (
 )
 from cumuldyn.predictions import binomial_path_dist
 
-from conftest import make_graph
+from conftest import make_graph, reference_geometric_gof, reference_pathlength_gof
 
 
 def naive_ols(x, y):
@@ -242,6 +246,101 @@ class TestPathlengthGof:
         dist = PathLengthDistribution(n=0, counts={}, normalized={}, ipl=0.0, mipl=0)
         with pytest.raises(ValueError):
             pathlength_gof(dist)
+
+
+def _fit_and_warnings(fit_fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_fn(*args)
+    return fit, [str(w.message) for w in caught]
+
+
+def _assert_same_fit(fit_fn, reference_fn, *args):
+    """Every field equal to the reference's, the correlation within 1e-12."""
+    fit, warned = _fit_and_warnings(fit_fn, *args)
+    expected, expected_warned = _fit_and_warnings(reference_fn, *args)
+    assert warned == expected_warned
+    # repr compares nan equal to nan and tells -0.0 from 0.0.
+    assert repr((fit.family, fit.params, fit.chi_square)) == repr(
+        (expected.family, expected.params, expected.chi_square)
+    )
+    assert repr(fit.plot_points) == repr(expected.plot_points)
+    if math.isnan(expected.plot_correlation):
+        assert math.isnan(fit.plot_correlation)
+    else:
+        assert abs(fit.plot_correlation - expected.plot_correlation) <= 1e-12
+    assert -1.0 <= fit.plot_correlation <= 1.0 or math.isnan(fit.plot_correlation)
+
+
+# Histogram shapes: random counts, equal counts (a constant empirical axis)
+# and all mass at m = 0 (a single support point).
+_histograms = st.one_of(
+    st.lists(st.integers(0, 60), min_size=1, max_size=14),
+    st.builds(lambda c, k: [c] * k, st.integers(1, 40), st.integers(2, 10)),
+    st.builds(lambda c: [c], st.integers(1, 40)),
+).filter(any)
+
+
+@st.composite
+def _pathlength_dists(draw):
+    """A distribution over k = 0 .. len-1 from raw weights, in one of three count types.
+
+    Counts are the raw integers (exact mode), the weights scaled to floats,
+    or scaled past the float range so that some counts and the total are inf.
+    """
+    raw = draw(
+        st.one_of(
+            st.lists(st.integers(0, 1000), min_size=1, max_size=30),
+            st.builds(lambda c, k: [c] * k, st.integers(1, 1000), st.integers(2, 12)),
+            st.builds(
+                lambda k, extra: [0] * k + [7] + [0] * extra,
+                st.integers(0, 10),
+                st.integers(0, 3),
+            ),
+        ).filter(any)
+    )
+    scale = draw(st.sampled_from([None, 0.5, 1e306]))
+    total = sum(raw)
+    normalized = {k: r / total for k, r in enumerate(raw)}
+    if scale is None:
+        counts = dict(enumerate(raw))
+    else:
+        with np.errstate(over="ignore"):
+            counts = {k: float(np.float64(r) * scale) for k, r in enumerate(raw)}
+    mipl = max(k for k, r in enumerate(raw) if r > 0)
+    return PathLengthDistribution(
+        n=len(raw) + 1,
+        counts=counts,
+        normalized=normalized,
+        ipl=sum(k * w for k, w in normalized.items()),
+        mipl=mipl,
+    )
+
+
+class TestGofKernelsMatchReference:
+    """The array kernels against the per-scalar code kept in conftest."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        counts=_histograms,
+        q=st.floats(1e-4, 2.0),
+        m1=st.floats(1.01, 20.0),
+        n=st.integers(1, 10_000),
+    )
+    def test_geometric(self, counts, q, m1, n):
+        hist = BacklinkDistribution(n=sum(counts), counts=dict(enumerate(counts)))
+        params = ModelParams(q=q, m1=m1)
+        _assert_same_fit(geometric_gof, reference_geometric_gof, hist, params, n)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        dist=_pathlength_dists(),
+        family=st.sampled_from(PATHLENGTH_FAMILIES),
+        n_prime_offset=st.one_of(st.none(), st.integers(-40, 6)),
+    )
+    def test_pathlength(self, dist, family, n_prime_offset):
+        n_prime = None if n_prime_offset is None else max(dist.mipl + n_prime_offset, 1)
+        _assert_same_fit(pathlength_gof, reference_pathlength_gof, dist, n_prime, family)
 
 
 class TestChiSquareMonotonicity:
