@@ -18,6 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -108,14 +109,16 @@ class ReportBundle:
 
 
 def _read_table(
-    path: str, columns: Sequence[str], parse_row: Callable[[dict], T]
+    path: str, columns: Sequence[str], parse_row: Callable[..., T]
 ) -> list[T]:
     """Parse each row of a CSV table whose header must name ``columns``.
 
-    A missing column raises ValueError naming the file; a row short of
-    ``columns`` or one ``parse_row`` rejects with ValueError, bytes that are
-    not UTF-8 and an overlong field raise ValueError naming ``file:line``.
-    Blank lines are skipped and a leading byte-order mark is ignored.
+    ``parse_row`` is called with the row's fields of ``columns``, in order
+    (at least two columns).  A missing column raises ValueError naming the
+    file; a row short of ``columns`` or one ``parse_row`` rejects with
+    ValueError, bytes that are not UTF-8 and an overlong field raise
+    ValueError naming ``file:line``.  Blank lines are skipped and a leading
+    byte-order mark is ignored.
     """
     with open_csv(path) as reader:
         header = next(reader, None) or []
@@ -123,13 +126,15 @@ def _read_table(
         missing = [c for c in columns if c not in index]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        width = max(index[c] for c in columns) + 1
+        positions = [index[c] for c in columns]
+        pick = itemgetter(*positions)
+        width = max(positions) + 1
         parsed = []
         for fields in filter(None, reader):
             try:
                 if len(fields) < width:
                     raise ValueError("too few fields")
-                parsed.append(parse_row(dict(zip(header, fields))))
+                parsed.append(parse_row(*pick(fields)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return parsed
@@ -151,12 +156,12 @@ def _load_series(path: str) -> CumulativenessSeries:
     points = _read_table(
         path,
         _SERIES_COLUMNS,
-        lambda row: SeriesPoint(
-            n=int(row["n"]),
-            id=_finite("id", float(row["id"])),
-            ipl=_finite("ipl", float(row["ipl"])),
-            mipl=int(_finite("mipl", float(row["mipl"]))),
-            ed=_finite("ed", float(row["ed"])),
+        lambda n, id_, ipl, mipl, ed: SeriesPoint(
+            n=int(n),
+            id=_finite("id", float(id_)),
+            ipl=_finite("ipl", float(ipl)),
+            mipl=int(_finite("mipl", float(mipl))),
+            ed=_finite("ed", float(ed)),
         ),
     )
     if not points:
@@ -164,12 +169,24 @@ def _load_series(path: str) -> CumulativenessSeries:
     return CumulativenessSeries(checkpoints=tuple(points))
 
 
-def _load_backlinks(path: str) -> list[int]:
-    rows = _read_table(
-        path, ("ordinal", "m"), lambda row: (int(row["ordinal"]), _in_range("m", int(row["m"])))
-    )
-    rows.sort()
-    return [m for _, m in rows]
+def _load_backlinks(path: str, n: int) -> list[int]:
+    """m_1..m_n from a table that lists each ordinal 0..n-1 exactly once."""
+    backlinks: list[int | None] = [None] * n
+
+    def place(ordinal: str, m: str) -> None:
+        i = _in_range("ordinal", int(ordinal), 0, n - 1)
+        if backlinks[i] is not None:
+            raise ValueError(f"duplicate ordinal {i}")
+        backlinks[i] = _in_range("m", int(m))
+
+    _read_table(path, ("ordinal", "m"), place)
+    missing = backlinks.count(None)
+    if missing:
+        raise ValueError(
+            f"{path}: no row for ordinal {backlinks.index(None)} "
+            f"({missing} of ordinals 0..{n - 1} missing)"
+        )
+    return backlinks
 
 
 def _parse_count(raw: str) -> int | float:
@@ -186,10 +203,8 @@ def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
     rows = _read_table(
         path,
         ("n", "m", "count"),
-        lambda row: (
-            int(row["n"]),
-            _in_range("m", int(row["m"])),
-            _in_range("count", int(row["count"])),
+        lambda n, m, count: (
+            int(n), _in_range("m", int(m)), _in_range("count", int(count))
         ),
     )
     for n, m, count in rows:
@@ -205,11 +220,11 @@ def _load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
     rows = _read_table(
         path,
         ("n", "k", "count", "normalized"),
-        lambda row: (
-            int(row["n"]),
-            int(row["k"]),
-            _parse_count(row["count"]),
-            _in_range("normalized", float(row["normalized"]), 0, 1),
+        lambda n, k, count, normalized: (
+            int(n),
+            int(k),
+            _parse_count(count),
+            _in_range("normalized", float(normalized), 0, 1),
         ),
     )
     for n, k, count, normalized in rows:
@@ -367,7 +382,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         sibling = Path(args.series).parent / "backlinks.csv"
         if sibling.exists():
             backlinks_path = str(sibling)
-    backlinks = _load_backlinks(backlinks_path) if backlinks_path else None
+    n_final = series.checkpoints[-1].n
+    backlinks = _load_backlinks(backlinks_path, n_final) if backlinks_path else None
 
     rows = []
     fitted: dict[str, LinearFit] = {}
@@ -377,7 +393,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     q_hat = fitted["id"].slope
     m0_hat = fitted["id"].intercept
-    n_final = series.checkpoints[-1].n
     if q_hat <= 0:
         raise ValueError(
             f"fitted id slope {q_hat!r} is not positive; rate predictions "
@@ -416,7 +431,7 @@ def _read_fitted_params(path: str) -> tuple[float, float]:
     rows = _read_table(
         path,
         ("quantity", "slope", "intercept"),
-        lambda row: (row["quantity"], float(row["slope"]), float(row["intercept"])),
+        lambda quantity, slope, intercept: (quantity, float(slope), float(intercept)),
     )
     for quantity, slope, intercept in rows:
         if quantity == "id":
@@ -503,8 +518,8 @@ def cmd_gof(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tech_row(row: dict) -> tuple[str, str]:
-    name, prefix = row["group_name"].strip(), row["prefix"].strip()
+def _tech_row(name: str, prefix: str) -> tuple[str, str]:
+    name, prefix = name.strip(), prefix.strip()
     if not name or not prefix:
         raise ValueError("empty group_name or prefix")
     return name, prefix

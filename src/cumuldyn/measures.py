@@ -6,12 +6,17 @@ path length ``mipl``) require the full distribution of path lengths, where a
 path starts at an invention without internal backward links and follows
 links forward in time.  One engine counts them level by level: the paths of
 length k ending at a node are the sum, over the nodes it cites, of their
-paths of length k-1.  It runs in exact arbitrary-precision integers (default
-up to :data:`EXACT_MODE_LIMIT` nodes) or, for graphs whose path counts
-overflow floats, in natural logs.  The log mode sums each node's cited
-counts by a log-sum-exp shifted by their own maximum, so a count's relative
-error stays near machine precision per level however widely one level's
-counts spread.
+paths of length k-1.  Its results are exact integers (mode "exact", the
+default up to :data:`EXACT_MODE_LIMIT` nodes) or floats (mode "float").
+Both modes climb one arithmetic ladder: each level is summed in plain
+float64 first, and only a level whose total reaches a bound is summed again,
+from the previous level, on the next rung, where every later level stays.
+Exact mode's bound is 2^53, below which float64 sums of non-negative
+integers are exact, and its next rung is Python ints.  Float mode's bound is
+2^1000, well inside the float range, and its next rung is natural logs,
+where each node's cited counts are summed by a log-sum-exp shifted by their
+own maximum, so a count's relative error stays near machine precision per
+level however widely one level's counts spread.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ __all__ = [
     "Checkpoint",
 ]
 
-# Above this node count, mode="auto" switches to floating log-space
-# accumulation: total path counts grow like r*(1+q)^n/q and can overflow
-# even arbitrary-precision printing budgets.
+# Above this node count, mode="auto" switches to float mode: total path
+# counts grow like r*(1+q)^n/q and can overflow even arbitrary-precision
+# printing budgets.
 EXACT_MODE_LIMIT = 50_000
 
 Mode = Literal["auto", "exact", "float"]
@@ -119,9 +124,10 @@ class NodePathVector:
 def _log_segment_sum(logs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Log of the summed counts of ``logs[bounds[i]:bounds[i + 1]]`` for each i.
 
-    Each segment is shifted by its own maximum, clipped at 0 (the least log
-    of a positive count), so no segment over- or underflows however widely
-    the level's counts spread; an all-zero segment sums to ``-inf``.
+    ``bounds`` must rise strictly.  Each segment is shifted by its own
+    maximum, clipped at 0 (the least log of a positive count), so no segment
+    over- or underflows however widely the level's counts spread; an
+    all-zero segment sums to ``-inf``.
     """
     starts = bounds[:-1]
     shift = np.maximum.reduceat(logs, starts)
@@ -131,36 +137,50 @@ def _log_segment_sum(logs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         return np.log(np.add.reduceat(terms, starts)) + shift
 
 
-# Per mode: dtype, count of no path, count of one path, sum over each
-# segment of a level's edges (given its bounds), running sum over nodes.
-_ARITHMETIC = {
-    "exact": (object, 0, 1, lambda v, bounds: np.add.reduceat(v, bounds[:-1]), np.add.accumulate),
-    "float": (np.float64, -math.inf, 0.0, _log_segment_sum, np.logaddexp.accumulate),
-}
+def _log_prefix_totals(logs: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Log of the summed counts of ``logs[:e]`` for each e of ``ends`` (ascending)."""
+    bounds = np.concatenate(([0], ends))
+    filled = bounds[1:] > bounds[:-1]
+    sums = np.full(len(ends), -math.inf)
+    sums[filled] = _log_segment_sum(logs, bounds[np.concatenate(([True], filled))])
+    return np.logaddexp.accumulate(sums)
+
+
+# A level leaves plain float64 once its total reaches the bound of its mode:
+# exact mode for Python ints, as float64 sums of non-negative integers are
+# exact below 2^53; float mode for natural logs, with headroom under the
+# float range.
+_INT_BOUND = 2.0**53
+_LOG_BOUND = 2.0**1000
 
 
 def _path_levels(
     graph: KnowledgeGraph, n: int, mode: str
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(nodes, counts)`` for path lengths k = 0, 1, 2, ... over the first n nodes.
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """Yield ``(nodes, counts, escalated)`` per path length k = 0, 1, ... over the first n nodes.
 
     ``nodes`` (ascending) are the prefix nodes where a path of length k or
-    more ends and ``counts`` their numbers of length-k paths, in ``mode``'s
-    arithmetic.  Level k is one segmented sum of level k-1 over the edges
-    whose cited node is still on level k-1; the generator stops after the
-    longest path.
+    more ends and ``counts`` their numbers of length-k paths.  Level k is one
+    segmented sum of level k-1 over the edges whose cited node is still on
+    level k-1; the generator stops after the longest path.  Levels are
+    summed in float64 until one's total reaches the bound of ``mode``; that
+    level is summed again from the previous one, in Python ints (exact
+    mode) or natural logs (float mode), and so is every level after it,
+    which ``escalated`` marks.
     """
-    dtype, no_path, one_path, segment_sum, _ = _ARITHMETIC[mode]
+    exact = mode == "exact"
+    bound = _INT_BOUND if exact else _LOG_BOUND
     backward = graph.backward_lists[:n]
     degree = np.fromiter(map(len, backward), np.intp, n)
     cited = np.fromiter(chain.from_iterable(backward), np.intp, int(degree.sum()))
     citing = np.repeat(np.arange(n), degree)
     nodes = np.arange(n)
-    counts = np.where(degree == 0, one_path, no_path).astype(dtype)
+    counts = (degree == 0).astype(np.float64)
     value = counts.copy()  # each node's count on the last level it is on
     last = np.zeros(n, np.intp)  # the last level each node is on, so far
+    escalated = False
     for k in count():
-        yield nodes, counts
+        yield nodes, counts, escalated
         value[nodes] = counts
         last[nodes] = k
         keep = last[cited] == k
@@ -170,11 +190,23 @@ def _path_levels(
         # The edge positions where a citing node's run begins, then the end.
         bounds = np.flatnonzero(np.concatenate(([True], citing[1:] != citing[:-1], [True])))
         nodes = citing[bounds[:-1]]
-        counts = segment_sum(value[cited], bounds)
+        if not escalated:
+            counts = np.add.reduceat(value[cited], bounds[:-1])
+            if counts.sum() < bound:
+                continue
+            escalated = True
+            if exact:
+                value = value.astype(np.int64).astype(object)
+            else:
+                with np.errstate(divide="ignore"):
+                    value = np.log(value)
+        if exact:
+            counts = np.add.reduceat(value[cited], bounds[:-1])
+        else:
+            counts = _log_segment_sum(value[cited], bounds)
 
 
-def _exact_distribution(n: int, row: np.ndarray) -> PathLengthDistribution:
-    totals = row.tolist()
+def _count_distribution(n: int, totals: list, logs: bool) -> PathLengthDistribution:
     total = sum(totals)
     return PathLengthDistribution(
         n=n,
@@ -182,6 +214,7 @@ def _exact_distribution(n: int, row: np.ndarray) -> PathLengthDistribution:
         normalized={k: c / total for k, c in enumerate(totals)},
         ipl=sum(k * c for k, c in enumerate(totals)) / total,
         mipl=len(totals) - 1,
+        log_counts={k: math.log(c) for k, c in enumerate(totals)} if logs else None,
     )
 
 
@@ -189,18 +222,34 @@ def _path_distributions(
     graph: KnowledgeGraph, sizes: Sequence[int], mode: str
 ) -> list[PathLengthDistribution]:
     """Path-length distribution of each prefix in ``sizes`` (ascending)."""
-    *_, running_sum = _ARITHMETIC[mode]
+    exact = mode == "exact"
     targets = np.asarray(sizes)
-    columns = []  # per level: its running total at each prefix size
+    columns = []  # per level: its total over each prefix size
     firsts = []  # per level: its lowest node, which never falls from level to level
-    for nodes, counts in _path_levels(graph, sizes[-1], mode):
-        columns.append(running_sum(counts)[nodes.searchsorted(targets) - 1])
+    plain = 0  # the number of levels summed in float64
+    for nodes, counts, escalated in _path_levels(graph, sizes[-1], mode):
+        ends = nodes.searchsorted(targets)
+        if escalated and not exact:
+            columns.append(_log_prefix_totals(counts, ends).tolist())
+        else:
+            column = np.add.accumulate(counts)[ends - 1]
+            if not escalated:
+                plain += 1
+                if exact:  # to Python ints, before any sum across levels
+                    column = column.astype(np.int64)
+            columns.append(column.tolist())
         firsts.append(nodes[0])
     # A prefix reaches the levels whose lowest node lies inside it; the
     # columns of the levels it does not reach hold no total of its own.
     levels = np.searchsorted(firsts, targets).tolist()
-    build = _exact_distribution if mode == "exact" else PathLengthDistribution.from_logs
-    return [build(n, row[:m]) for n, row, m in zip(sizes, np.array(columns).T, levels)]
+    dists = []
+    for n, row, m in zip(sizes, zip(*columns), levels):
+        if exact or m <= plain:
+            dists.append(_count_distribution(n, row[:m], logs=not exact))
+        else:
+            logs = np.concatenate((np.log(row[:plain]), row[plain:m]))
+            dists.append(PathLengthDistribution.from_logs(n, logs))
+    return dists
 
 
 def path_length_distribution(
@@ -220,7 +269,9 @@ def node_path_vectors(graph: KnowledgeGraph, n: int) -> list[NodePathVector]:
     """Per-node path-length vectors for the first n nodes (exact integers)."""
     _check_prefix(graph, n)
     rows: list[list[int]] = [[] for _ in range(n)]
-    for nodes, counts in _path_levels(graph, n, "exact"):
+    for nodes, counts, escalated in _path_levels(graph, n, "exact"):
+        if not escalated:
+            counts = counts.astype(np.int64)
         for i, c in zip(nodes.tolist(), counts.tolist()):
             rows[i].append(c)
     # A node is on every level up to its longest path; its vector starts at

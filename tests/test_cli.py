@@ -511,6 +511,12 @@ class TestTableReaders:
             ("backlinks", "ordinal,node_id,m\n0,a,1\n1,b,x\n", ":3: invalid literal"),
             ("backlinks", "ordinal,node_id,m\n0,a\n", ":2: too few fields"),
             ("backlinks", "ordinal,node_id,m\n0,a,0\n1,b,-3\n", ":3: m must lie in [0, inf]"),
+            ("backlinks", "ordinal,m\n0,0\n0,3\n5,1\n", ":3: duplicate ordinal 0"),
+            ("backlinks", "ordinal,m\n0,0\n5,1\n", ": no row for ordinal 1 (28 of ordinals 0..29"),
+            ("backlinks", "ordinal,m\n" + "".join(f"{i},1\n" for i in range(30) if i != 17),
+             ": no row for ordinal 17 (1 of ordinals 0..29 missing)"),
+            ("backlinks", "ordinal,m\n0,0\n30,1\n", ":3: ordinal must lie in [0, 29], got 30"),
+            ("backlinks", "ordinal,m\n-1,0\n", ":2: ordinal must lie in [0, 29], got -1"),
             ("backlink-dist", "n,m\n10,0\n", ": missing column(s) count"),
             ("backlink-dist", "n,m,count\n10,0,x\n", ":2: invalid literal"),
             ("backlink-dist", "n,m,count\n10,-1,5\n10,1,5\n", ":2: m must lie in [0, inf]"),
@@ -540,6 +546,9 @@ class TestTableReaders:
             "series-missing", "series-bad", "series-inf-id", "series-nan-mipl",
             "fits-missing", "fits-bad",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
+            "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",
+            "backlinks-missing-ordinal",
+            "backlinks-ordinal-past-series", "backlinks-negative-ordinal",
             "backlink-dist-missing", "backlink-dist-bad",
             "backlink-dist-negative-m", "backlink-dist-negative-count", "backlink-dist-total",
             "pathlen-dist-missing", "pathlen-dist-bad",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cumuldyn import measures
 from cumuldyn.measures import (
     backlink_distribution,
     cumulativeness_series,
@@ -290,3 +292,112 @@ class TestPathEngineProperties:
         for f, e in zip(floating, exact):
             assert_float_matches_exact(f.path_dist, e.path_dist)
         assert any(math.isinf(c) for c in floating[-1].path_dist.counts.values())
+
+
+def two_predecessor_dag(n: int):
+    """Node i cites i-1 and i-2: a length-k path ends at node i in C(k, i-k) ways."""
+    return make_graph(n, [(i, i - d) for i in range(1, n) for d in (1, 2) if i >= d])
+
+
+class TestArithmeticLadder:
+    N = 120  # level k's total is 2^k while 2k < N, so it reaches 2^53 at k = 53
+
+    def test_level_totals_cross_the_exact_float_range(self):
+        graph = two_predecessor_dag(self.N)
+        escalated = [e for _, _, e in measures._path_levels(graph, self.N, "exact")]
+        assert escalated.index(True) == 53
+        assert all(escalated[53:])
+        assert not any(e for _, _, e in measures._path_levels(graph, self.N, "float"))
+
+    @pytest.mark.parametrize("stride", [1, 7, 40])
+    def test_exact_equals_closed_form_across_the_switch(self, stride):
+        graph = two_predecessor_dag(self.N)
+        for cp in iter_checkpoints(graph, stride, "exact"):
+            expected = {
+                k: sum(math.comb(k, i - k) for i in range(k, cp.n)) for k in range(cp.n)
+            }
+            expected = {k: c for k, c in expected.items() if c}
+            assert cp.path_dist.counts == expected
+            assert all(type(c) is int for c in cp.path_dist.counts.values())
+
+    def test_float_within_1e9_of_exact_past_2_53(self):
+        graph = two_predecessor_dag(self.N)
+        floating = measure_checkpoints(graph, 7, "float")
+        for f, e in zip(floating, measure_checkpoints(graph, 7, "exact"), strict=True):
+            assert_float_matches_exact(f.path_dist, e.path_dist)
+
+    def test_node_vectors_follow_the_recurrence_across_the_switch(self):
+        vectors = [v.as_dict() for v in node_path_vectors(two_predecessor_dag(self.N), self.N)]
+        assert vectors[0] == {0: 1}
+        assert vectors[1] == {1: 1}
+        for i in range(2, self.N):
+            ks = set(vectors[i]) | {k + 1 for j in (i - 1, i - 2) for k in vectors[j]}
+            for k in ks:
+                assert vectors[i].get(k, 0) == (
+                    vectors[i - 1].get(k - 1, 0) + vectors[i - 2].get(k - 1, 0)
+                )
+            assert vectors[i] == {k: math.comb(k, i - k) for k in range((i + 1) // 2, i + 1)}
+        assert max(max(v.values()) for v in vectors) > 2**53
+
+    @PROPERTY
+    @given(graph=backward_dags())
+    def test_float_equals_exact_bit_for_bit_below_2_53(self, graph):
+        n = graph.n_nodes
+        exact = path_length_distribution(graph, n, mode="exact")
+        assume(sum(k * c for k, c in exact.counts.items()) < 2**53)
+        floating = path_length_distribution(graph, n, mode="float")
+        assert floating.counts == exact.counts
+        assert floating.normalized == exact.normalized
+        assert floating.ipl == exact.ipl
+
+
+@contextmanager
+def escalation_bounds(bound: float):
+    """Run the ladder with both escalation bounds at ``bound``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_INT_BOUND", bound)
+        patch.setattr(measures, "_LOG_BOUND", bound)
+        yield
+
+
+# Level totals of these graphs run from 1 to a few thousand, so each bound
+# leaves some graphs in float64, escalates others at level 1 and the rest
+# part-way.
+LOW_BOUNDS = st.sampled_from([1.0, 3.0, 10.0, 50.0])
+
+
+class TestPathEnginePropertiesEscalated:
+    """The path-engine oracles with the Python-int and log rungs reached early."""
+
+    @PROPERTY
+    @given(graph=backward_dags(), bound=LOW_BOUNDS, data=st.data())
+    def test_exact_equals_brute_force(self, graph, bound, data):
+        n = data.draw(st.integers(1, graph.n_nodes))
+        with escalation_bounds(bound):
+            counts = path_length_distribution(graph, n, mode="exact").counts
+        assert counts == brute_force_path_counts(graph, n)
+        assert all(type(c) is int for c in counts.values())
+
+    @PROPERTY
+    @given(graph=backward_dags(), bound=LOW_BOUNDS)
+    def test_float_within_1e9_of_exact(self, graph, bound):
+        n = graph.n_nodes
+        with escalation_bounds(bound):
+            assert_float_matches_exact(
+                path_length_distribution(graph, n, mode="float"),
+                path_length_distribution(graph, n, mode="exact"),
+            )
+
+    @PROPERTY
+    @given(graph=backward_dags(), stride=st.integers(1, 5), bound=LOW_BOUNDS)
+    def test_every_checkpoint_equals_pointwise(self, graph, stride, bound):
+        # A prefix's levels may escalate later on their own than within the
+        # whole graph, so float checkpoints match within 1e-9, not bit for bit.
+        with escalation_bounds(bound):
+            exact = list(iter_checkpoints(graph, stride, "exact"))
+            floating = list(iter_checkpoints(graph, stride, "float"))
+            for e, f in zip(exact, floating, strict=True):
+                pointwise = path_length_distribution(graph, e.n, "exact")
+                assert e.path_dist == pointwise
+                assert_float_matches_exact(f.path_dist, pointwise)
+                assert e.backlink_dist == f.backlink_dist == backlink_distribution(graph, e.n)
