@@ -18,9 +18,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import count
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 from . import __version__
 from .core import (
@@ -42,14 +45,7 @@ from .fitting import (
     power_law_fit,
 )
 from .growth import GENERATOR_NAME, simulate
-from .ingest import (
-    CorpusError,
-    TechnologyQuery,
-    _undecodable_line,
-    build_graph,
-    load_corpus,
-    open_csv,
-)
+from .ingest import TechnologyQuery, _undecodable_line, build_graph, load_corpus, open_csv
 from .measures import measure_checkpoints
 from .predictions import rate_predictions
 
@@ -153,17 +149,24 @@ def _in_range(column: str, value: T, low: float = 0, high: float = math.inf) -> 
 
 
 def _load_series(path: str) -> CumulativenessSeries:
-    points = _read_table(
-        path,
-        _SERIES_COLUMNS,
-        lambda n, id_, ipl, mipl, ed: SeriesPoint(
-            n=int(n),
+    """The checkpoints of a series table, whose n must start at 1 or more and rise."""
+    last = 0
+
+    def point(n: str, id_: str, ipl: str, mipl: str, ed: str) -> SeriesPoint:
+        nonlocal last
+        size = _in_range("n", int(n), 1)
+        if size <= last:
+            raise ValueError(f"n must rise from row to row, got {size} after {last}")
+        last = size
+        return SeriesPoint(
+            n=size,
             id=_finite("id", float(id_)),
             ipl=_finite("ipl", float(ipl)),
             mipl=int(_finite("mipl", float(mipl))),
             ed=_finite("ed", float(ed)),
-        ),
-    )
+        )
+
+    points = _read_table(path, _SERIES_COLUMNS, point)
     if not points:
         raise ValueError(f"{path}: empty series")
     return CumulativenessSeries(checkpoints=tuple(points))
@@ -292,18 +295,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "rng": GENERATOR_NAME,
         },
     )
-    bundle.add_table(
-        "nodes.csv",
-        ("node_id", "year", "classes"),
-        [[node.node_id, "", "SIM"] for node in graph.nodes],
-    )
+    ids = graph.node_ids
+    citing = np.repeat(np.arange(graph.n_nodes), graph.backlink_counts).tolist()
+    bundle.add_table("nodes.csv", ("node_id", "year", "classes"), [[i, "", "SIM"] for i in ids])
     bundle.add_table(
         "edges.csv",
         ("citing_id", "cited_id", "origin"),
-        [
-            [graph.nodes[citing].node_id, graph.nodes[cited].node_id, ""]
-            for citing, cited in graph.internal_edges
-        ],
+        [[ids[i], ids[j], ""] for i, j in zip(citing, graph.indices.tolist())],
     )
     bundle.write(Path(args.out))
     return 0
@@ -339,10 +337,7 @@ def _measure_graph(
     bundle.add_table(
         "backlinks.csv",
         ("ordinal", "node_id", "m"),
-        [
-            [node.ordinal, node.node_id, graph.backlink_counts[node.ordinal]]
-            for node in graph.nodes
-        ],
+        list(zip(count(), graph.node_ids, graph.backlink_counts.tolist())),
     )
 
 
@@ -408,21 +403,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         },
     )
     bundle.add_table("fits.csv", _FIT_COLUMNS, rows)
-    bundle.add_table(
-        "rates.csv",
-        ("p", "q_prime_a", "p_prime_a", "q_prime_b", "p_prime_b", "v", "delta_n"),
-        [
-            [
-                rates.p,
-                rates.q_prime_a,
-                rates.p_prime_a,
-                rates.q_prime_b,
-                rates.p_prime_b,
-                rates.v,
-                rates.delta_n,
-            ]
-        ],
-    )
+    columns = ("p", "q_prime_a", "p_prime_a", "q_prime_b", "p_prime_b", "v", "delta_n")
+    bundle.add_table("rates.csv", columns, [[getattr(rates, c) for c in columns]])
     bundle.write(Path(args.out))
     return 0
 
@@ -439,14 +421,19 @@ def _read_fitted_params(path: str) -> tuple[float, float]:
     raise ValueError(f"{path}: no 'id' row to take fitted q and m0 from")
 
 
+def _warn(warned: list[str], message: str) -> None:
+    """Append ``message`` to a run's warnings and print it as one stderr line."""
+    warned.append(message)
+    print(f"cumuldyn: warning: {message}", file=sys.stderr)
+
+
 def _recorded_fit(warned: list[str], label: str, fit_fn: Callable[..., T], *args) -> T:
-    """``fit_fn(*args)``, printing and appending each warning it raised as ``label: message``."""
+    """``fit_fn(*args)``, recording each warning it raised as ``label: message``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = fit_fn(*args)
     for warning in caught:
-        warned.append(f"{label}: {warning.message}")
-        print(f"cumuldyn: warning: {warned[-1]}", file=sys.stderr)
+        _warn(warned, f"{label}: {warning.message}")
     return fit
 
 
@@ -534,7 +521,7 @@ def _read_tech_table(path: str) -> dict[str, set[str]]:
     return techs
 
 
-def _sweep_one(corpus, name, prefixes, args):
+def _sweep_one(corpus, name, prefixes, args, warned):
     query = TechnologyQuery(
         name=name, class_prefixes=frozenset(prefixes), year_cutoff=args.year_cutoff
     )
@@ -549,18 +536,12 @@ def _sweep_one(corpus, name, prefixes, args):
         q_hat = fit_series(series, "id").slope
         p_hat = fit_series(series, "ipl").slope
     else:
-        print(
-            f"warning: {name}: only {len(series)} checkpoint(s) at stride "
-            f"{args.stride}; slopes reported as nan",
-            file=sys.stderr,
-        )
+        _warn(warned, f"{name}: only {len(series)} checkpoint(s) at stride {args.stride}; "
+              "slopes reported as nan")
     try:
         rate = invention_rate(graph)
     except ValueError:
-        print(
-            f"warning: {name}: missing years, invention rate reported as nan",
-            file=sys.stderr,
-        )
+        _warn(warned, f"{name}: missing years, invention rate reported as nan")
         rate = math.nan
     return {
         "tech": name,
@@ -578,69 +559,54 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     techs = _read_tech_table(args.tech_table)
     corpus = load_corpus(args.nodes, args.edges)
     names = sorted(techs)
-    results = [_sweep_one(corpus, name, techs[name], args) for name in names]
+    warned: list[str] = []
+    results = [_sweep_one(corpus, name, techs[name], args, warned) for name in names]
 
     labels = [""] * len(results)
     cross_rows = []
-    classifiable = [
-        i for i, r in enumerate(results) if r["n"] > 0 and r["id"] > 0
+    ids = [r["id"] for r in results]
+    ipls = [r["ipl"] for r in results]
+    classifiable = [i for i, r in enumerate(results) if r["n"] > 0 and r["id"] > 0]
+    rated = [
+        (r["q"], r["rate"])
+        for r in results
+        if math.isfinite(r["rate"]) and math.isfinite(r["q"]) and r["q"] > 0 and r["rate"] > 0
+    ]
+
+    def pairwise():
+        return [
+            _fit_row("id_on_ipl", ols_fit(ipls, ids)) + ["", ""],
+            _fit_row("ipl_on_id", ols_fit(ids, ipls)) + ["", ""],
+        ]
+
+    def relative():
+        points = [(float(results[i]["n"]), results[i]["id"]) for i in classifiable]
+        found, (exponent, prefactor, fit) = classify_relative_cumulativeness(points)
+        for i, label in zip(classifiable, found):
+            labels[i] = label
+        return [_fit_row("id_on_n_loglog", fit) + [exponent, prefactor]]
+
+    def power_law():
+        exponent, prefactor, fit = power_law_fit(*zip(*rated))
+        return [_fit_row("rate_on_q_loglog", fit) + [exponent, prefactor]]
+
+    # Each cross fit: what it is, which technologies it needs 3 of, the fit.
+    cross_fits = [
+        ("pairwise id/ipl fit", "", results, pairwise),
+        ("relative-cumulativeness labels", " with positive id", classifiable, relative),
+        ("power-law fit", " with positive rate and q", rated, power_law),
     ]
     if len(results) < 3:
-        print(
-            "warning: fewer than 3 technologies; cross-technology fits skipped",
-            file=sys.stderr,
-        )
-    else:
-        ids = [r["id"] for r in results]
-        ipls = [r["ipl"] for r in results]
+        _warn(warned, "fewer than 3 technologies; cross-technology fits skipped")
+        cross_fits = []
+    for what, which, eligible, fit in cross_fits:
+        if len(eligible) < 3:
+            _warn(warned, f"fewer than 3 technologies{which}; {what} skipped")
+            continue
         try:
-            cross_rows.append(_fit_row("id_on_ipl", ols_fit(ipls, ids)) + ["", ""])
-            cross_rows.append(_fit_row("ipl_on_id", ols_fit(ids, ipls)) + ["", ""])
+            cross_rows += fit()
         except ValueError as exc:
-            print(f"warning: pairwise id/ipl fit skipped: {exc}", file=sys.stderr)
-        if len(classifiable) >= 3:
-            points = [(float(results[i]["n"]), results[i]["id"]) for i in classifiable]
-            try:
-                cls_labels, (exponent, prefactor, fit) = classify_relative_cumulativeness(
-                    points
-                )
-            except ValueError as exc:
-                print(
-                    f"warning: relative-cumulativeness labels skipped: {exc}",
-                    file=sys.stderr,
-                )
-            else:
-                for i, label in zip(classifiable, cls_labels):
-                    labels[i] = label
-                cross_rows.append(_fit_row("id_on_n_loglog", fit) + [exponent, prefactor])
-        else:
-            print(
-                "warning: fewer than 3 technologies with positive id; "
-                "relative-cumulativeness labels skipped",
-                file=sys.stderr,
-            )
-        rate_points = [
-            (r["q"], r["rate"])
-            for r in results
-            if math.isfinite(r["rate"]) and math.isfinite(r["q"]) and r["q"] > 0 and r["rate"] > 0
-        ]
-        if len(rate_points) >= 3:
-            try:
-                exponent, prefactor, fit = power_law_fit(
-                    [p[0] for p in rate_points], [p[1] for p in rate_points]
-                )
-            except ValueError as exc:
-                print(f"warning: power-law fit skipped: {exc}", file=sys.stderr)
-            else:
-                cross_rows.append(
-                    _fit_row("rate_on_q_loglog", fit) + [exponent, prefactor]
-                )
-        else:
-            print(
-                "warning: fewer than 3 technologies with positive rate and q; "
-                "power-law fit skipped",
-                file=sys.stderr,
-            )
+            _warn(warned, f"{what} skipped: {exc}")
 
     bundle = ReportBundle(
         command="sweep",
@@ -659,6 +625,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "self_citations_dropped": corpus.self_citations_dropped,
             "technologies": {r["tech"]: r["diagnostics"] for r in results},
         },
+        warnings=warned,
     )
     bundle.add_table(
         "sweep.csv",
@@ -843,10 +810,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CorpusError,) as exc:
-        print(f"cumuldyn: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # CorpusError included
         print(f"cumuldyn: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

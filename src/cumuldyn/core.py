@@ -1,10 +1,11 @@
 """Core domain types for knowledge-graph cumulativeness analysis.
 
 A technology is represented as a chronologically ordered set of inventions
-plus the backward links between them.  Links that stay inside the technology
-are stored as explicit edges; links that leave it are kept only as per-node
-counts.  All types here are immutable after construction and safe to share
-across threads.
+plus the backward links between them.  :class:`KnowledgeGraph` holds them
+by column: node ids and years, the links that stay inside the technology as
+one sorted array of cited ordinals per citing node (CSR form), and one count
+per node of the links that leave it.  All types here are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,55 +35,107 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class InventionNode:
-    """One invention: an opaque id plus its chronological position.
+    """One invention: an opaque id, its chronological position and its year.
 
     ``ordinal`` is the 0-based position in the technology's chronological
-    order; ``year`` and ``class_labels`` are optional metadata used by
-    ingestion and rate computations.
+    order; ``year`` is None for an undated invention.
     """
 
     node_id: str
     ordinal: int
     year: int | None = None
-    class_labels: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowledgeGraph:
-    """Chronologically ordered inventions with backward links.
+    """Chronologically ordered inventions with backward links, held by column.
 
-    Internal edges are (citing ordinal, cited ordinal) pairs pointing
-    backward in time (citing > cited), which makes the graph acyclic by
-    construction with node order as a topological order.  Links leaving the
-    technology are stored only as one count per node.
+    Node ``i`` (its ordinal) has the id ``node_ids[i]`` and the year
+    ``years[i]`` (None when undated).  It cites the ordinals
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending: the compressed sparse
+    row (CSR) form of the internal edges.  Edges point backward in time
+    (citing > cited), which makes the graph acyclic with node order as a
+    topological order.  Links leaving the technology are kept only as one
+    count per node.  The arrays are read-only; graphs with equal columns
+    are equal.
 
-    The constructor does not enforce the invariants: use
-    :func:`validate_graph` to diagnose a graph of unknown provenance.
+    Neither constructor enforces the invariants: use :func:`validate_graph`
+    to diagnose a graph of unknown provenance.  ``nodes``,
+    ``internal_edges`` and ``backward_lists`` are views built on first
+    access, which the package's own code never reads.
     """
 
-    nodes: tuple[InventionNode, ...]
-    internal_edges: tuple[tuple[int, int], ...]
-    external_backlink_counts: tuple[int, ...]
+    node_ids: tuple[str, ...]
+    years: tuple[int | None, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    external_backlink_counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._arrays:
+            column.flags.writeable = False
+
+    @property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.indptr, self.indices, self.external_backlink_counts
+
+    @classmethod
+    def from_edges(
+        cls, node_ids: Sequence[str], edges: Iterable[tuple[int, int]],
+        external: Sequence[int] | None = None, years: Sequence[int | None] | None = None,
+    ) -> KnowledgeGraph:
+        """The graph of ``node_ids`` whose edges are (citing, cited) ordinal pairs.
+
+        ``external`` defaults to no external links and ``years`` to undated
+        nodes.  Forward, duplicate and dangling edges are kept for
+        :func:`validate_graph` to report, but a citing ordinal outside
+        0..N-1 has no row to go in and raises ValueError.
+        """
+        n = len(node_ids)
+        citing, cited = np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2).T
+        outside = (citing < 0) | (citing >= n)
+        if outside.any():
+            raise ValueError(f"edge citing ordinal {citing[outside][0]} outside 0..{n - 1}")
+        return cls(
+            node_ids=tuple(node_ids),
+            years=(None,) * n if years is None else tuple(years),
+            indptr=np.concatenate(([0], np.cumsum(np.bincount(citing, minlength=n)))),
+            indices=cited[np.lexsort((cited, citing))],
+            external_backlink_counts=np.array([0] * n if external is None else external, np.int64),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnowledgeGraph):
+            return NotImplemented
+        return (self.node_ids, self.years) == (other.node_ids, other.years) and all(
+            map(np.array_equal, self._arrays, other._arrays)
+        )
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
+
+    @property
+    def backlink_counts(self) -> np.ndarray:
+        """Number of internal backward links per node, in ordinal order."""
+        return np.diff(self.indptr)
+
+    @cached_property
+    def nodes(self) -> tuple[InventionNode, ...]:
+        """The nodes as records, built on first access."""
+        return tuple(map(InventionNode, self.node_ids, range(self.n_nodes), self.years))
+
+    @cached_property
+    def internal_edges(self) -> tuple[tuple[int, int], ...]:
+        """The (citing, cited) edges in CSR order, built on first access."""
+        citing = np.repeat(np.arange(self.n_nodes), self.backlink_counts)
+        return tuple(zip(citing.tolist(), self.indices.tolist()))
 
     @cached_property
     def backward_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Per-node tuple of cited ordinals (the node's backward links)."""
-        cited: list[list[int]] = [[] for _ in range(len(self.nodes))]
-        for citing, target in self.internal_edges:
-            cited[citing].append(target)
-        return tuple(tuple(sorted(c)) for c in cited)
-
-    @cached_property
-    def backlink_counts(self) -> tuple[int, ...]:
-        """Number of internal backward links per node, in ordinal order."""
-        return tuple(len(c) for c in self.backward_lists)
-
-    def years(self) -> tuple[int | None, ...]:
-        return tuple(node.year for node in self.nodes)
+        """Per-node tuple of cited ordinals, built on first access."""
+        cited, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(cited[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,45 +323,36 @@ def validate_graph(graph: KnowledgeGraph) -> list[str]:
     violations: list[str] = []
     n = graph.n_nodes
 
-    for i, node in enumerate(graph.nodes):
-        if node.ordinal != i:
-            violations.append(
-                f"node at position {i} has ordinal {node.ordinal}; ordinals "
-                "must be contiguous 0..N-1 in order"
-            )
-
     last_year: int | None = None
-    for node in graph.nodes:
-        if node.year is None:
+    for i, year in enumerate(graph.years):
+        if year is None:
             continue
-        if last_year is not None and node.year < last_year:
+        if last_year is not None and year < last_year:
             violations.append(
-                f"node {node.ordinal} has year {node.year} before an earlier "
-                f"node's year {last_year}"
+                f"node {i} has year {year} before an earlier node's year {last_year}"
             )
-        last_year = node.year
+        last_year = year
 
-    if len(graph.external_backlink_counts) != n:
-        violations.append(
-            f"external_backlink_counts has {len(graph.external_backlink_counts)} "
-            f"entries for {n} nodes"
-        )
-    for i, count in enumerate(graph.external_backlink_counts):
-        if count < 0:
-            violations.append(f"negative external backlink count at node {i}")
+    if len(graph.years) != n:
+        violations.append(f"years has {len(graph.years)} entries for {n} nodes")
+    external = graph.external_backlink_counts
+    if len(external) != n:
+        violations.append(f"external_backlink_counts has {len(external)} entries for {n} nodes")
+    violations.extend(
+        f"negative external backlink count at node {i}"
+        for i in np.flatnonzero(external < 0).tolist()
+    )
 
-    seen: set[tuple[int, int]] = set()
-    for citing, cited in graph.internal_edges:
-        if not (0 <= citing < n and 0 <= cited < n):
-            violations.append(f"edge ({citing}, {cited}) references missing node")
-            continue
-        if citing <= cited:
-            violations.append(
-                f"forward edge ({citing}, {cited}): citing ordinal must exceed "
-                "cited ordinal"
-            )
-        if (citing, cited) in seen:
-            violations.append(f"duplicate edge ({citing}, {cited})")
-        seen.add((citing, cited))
-
+    citing = np.repeat(np.arange(n), graph.backlink_counts)
+    cited = graph.indices
+    missing = (cited < 0) | (cited >= n)
+    # CSR order puts the copies of an edge next to each other.
+    repeated = np.concatenate(([False], (citing[1:] == citing[:-1]) & (cited[1:] == cited[:-1])))
+    forward = ~missing & (citing <= cited)
+    for hit, message in (
+        (missing, "edge ({}, {}) references missing node"),
+        (forward, "forward edge ({}, {}): citing ordinal must exceed cited ordinal"),
+        (~missing & repeated, "duplicate edge ({}, {})"),
+    ):
+        violations.extend(map(message.format, citing[hit].tolist(), cited[hit].tolist()))
     return violations

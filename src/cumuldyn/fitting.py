@@ -332,7 +332,7 @@ def classify_relative_cumulativeness(
 
 def invention_rate(graph: KnowledgeGraph) -> float:
     """Average inventions per calendar year: N / (year span + 1)."""
-    years = [node.year for node in graph.nodes]
+    years = graph.years
     if not years or any(y is None for y in years):
         raise ValueError("invention rate requires a year on every node")
     return graph.n_nodes / (max(years) - min(years) + 1)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import InventionNode, KnowledgeGraph, ModelParams
+from .core import KnowledgeGraph, ModelParams
 
 __all__ = ["GENERATOR_NAME", "rho", "sample_backlink_count", "simulate"]
 
@@ -75,11 +75,4 @@ def simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:
             chosen.add(int(rng.integers(0, i)))
         edges.extend((i, target) for target in sorted(chosen))
     width = len(str(n_nodes - 1))
-    nodes = tuple(
-        InventionNode(node_id=f"S{i:0{width}d}", ordinal=i) for i in range(n_nodes)
-    )
-    return KnowledgeGraph(
-        nodes=nodes,
-        internal_edges=tuple(edges),
-        external_backlink_counts=(0,) * n_nodes,
-    )
+    return KnowledgeGraph.from_edges([f"S{i:0{width}d}" for i in range(n_nodes)], edges)

@@ -21,7 +21,7 @@ once per distinct raw value, since patent data repeats them heavily.
 :func:`build_graph` is array code over these columns: a class mask matched
 once per distinct class list, one ``np.lexsort`` for the chronological
 order, and a sort of (citing, cited) pair keys to collapse duplicate
-citations.
+citations, which leaves the internal edges in the graph's CSR order.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import InventionNode, KnowledgeGraph
+from .core import KnowledgeGraph
 
 __all__ = [
     "CorpusError",
@@ -168,10 +168,6 @@ class Corpus:
         rank = np.empty(self.n_nodes, dtype=np.int64)
         rank[sorted(range(self.n_nodes), key=self.ids.__getitem__)] = np.arange(self.n_nodes)
         return rank
-
-    @cached_property
-    def _class_labels(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(classes) for classes in self.class_lists)
 
     @cached_property
     def _label_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -450,17 +446,12 @@ def build_graph(
     internal = _distinct(source[backward] * n + target[backward])
     n_backward = int(backward.sum())
 
-    ids, years, labels = corpus.ids, corpus.years, corpus._class_labels
-    nodes = tuple(
-        InventionNode(ids[code], i, years[rank], labels[classes])
-        for i, (code, rank, classes) in enumerate(
-            zip(selected.tolist(), year_rank.tolist(), corpus.class_code[selected].tolist())
-        )
-    )
     graph = KnowledgeGraph(
-        nodes=nodes,
-        internal_edges=tuple(zip((internal // n).tolist(), (internal % n).tolist())),
-        external_backlink_counts=tuple(np.bincount(external // n_codes, minlength=n).tolist()),
+        node_ids=tuple(map(corpus.ids.__getitem__, selected.tolist())),
+        years=tuple(map(corpus.years.__getitem__, year_rank.tolist())),
+        indptr=np.searchsorted(internal // n, np.arange(n + 1)),
+        indices=internal % n,
+        external_backlink_counts=np.bincount(external // n_codes, minlength=n),
     )
     diagnostics = IngestDiagnostics(
         matched_nodes=n,

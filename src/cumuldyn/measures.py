@@ -22,9 +22,8 @@ level however widely one level's counts spread.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import count
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -75,13 +74,13 @@ def _resolve_mode(mode: Mode, n: int) -> str:
 def internal_dependence(graph: KnowledgeGraph, n: int) -> float:
     """Average number of backward internal links per node over the first n nodes."""
     _check_prefix(graph, n)
-    return sum(graph.backlink_counts[:n]) / n
+    return int(graph.indptr[n]) / n
 
 
 def external_dependence(graph: KnowledgeGraph, n: int) -> float:
     """Average number of backward external links per node over the first n nodes."""
     _check_prefix(graph, n)
-    return sum(graph.external_backlink_counts[:n]) / n
+    return int(graph.external_backlink_counts[:n].sum()) / n
 
 
 def initial_fraction(graph: KnowledgeGraph, n: int) -> float:
@@ -91,13 +90,18 @@ def initial_fraction(graph: KnowledgeGraph, n: int) -> float:
     a prefix never re-classifies a node as initial.
     """
     _check_prefix(graph, n)
-    return sum(1 for c in graph.backlink_counts[:n] if c == 0) / n
+    return int(np.count_nonzero(graph.backlink_counts[:n] == 0)) / n
+
+
+def _histogram(counts: np.ndarray) -> dict[int, int]:
+    """``{m: counts[m]}`` over the m with a positive count."""
+    return {m: c for m, c in enumerate(counts.tolist()) if c}
 
 
 def backlink_distribution(graph: KnowledgeGraph, n: int) -> BacklinkDistribution:
     """Histogram of backward internal links per node over the first n nodes."""
     _check_prefix(graph, n)
-    return BacklinkDistribution(n=n, counts=dict(Counter(graph.backlink_counts[:n])))
+    return BacklinkDistribution(n=n, counts=_histogram(np.bincount(graph.backlink_counts[:n])))
 
 
 class NodePathVector:
@@ -170,9 +174,8 @@ def _path_levels(
     """
     exact = mode == "exact"
     bound = _INT_BOUND if exact else _LOG_BOUND
-    backward = graph.backward_lists[:n]
-    degree = np.fromiter(map(len, backward), np.intp, n)
-    cited = np.fromiter(chain.from_iterable(backward), np.intp, int(degree.sum()))
+    degree = np.diff(graph.indptr[: n + 1])
+    cited = graph.indices[: graph.indptr[n]]
     citing = np.repeat(np.arange(n), degree)
     nodes = np.arange(n)
     counts = (degree == 0).astype(np.float64)
@@ -317,17 +320,17 @@ def iter_checkpoints(
     sizes = [*range(stride, graph.n_nodes, stride), graph.n_nodes]
     dists = _path_distributions(graph, sizes, _resolve_mode(mode, graph.n_nodes))
     links = graph.backlink_counts
-    edge_totals = list(accumulate(links))
-    external_totals = list(accumulate(graph.external_backlink_counts))
-    histogram: Counter[int] = Counter()
+    edge_totals = graph.indptr.tolist()
+    external_totals = np.cumsum(graph.external_backlink_counts).tolist()
+    histogram = np.zeros(int(links.max()) + 1, np.int64)
     for start, n, path_dist in zip([0, *sizes], sizes, dists):
-        histogram.update(links[start:n])
+        histogram += np.bincount(links[start:n], minlength=len(histogram))
         yield Checkpoint(
             n=n,
-            id=edge_totals[n - 1] / n,
+            id=edge_totals[n] / n,
             ed=external_totals[n - 1] / n,
             path_dist=path_dist,
-            backlink_dist=BacklinkDistribution(n=n, counts=dict(histogram)),
+            backlink_dist=BacklinkDistribution(n=n, counts=_histogram(histogram)),
         )
 
 

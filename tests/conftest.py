@@ -13,7 +13,6 @@ import pytest
 from cumuldyn.core import (
     BacklinkDistribution,
     DistributionFit,
-    InventionNode,
     KnowledgeGraph,
     ModelParams,
     PathLengthDistribution,
@@ -30,19 +29,48 @@ def make_graph(
     years: list[int | None] | None = None,
 ) -> KnowledgeGraph:
     """Build a graph directly from ordinals, for fixtures."""
-    nodes = tuple(
-        InventionNode(
-            node_id=f"n{i}",
-            ordinal=i,
-            year=None if years is None else years[i],
-        )
-        for i in range(n_nodes)
-    )
-    return KnowledgeGraph(
-        nodes=nodes,
-        internal_edges=tuple(edges),
-        external_backlink_counts=tuple(external or [0] * n_nodes),
-    )
+    return KnowledgeGraph.from_edges([f"n{i}" for i in range(n_nodes)], edges, external, years)
+
+
+def reference_validate_graph(
+    n: int,
+    edges: list[tuple[int, int]],
+    external: list[int],
+    years: list[int | None],
+) -> list[str]:
+    """Every KnowledgeGraph invariant violation of a graph given as plain lists.
+
+    Deliberately independent of the CSR columns: checks one node and one
+    edge at a time, in the order given, with a set of the edges seen.
+    """
+    violations: list[str] = []
+    last_year: int | None = None
+    for i, year in enumerate(years):
+        if year is None:
+            continue
+        if last_year is not None and year < last_year:
+            violations.append(
+                f"node {i} has year {year} before an earlier node's year {last_year}"
+            )
+        last_year = year
+    if len(external) != n:
+        violations.append(f"external_backlink_counts has {len(external)} entries for {n} nodes")
+    for i, count in enumerate(external):
+        if count < 0:
+            violations.append(f"negative external backlink count at node {i}")
+    seen: set[tuple[int, int]] = set()
+    for citing, cited in edges:
+        if not (0 <= citing < n and 0 <= cited < n):
+            violations.append(f"edge ({citing}, {cited}) references missing node")
+            continue
+        if citing <= cited:
+            violations.append(
+                f"forward edge ({citing}, {cited}): citing ordinal must exceed cited ordinal"
+            )
+        if (citing, cited) in seen:
+            violations.append(f"duplicate edge ({citing}, {cited})")
+        seen.add((citing, cited))
+    return violations
 
 
 def brute_force_path_counts(graph: KnowledgeGraph, n: int) -> dict[int, int]:
@@ -176,13 +204,11 @@ def reference_build_graph(
     external_counts = [0] * len(selected)
     for citing, _ in external:
         external_counts[citing] += 1
-    graph = KnowledgeGraph(
-        nodes=tuple(
-            InventionNode(node.node_id, i, node.year, frozenset(node.classes))
-            for i, node in enumerate(selected)
-        ),
-        internal_edges=tuple(sorted(internal)),
-        external_backlink_counts=tuple(external_counts),
+    graph = KnowledgeGraph.from_edges(
+        [node.node_id for node in selected],
+        sorted(internal),
+        external_counts,
+        [node.year for node in selected],
     )
     diagnostics = {
         "matched_nodes": len(selected),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cumuldyn.cli import ReportBundle, main
+from cumuldyn.core import KnowledgeGraph
 
 
 def read_csv(path):
@@ -459,6 +460,75 @@ class TestSweep:
             assert diag["ignored_citations"] > 0
         assert techs["alpha"]["duplicates_collapsed"] >= 1
 
+    def test_two_technologies_warn_on_stderr_and_in_meta(self, tmp_path, multi_corpus, capsys):
+        nodes, edges, _ = multi_corpus
+        table = tmp_path / "two.csv"
+        table.write_text("group_name,prefix\nalpha,A01\ngamma,C03\n")
+        expected = [
+            "gamma: only 2 checkpoint(s) at stride 20; slopes reported as nan",
+            "fewer than 3 technologies; cross-technology fits skipped",
+        ]
+        outs = []
+        for name in ("first", "again"):
+            out = tmp_path / name
+            assert run(
+                "sweep", "--nodes", str(nodes), "--edges", str(edges),
+                "--tech-table", str(table), "--stride", "20", "--out", str(out),
+            ) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"cumuldyn: warning: {w}" for w in expected]
+            assert json.loads((out / "meta.json").read_text())["warnings"] == expected
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["cross_fits.csv", "meta.json", "sweep.csv"]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_cross_fit_warnings(self, tmp_path, capsys):
+        # Three technologies with no citations: id and ipl are 0 everywhere,
+        # so the pairwise fit has a constant design and neither the labels nor
+        # the power law have 3 technologies to fit.
+        node_rows = ["node_id,year,classes"]
+        for prefix, n in (("A01", 30), ("B02", 40), ("C03", 50)):
+            node_rows += [f"{prefix}N{i:02d},{2000 + i // 5},{prefix} 1/00" for i in range(n)]
+        (tmp_path / "nodes.csv").write_text("\n".join(node_rows) + "\n")
+        (tmp_path / "edges.csv").write_text("citing_id,cited_id,origin\n")
+        (tmp_path / "techs.csv").write_text("group_name,prefix\na,A01\nb,B02\nc,C03\n")
+        out = tmp_path / "sweep"
+        assert run(
+            "sweep", "--nodes", str(tmp_path / "nodes.csv"), "--edges", str(tmp_path / "edges.csv"),
+            "--tech-table", str(tmp_path / "techs.csv"), "--stride", "10", "--out", str(out),
+        ) == 0
+        expected = [
+            "pairwise id/ipl fit skipped: degenerate design: x is constant",
+            "fewer than 3 technologies with positive id; relative-cumulativeness labels skipped",
+            "fewer than 3 technologies with positive rate and q; power-law fit skipped",
+        ]
+        assert capsys.readouterr().err.splitlines() == [f"cumuldyn: warning: {w}" for w in expected]
+        assert json.loads((out / "meta.json").read_text())["warnings"] == expected
+        assert read_csv(out / "cross_fits.csv") == []
+
+    def test_commands_read_only_the_graph_columns(self, tmp_path, multi_corpus, monkeypatch):
+        def forbidden(graph):
+            raise AssertionError("a command read a KnowledgeGraph record view")
+
+        for view in ("nodes", "internal_edges", "backward_lists"):
+            monkeypatch.setattr(KnowledgeGraph, view, property(forbidden))
+        nodes, edges, table = multi_corpus
+        corpus = ("--nodes", str(nodes), "--edges", str(edges))
+        assert run(
+            "simulate", "--q", "0.01", "--m1", "2", "--n", "300", "--out", str(tmp_path / "sim")
+        ) == 0
+        for mode in ("exact", "float"):
+            assert run(
+                "measure", *corpus, "--prefix", "A01", "--stride", "10", "--mode", mode,
+                "--out", str(tmp_path / mode),
+            ) == 0
+        assert run(
+            "sweep", *corpus, "--tech-table", str(table), "--stride", "10",
+            "--out", str(tmp_path / "sweep"),
+        ) == 0
+
     def test_deterministic_parallel(self, tmp_path, multi_corpus):
         nodes, edges, table = multi_corpus
         outs = []
@@ -505,6 +575,10 @@ class TestTableReaders:
             ("series", SERIES.replace("20,", "2x,"), ":3: invalid literal"),
             ("series", SERIES.replace("20,1.5", "20,inf"), ":3: id must be finite, got inf"),
             ("series", SERIES.replace(",5,", ",nan,"), ":4: mipl must be finite, got nan"),
+            ("series", SERIES.replace("30,", "5,"), ":4: n must rise from row to row, got 5 after 20"),
+            ("series", SERIES.replace("30,", "20,"), ":4: n must rise from row to row, got 20 after 20"),
+            ("series", SERIES.replace("10,", "-10,"), ":2: n must lie in [1, inf], got -10"),
+            ("series", SERIES.replace("10,", "0,"), ":2: n must lie in [1, inf], got 0"),
             ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
             ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
@@ -544,6 +618,7 @@ class TestTableReaders:
         ],
         ids=[
             "series-missing", "series-bad", "series-inf-id", "series-nan-mipl",
+            "series-n-falls", "series-n-repeats", "series-n-negative", "series-n-zero",
             "fits-missing", "fits-bad",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
             "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",

@@ -5,16 +5,20 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cumuldyn.core import (
     BacklinkDistribution,
     CumulativenessSeries,
+    InventionNode,
+    KnowledgeGraph,
     ModelParams,
     SeriesPoint,
     validate_graph,
 )
 
-from conftest import make_graph
+from conftest import make_graph, reference_validate_graph
 
 
 class TestValidateGraph:
@@ -44,13 +48,12 @@ class TestValidateGraph:
         assert any("missing node" in v for v in validate_graph(g))
 
     def test_external_count_length_mismatch(self):
-        g = make_graph(3, [])
-        bad = type(g)(
-            nodes=g.nodes,
-            internal_edges=g.internal_edges,
-            external_backlink_counts=(0, 0),
-        )
+        bad = make_graph(3, [], external=[0, 0])
         assert any("external_backlink_counts" in v for v in validate_graph(bad))
+
+    def test_years_length_mismatch(self):
+        g = KnowledgeGraph.from_edges(["a", "b", "c"], [], years=[2000, 2001])
+        assert validate_graph(g) == ["years has 2 entries for 3 nodes"]
 
     def test_negative_external_count(self):
         g = make_graph(2, [], external=[0, -1])
@@ -70,6 +73,73 @@ class TestValidateGraph:
         g = make_graph(5, [(4, 0), (3, 1), (4, 3), (2, 1)])
         assert validate_graph(g) == []
         assert all(citing > cited for citing, cited in g.internal_edges)
+
+
+@st.composite
+def raw_graphs(draw):
+    """(n, edges, external, years) with every kind of invariant violation.
+
+    Citing ordinals stay inside 0..n-1 (a CSR row has nowhere else to go);
+    cited ordinals may be forward, the citing node itself, repeated or
+    outside the graph, external counts short, long or negative, and years
+    out of order.
+    """
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(-2, n + 1))
+    edges = draw(st.lists(pairs, max_size=20))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    external = draw(st.lists(st.integers(-2, 3), min_size=max(0, n - 2), max_size=n + 1))
+    years = draw(st.lists(st.none() | st.integers(1998, 2002), min_size=n, max_size=n))
+    return n, draw(st.permutations(edges)), external, years
+
+
+class TestValidateGraphOracle:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(raw=raw_graphs())
+    @example(raw=(3, [(2, 0), (1, 1), (2, 0), (0, 2), (1, 5), (1, -1)], [0, -1], [2000, 1999, None]))
+    def test_messages_match_the_edge_by_edge_reference(self, raw):
+        n, edges, external, years = raw
+        graph = KnowledgeGraph.from_edges([f"n{i}" for i in range(n)], edges, external, years)
+        expected = reference_validate_graph(n, edges, external, years)
+        assert sorted(validate_graph(graph)) == sorted(expected)
+
+
+class TestKnowledgeGraphColumns:
+    def test_from_edges_sorts_into_csr(self):
+        g = make_graph(4, [(3, 1), (2, 0), (3, 0), (2, 1)], external=[0, 1, 0, 2])
+        assert g.indptr.tolist() == [0, 0, 0, 2, 4]
+        assert g.indices.tolist() == [0, 1, 0, 1]
+        assert g.backlink_counts.tolist() == [0, 0, 2, 2]
+        assert g.external_backlink_counts.tolist() == [0, 1, 0, 2]
+        assert g.years == (None,) * 4
+        assert g.n_nodes == 4
+
+    def test_views_are_built_from_the_columns(self):
+        g = make_graph(3, [(2, 1), (1, 0), (2, 0)], years=[1999, None, 2001])
+        assert g.nodes == (
+            InventionNode("n0", 0, 1999), InventionNode("n1", 1, None), InventionNode("n2", 2, 2001)
+        )
+        assert g.internal_edges == ((1, 0), (2, 0), (2, 1))
+        assert g.backward_lists == ((), (0,), (0, 1))
+
+    def test_columns_are_read_only(self):
+        g = make_graph(3, [(2, 0)], external=[1, 0, 0])
+        for column in (g.indptr, g.indices, g.external_backlink_counts):
+            with pytest.raises(ValueError):
+                column[0] = 7
+
+    def test_equality_compares_the_columns(self):
+        g = make_graph(3, [(2, 0), (1, 0)], years=[2000, 2000, 2001])
+        assert g == make_graph(3, [(1, 0), (2, 0)], years=[2000, 2000, 2001])
+        assert g != make_graph(3, [(1, 0), (2, 0)], years=[2000, 2000, 2002])
+        assert g != make_graph(3, [(2, 0), (2, 1)], years=[2000, 2000, 2001])
+        assert g != make_graph(3, [(2, 0), (1, 0)], [0, 0, 1], years=[2000, 2000, 2001])
+        assert g != "graph"
+
+    @pytest.mark.parametrize("edges", [[(3, 0)], [(-1, 0)], [(1, 0), (5, 2)]])
+    def test_from_edges_rejects_a_citing_ordinal_outside_the_nodes(self, edges):
+        with pytest.raises(ValueError, match="citing ordinal"):
+            make_graph(3, edges)
 
 
 class TestModelParams:

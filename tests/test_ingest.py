@@ -170,7 +170,7 @@ class TestBuildGraph:
         graph, diag = build_graph(small_corpus, query)
         assert [n.node_id for n in graph.nodes] == ["A", "B"]
         assert graph.internal_edges == ((1, 0),)
-        assert graph.external_backlink_counts == (0, 1)
+        assert graph.external_backlink_counts.tolist() == [0, 1]
         assert diag.matched_nodes == 2
         assert diag.internal_edges == 1
         assert diag.external_links == 1

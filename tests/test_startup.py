@@ -102,6 +102,8 @@ def test_measure_and_sweep_load_no_numpy_ma(tmp_path):
         from cumuldyn.cli import main
         tmp = {str(tmp_path)!r}
         codes = [
+            main(["simulate", "--q", "0.01", "--m1", "2", "--n", "200",
+                  "--seed", "3", "--out", f"{{tmp}}/sim"]),
             main(["measure", "--nodes", f"{{tmp}}/nodes.csv", "--edges", f"{{tmp}}/edges.csv",
                   "--prefix", "A01", "--stride", "10", "--out", f"{{tmp}}/measured"]),
             main(["sweep", "--nodes", f"{{tmp}}/nodes.csv", "--edges", f"{{tmp}}/edges.csv",
@@ -117,4 +119,4 @@ def test_measure_and_sweep_load_no_numpy_ma(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[-2] == "[0, 0] False"
+    assert proc.stdout.split("\n")[-2] == "[0, 0, 0] False"
