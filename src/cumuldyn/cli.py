@@ -36,6 +36,7 @@ from .core import (
     SeriesPoint,
 )
 from .fitting import (
+    PATHLENGTH_FAMILIES,
     classify_relative_cumulativeness,
     fit_series,
     geometric_gof,
@@ -437,7 +438,24 @@ def _recorded_fit(warned: list[str], label: str, fit_fn: Callable[..., T], *args
     return fit
 
 
+def _parse_families(raw: str) -> list[str]:
+    """The comma-separated ``--families`` value, each a known path-length family, once."""
+    families = [f.strip() for f in raw.split(",") if f.strip()]
+    if not families:
+        raise ValueError(f"--families names no family: {raw!r}")
+    for i, family in enumerate(families):
+        if family not in PATHLENGTH_FAMILIES:
+            raise ValueError(
+                f"--families: unknown family {family!r}, expected some of "
+                f"{', '.join(PATHLENGTH_FAMILIES)}"
+            )
+        if family in families[:i]:
+            raise ValueError(f"--families: family {family!r} given twice in {raw!r}")
+    return families
+
+
 def cmd_gof(args: argparse.Namespace) -> int:
+    families = _parse_families(args.families)
     if args.fits is not None:
         q_hat, m0_hat = _read_fitted_params(args.fits)
     elif args.q is not None and args.m0 is not None:
@@ -445,7 +463,6 @@ def cmd_gof(args: argparse.Namespace) -> int:
     else:
         raise ValueError("either --fits or both --q and --m0 are required")
     params = ModelParams(q=q_hat, m1=m0_hat + 1.0)
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
 
     summary_rows = []
     point_rows = []
@@ -465,6 +482,10 @@ def cmd_gof(args: argparse.Namespace) -> int:
             )
     if args.pathlen_dist:
         for n, dist in sorted(_load_pathlen_dists(args.pathlen_dist).items()):
+            # Every family at a checkpoint plots the same empirical column:
+            # format it once (csv writes a str cell as is, and a float as
+            # its str) instead of once per family.
+            empirical: tuple[float, ...] = ()
             for family in families:
                 fit = _recorded_fit(
                     warned, f"n={n} pathlengths {family}", pathlength_gof, dist, None, family
@@ -473,9 +494,12 @@ def cmd_gof(args: argparse.Namespace) -> int:
                 summary_rows.append(
                     [n, "pathlengths", family, fit.plot_correlation, statistic, dof, p_value]
                 )
+                values, model = zip(*fit.plot_points)
+                if values != empirical:
+                    empirical, cells = values, list(map(str, values))
                 point_rows.extend(
                     [n, "pathlengths", family, k, emp, mod]
-                    for k, (emp, mod) in enumerate(fit.plot_points)
+                    for k, (emp, mod) in enumerate(zip(cells, model))
                 )
     if not summary_rows:
         raise ValueError("nothing to check: pass --backlink-dist and/or --pathlen-dist")
@@ -711,7 +735,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gof.add_argument(
         "--families",
         default="binomial-type",
-        help="comma list of path-length families to try",
+        help="comma list of distinct path-length families to try, among "
+        + ", ".join(PATHLENGTH_FAMILIES),
     )
     gof.add_argument("--out", required=True, help="output directory")
     gof.add_argument("--config", help="key=value file standing in for flags")

@@ -32,6 +32,8 @@ __all__ = [
     "validate_graph",
 ]
 
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True, slots=True)
 class InventionNode:
@@ -96,11 +98,19 @@ class KnowledgeGraph:
         outside = (citing < 0) | (citing >= n)
         if outside.any():
             raise ValueError(f"edge citing ordinal {citing[outside][0]} outside 0..{n - 1}")
+        low, high = (int(cited.min()), int(cited.max())) if len(cited) else (0, 0)
+        span = high - low + 1
+        if n * span <= _INT64_MAX:
+            # One int64 key ordered as (citing, cited), dangling ordinals
+            # included: its stable argsort is lexsort's permutation, far faster.
+            order = np.argsort(citing * span + (cited - low), kind="stable")
+        else:
+            order = np.lexsort((cited, citing))
         return cls(
             node_ids=tuple(node_ids),
             years=(None,) * n if years is None else tuple(years),
             indptr=np.concatenate(([0], np.cumsum(np.bincount(citing, minlength=n)))),
-            indices=cited[np.lexsort((cited, citing))],
+            indices=cited[order],
             external_backlink_counts=np.array([0] * n if external is None else external, np.int64),
         )
 
@@ -143,10 +153,10 @@ class ModelParams:
     """Parameters of the search-process growth model.
 
     ``q`` is the rate at which the knowledge need grows per invention and
-    ``m1 > 1`` the initial knowledge need; ``m0 = m1 - 1`` is the expected
-    number of backward links of the very first inventions.  ``r`` is the
-    fraction of inventions with no internal backward links, defaulting to
-    the small-``q`` estimate ``1 / (m0 + 1)``.
+    ``m1 > 1`` the initial knowledge need, both finite; ``m0 = m1 - 1`` is
+    the expected number of backward links of the very first inventions.
+    ``r`` is the fraction of inventions with no internal backward links,
+    defaulting to the small-``q`` estimate ``1 / (m0 + 1)``.
     """
 
     q: float
@@ -154,10 +164,10 @@ class ModelParams:
     r: float = math.nan
 
     def __post_init__(self) -> None:
-        if not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if not self.m1 > 1:
-            raise ValueError(f"m1 must exceed 1, got {self.m1}")
+        if not 0 < self.q < math.inf:
+            raise ValueError(f"q must be positive and finite, got {self.q}")
+        if not 1 < self.m1 < math.inf:
+            raise ValueError(f"m1 must exceed 1 and be finite, got {self.m1}")
         if math.isnan(self.r):
             object.__setattr__(self, "r", 1.0 / self.m1)
         if not 0 < self.r <= 1:

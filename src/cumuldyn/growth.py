@@ -6,9 +6,16 @@ and otherwise picks up one backward link, so the number of backward links
 per new invention is geometric with mean ``q*n + m0``.  Link targets are
 drawn uniformly among existing inventions.
 
-All randomness comes from NumPy's PCG64 generator seeded with a single
-64-bit integer, and the geometric draw uses inversion of a single uniform,
-so a (params, N, seed) triple reproduces the same graph bit for bit on any
+All randomness comes from the PCG64 generator of
+``numpy.random.default_rng(seed)``, seeded with a single 64-bit integer.
+:func:`simulate` reads its 64-bit output words in blocks and replays, in
+Python integers, what ``Generator.random()`` and ``Generator.integers(0, i)``
+make of them: a uniform from the top 53 bits of one word, and an integer
+below ``i`` from 32-bit halves of words by Lemire's multiply-shift rejection
+(Lemire, *Fast Random Integer Generation in an Interval*, ACM TOMACS 2019).
+The geometric draw is the inversion of a single uniform.  Reproducibility
+therefore rests on the PCG64 output stream alone, not on numpy's sampler
+code, and a (params, N, seed) triple gives the same graph bit for bit on any
 platform.
 
 Note on measured series: because the *latest* invention's expected link
@@ -19,6 +26,8 @@ the simulated technology at size n) grows at rate ``q/2``, not ``q``.
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -26,16 +35,35 @@ from .core import KnowledgeGraph, ModelParams
 
 __all__ = ["GENERATOR_NAME", "rho", "sample_backlink_count", "simulate"]
 
-# The documented random source; a seed fully determines the uniform stream.
+# The documented random source; a seed fully determines the word stream.
 GENERATOR_NAME = "numpy.random PCG64"
+
+# Words drawn per call into the generator.  Words drawn past the last one
+# used are simply discarded: the generator belongs to one simulate call.
+_BLOCK = 1024
+_LOW32 = 0xFFFFFFFF
+_TWO_POW_32 = 1 << 32
 
 
 def rho(n: int, params: ModelParams) -> float:
     """Probability of completing an invention per search round at size n.
 
-    Always in (0, 1/m1]; decreases toward 0 as the knowledge base grows.
+    Always in [0, 1/m1]; decreases toward 0 as the knowledge base grows, and
+    is 0 once ``q*n`` overflows a float.
     """
     return 1.0 / (params.q * n + params.m1)
+
+
+def _inverse_count(p: float, u: float, cap: int | float) -> int | float:
+    """``floor(log(u) / log(1 - p))`` for u in (0, 1], or ``cap`` if that is no smaller.
+
+    A zero ``p`` (a search that never ends) and a quotient too large for a
+    float also give ``cap``, which may be ``math.inf``.
+    """
+    if p == 0.0:
+        return cap
+    count = math.log(u) / math.log1p(-p)
+    return int(count) if count < cap else cap
 
 
 def sample_backlink_count(n: int, params: ModelParams, rng: np.random.Generator) -> int:
@@ -43,13 +71,61 @@ def sample_backlink_count(n: int, params: ModelParams, rng: np.random.Generator)
 
     Sampled by inversion, ``floor(log(u) / log(1 - rho))`` with u uniform in
     (0, 1], so reproducibility depends only on the generator's uniform
-    stream and not on any library's geometric sampler.
+    stream and not on any library's geometric sampler.  Raises ValueError
+    when rho(n) is 0, or so close to 0 that the count overflows a float.
     """
     p = rho(n, params)
     if p >= 1.0:
         return 0
-    u = 1.0 - rng.random()
-    return int(math.log(u) / math.log1p(-p))
+    count = _inverse_count(p, 1.0 - rng.random(), math.inf)
+    if count == math.inf:
+        raise ValueError(
+            f"rho({n}) = {p!r} for q={params.q!r}, m1={params.m1!r}: no finite count"
+        )
+    return count
+
+
+def _words(seed: int) -> Iterator[int]:
+    """The output words of ``default_rng(seed)``'s PCG64, drawn in blocks."""
+    bitgen = np.random.default_rng(seed).bit_generator
+    # random_raw never returns None, so the block iterator never ends.
+    return chain.from_iterable(iter(lambda: bitgen.random_raw(_BLOCK).tolist(), None))
+
+
+def _uniform(word: int) -> float:
+    """``Generator.random()`` from the word it consumes: its top 53 bits over 2**53."""
+    return (word >> 11) * 2.0**-53
+
+
+def _distinct_below(
+    i: int, m: int, words: Iterator[int], half: int
+) -> tuple[list[int], int]:
+    """``m`` distinct integers in [0, i), ascending, and the 32-bit half kept after them.
+
+    They are the distinct values of ``Generator.integers(0, i)`` called until
+    ``m`` have appeared.  Each call is a 32-bit draw ``x``: the kept high
+    half ``half`` of the last word split (-1 when none is kept), else the low
+    half of the next word, whose high half is then kept.  ``x * i`` is drawn
+    again while its low 32 bits fall below ``(2**32 - i) % i``; the value is
+    its high 32 bits.  For ``i == 1`` the value is 0 and nothing is drawn.
+    """
+    if i == 1:
+        return [0], half
+    threshold = (_TWO_POW_32 - i) % i
+    chosen: set[int] = set()
+    while len(chosen) < m:
+        while True:
+            if half < 0:
+                word = next(words)
+                product = (word & _LOW32) * i
+                half = word >> 32
+            else:
+                product = half * i
+                half = -1
+            if product & _LOW32 >= threshold:
+                break
+        chosen.add(product >> 32)
+    return sorted(chosen), half
 
 
 def simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:
@@ -59,20 +135,31 @@ def simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:
     capped at the number of existing inventions (so node 0 never links), and
     cites that many distinct earlier inventions chosen uniformly without
     replacement.  The result always passes :func:`core.validate_graph`.
+
+    The draws are those of one ``Generator.random()`` per invention and
+    ``Generator.integers(0, i)`` per target candidate, replayed from the raw
+    word stream.  numpy makes a 64-bit draw for ranges beyond 2**32, which is
+    not replayed: ``n_nodes`` above 2**32 raises ValueError.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
+    if n_nodes > _TWO_POW_32:
+        raise ValueError(f"n_nodes must be <= 2**32, got {n_nodes}")
+    words = _words(seed)
+    half = -1
+    counts = [0] * n_nodes
+    indices: list[int] = []
     for i in range(n_nodes):
-        m = min(sample_backlink_count(i, params, rng), i)
-        if m == 0:
-            continue
-        # Rejection keeps targets distinct while consuming only the plain
-        # integer stream; m stays well below i except at tiny prefixes.
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            chosen.add(int(rng.integers(0, i)))
-        edges.extend((i, target) for target in sorted(chosen))
+        m = _inverse_count(rho(i, params), 1.0 - _uniform(next(words)), i)
+        if m:
+            counts[i] = m
+            targets, half = _distinct_below(i, m, words, half)
+            indices += targets
     width = len(str(n_nodes - 1))
-    return KnowledgeGraph.from_edges([f"S{i:0{width}d}" for i in range(n_nodes)], edges)
+    return KnowledgeGraph(
+        node_ids=tuple([f"S{i:0{width}d}" for i in range(n_nodes)]),
+        years=(None,) * n_nodes,
+        indptr=np.concatenate(([0], np.cumsum(counts))),
+        indices=np.array(indices, np.int64),
+        external_backlink_counts=np.zeros(n_nodes, np.int64),
+    )

@@ -365,6 +365,28 @@ def reference_pathlength_gof(
     return DistributionFit(family, params, points, correlation, chi)
 
 
+def reference_simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:
+    """The search-process graph grown by calls into numpy's ``Generator``.
+
+    Deliberately independent of the word-stream replay in ``simulate``: one
+    ``Generator.random()`` per invention, inverted to a geometric count
+    capped at the number of earlier inventions, then
+    ``Generator.integers(0, i)`` until that many distinct targets appeared.
+    """
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[int, int]] = []
+    for i in range(n_nodes):
+        p = rho(i, params)
+        m = 0 if p >= 1.0 else int(math.log(1.0 - rng.random()) / math.log1p(-p))
+        m = min(m, i)
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            chosen.add(int(rng.integers(0, i)))
+        edges.extend((i, target) for target in sorted(chosen))
+    width = len(str(n_nodes - 1))
+    return KnowledgeGraph.from_edges([f"S{i:0{width}d}" for i in range(n_nodes)], edges)
+
+
 def random_dag(rng: np.random.Generator, n_max: int = 12, density: float = 0.5) -> KnowledgeGraph:
     """Random backward-edge DAG with n <= n_max and edge density <= `density`."""
     n = int(rng.integers(1, n_max + 1))

@@ -63,6 +63,30 @@ class TestSimulate:
                    "--out", str(tmp_path / "x")) == 2
         assert "q must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--q", "inf", "--m1", "2"), "q must be positive"),
+            (("--q", "nan", "--m1", "2"), "q must be positive"),
+            (("--q", "0.1", "--m1", "inf"), "m1 must exceed 1"),
+            (("--q", "0.1", "--m1", "2", "--seed", "-1"), "expected non-negative integer"),
+            (("--q", "0.1", "--m1", "2", "--n", str(2**32 + 1)), "n_nodes must be <= 2**32"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_params_exit_2(self, tmp_path, capsys, flags, message):
+        n = () if "--n" in flags else ("--n", "5")
+        assert run("simulate", *flags, *n, "--out", str(tmp_path / "x")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_overflowing_q_caps_every_count(self, tmp_path):
+        # q * i overflows, so every search runs on: node i cites all i
+        # earlier nodes, as any count above i is capped.
+        out = tmp_path / "sim"
+        assert run("simulate", "--q", "1e308", "--m1", "2", "--n", "5",
+                   "--out", str(out)) == 0
+        pairs = [(r["citing_id"], r["cited_id"]) for r in read_csv(out / "edges.csv")]
+        assert pairs == [(f"S{i}", f"S{j}") for i in range(5) for j in range(i)]
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -268,6 +292,57 @@ class TestGof:
         )
         assert code == 2
 
+
+    def test_non_finite_q_exit_2(self, tmp_path, measured_dir, capsys):
+        code = run(
+            "gof", "--pathlen-dist", str(measured_dir / "pathlen_dist.csv"),
+            "--q", "inf", "--m0", "1", "--out", str(tmp_path / "g"),
+        )
+        assert code == 2
+        assert "q must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
+        "families,message",
+        [
+            ("nosuch", "unknown family 'nosuch'"),
+            ("poisson,Poisson", "unknown family 'Poisson'"),
+            ("poisson,normal,poisson", "family 'poisson' given twice"),
+            (" ,", "--families names no family: ' ,'"),
+            ("", "--families names no family: ''"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["--backlink-dist", "--pathlen-dist"])
+    def test_bad_families_exit_2_before_reading_tables(
+        self, tmp_path, capsys, families, message, target
+    ):
+        # The table does not exist: the list is checked before any read.
+        code = run(
+            "gof", target, str(tmp_path / "missing.csv"), "--fits", str(tmp_path / "none.csv"),
+            "--families", families, "--out", str(tmp_path / "g"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_points_match_each_fit(self, tmp_path, measured_dir):
+        from cumuldyn.cli import _load_pathlen_dists
+        from cumuldyn.fitting import PATHLENGTH_FAMILIES, pathlength_gof
+
+        out = tmp_path / "gof"
+        assert run(
+            "gof", "--pathlen-dist", str(measured_dir / "pathlen_dist.csv"),
+            "--q", "0.002", "--m0", "2.0", "--families", ",".join(PATHLENGTH_FAMILIES),
+            "--out", str(out),
+        ) == 0
+        dists = _load_pathlen_dists(str(measured_dir / "pathlen_dist.csv"))
+        expected = [
+            [str(n), "pathlengths", family, str(k), repr(emp), repr(mod)]
+            for n, dist in sorted(dists.items())
+            for family in PATHLENGTH_FAMILIES
+            for k, (emp, mod) in enumerate(pathlength_gof(dist, None, family).plot_points)
+        ]
+        with open(out / "gof_points.csv", newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle))[1:] == expected
 
     def test_warnings_are_deterministic_lines(self, tmp_path, capsys, recwarn):
         dist = tmp_path / "pathlen_dist.csv"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,39 @@ class TestValidateGraphOracle:
         assert sorted(validate_graph(graph)) == sorted(expected)
 
 
+_HUGE = [-(2**63), -(2**62), -(2**40), 2**40, 2**62, 2**63 - 2, 2**63 - 1]
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges of up to 10 nodes whose cited ordinals may dangle far outside them.
+
+    Sorted, shuffled or with repeated rows; the cited ordinals range up to
+    the int64 limits, so both the single-key sort and lexsort run.
+    """
+    n = draw(st.integers(1, 10))
+    cited = st.integers(-3, n + 3) | st.sampled_from(_HUGE)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), cited), max_size=30))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
+    return n, sorted(edges) if draw(st.booleans()) else draw(st.permutations(edges))
+
+
+class TestFromEdgesOrder:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(raw=edge_lists())
+    @example(raw=(1, [(0, 2**63 - 2), (0, 0), (0, 5)]))
+    @example(raw=(2, [(1, 2**62 - 1), (0, 0), (1, 0)]))
+    @example(raw=(3, [(2, -(2**63)), (1, 2**63 - 1), (2, 2**63 - 1)]))
+    def test_order_equals_lexsort(self, raw):
+        n, edges = raw
+        graph = make_graph(n, edges)
+        citing, cited = np.array(edges, np.int64).reshape(-1, 2).T
+        assert graph.indices.tolist() == cited[np.lexsort((cited, citing))].tolist()
+        assert graph.indptr.tolist() == [0, *np.cumsum(np.bincount(citing, minlength=n)).tolist()]
+        expected = reference_validate_graph(n, edges, [0] * n, [None] * n)
+        assert sorted(validate_graph(graph)) == sorted(expected)
+
+
 class TestKnowledgeGraphColumns:
     def test_from_edges_sorts_into_csr(self):
         g = make_graph(4, [(3, 1), (2, 0), (3, 0), (2, 1)], external=[0, 1, 0, 2])
@@ -154,7 +188,13 @@ class TestModelParams:
         params = ModelParams(q=0.5, m1=2.0)
         assert params.r == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("q,m1", [(0.0, 2.0), (-1.0, 2.0), (0.1, 1.0), (0.1, 0.5)])
+    @pytest.mark.parametrize(
+        "q,m1",
+        [
+            (0.0, 2.0), (-1.0, 2.0), (0.1, 1.0), (0.1, 0.5), (math.inf, 2.0),
+            (-math.inf, 2.0), (math.nan, 2.0), (0.1, math.inf), (0.1, math.nan),
+        ],
+    )
     def test_invalid_params_rejected(self, q, m1):
         with pytest.raises(ValueError):
             ModelParams(q=q, m1=m1)

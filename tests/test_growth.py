@@ -4,15 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cumuldyn.core import ModelParams, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof
-from cumuldyn.growth import rho, sample_backlink_count, simulate
+from cumuldyn.growth import (
+    _distinct_below,
+    _uniform,
+    _words,
+    rho,
+    sample_backlink_count,
+    simulate,
+)
 from cumuldyn.measures import (
     backlink_distribution,
     cumulativeness_series,
     initial_fraction,
 )
+
+from conftest import reference_simulate
 
 
 class TestRho:
@@ -65,6 +76,12 @@ class TestSampleBacklinkCount:
             dtype=np.int64,
         )
         assert draws.mean() == pytest.approx(2.0, abs=0.01)
+
+    def test_zero_rho_raises(self):
+        params = ModelParams(q=1e308, m1=2.0)  # q * 2 overflows, so rho(2) = 0
+        assert rho(2, params) == 0.0
+        with pytest.raises(ValueError, match="no finite count"):
+            sample_backlink_count(2, params, np.random.default_rng(0))
 
     def test_distribution_is_geometric(self):
         params = ModelParams(q=0.001, m1=2.0)
@@ -155,3 +172,79 @@ class TestSimulate:
     def test_bad_node_count_rejected(self):
         with pytest.raises(ValueError):
             simulate(ModelParams(q=0.1, m1=2.0), 0, seed=1)
+
+
+class TestWordStreamReplay:
+    """simulate replays numpy's draws from the raw PCG64 words."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(
+        q=st.floats(1e-6, 0.5),
+        m1=st.floats(1.0, 6.0, exclude_min=True),
+        n_nodes=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(q=0.3, m1=1.5, n_nodes=300, seed=1)
+    @example(q=0.3, m1=1.5, n_nodes=300, seed=2**64 - 1)
+    @example(q=0.9, m1=1.05, n_nodes=60, seed=3)
+    @example(q=0.01, m1=1.0 + 2**-40, n_nodes=250, seed=5)
+    @example(q=6e-3, m1=3.0, n_nodes=600, seed=1)
+    @example(q=1e200, m1=2.0, n_nodes=40, seed=8)
+    def test_graph_equals_the_generator_loop(self, q, m1, n_nodes, seed):
+        params = ModelParams(q=q, m1=m1)
+        assert simulate(params, n_nodes, seed) == reference_simulate(params, n_nodes, seed)
+
+    @pytest.mark.parametrize(
+        "i", [1, 2, 3, 7, 2**16 + 1, 3 * 2**30, 2**31 + 3, 2**32 - 1]
+    )
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_bounded_draw_replays_integers_between_uniforms(self, i, seed):
+        # A uniform every few integers, so a kept high half outlives random().
+        rng = np.random.default_rng(seed)
+        words = _words(seed)
+        half = -1
+        pattern = np.random.default_rng(seed + 1).integers(0, 3, size=3000).tolist()
+        for step in pattern:
+            if step == 0:
+                assert _uniform(next(words)) == rng.random()
+            else:
+                targets, half = _distinct_below(i, 1, words, half)
+                assert targets == [int(rng.integers(0, i))]
+
+    @pytest.mark.parametrize("i", [3, 7, 2**16 + 1, 2**31 + 3, 2**32 - 1])
+    def test_low_bits_at_the_threshold_are_accepted(self, i):
+        # For odd i, x -> x * i mod 2**32 is a bijection: pick the 32-bit draws
+        # whose product's low bits are exactly the threshold and one below.
+        threshold = (2**32 - i) % i
+        inverse = pow(i, -1, 2**32)
+        accepted = threshold * inverse % 2**32
+        rejected = (threshold - 1) * inverse % 2**32
+        words = iter([rejected | accepted << 32])
+        assert _distinct_below(i, 1, words, -1) == ([accepted * i >> 32], -1)
+        assert next(words, None) is None
+        assert _distinct_below(i, 1, iter([accepted | rejected << 32]), -1) == (
+            [accepted * i >> 32], rejected
+        )
+
+    def test_range_of_one_draws_nothing(self):
+        assert _distinct_below(1, 1, iter(()), 5) == ([0], 5)
+        assert _distinct_below(1, 1, iter(()), -1) == ([0], -1)
+
+    def test_distinct_targets_take_repeated_draws(self):
+        # Draws 1, 1, 0 of integers(0, 2): the repeat is drawn past.
+        words = iter([(2**31) | (2**31) << 32, 0])
+        assert _distinct_below(2, 2, words, -1) == ([0, 1], 0)
+
+    def test_zero_rho_links_every_earlier_node(self):
+        # q * i overflows to inf from i = 2, so rho is 0; the count is capped at i.
+        graph = simulate(ModelParams(q=1e308, m1=2.0), 6, seed=4)
+        assert graph.backlink_counts.tolist() == list(range(6))
+        assert validate_graph(graph) == []
+
+    def test_too_many_nodes_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            simulate(ModelParams(q=0.1, m1=2.0), 2**32 + 1, seed=1)
+
+    def test_bad_seed_rejected_by_numpy(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            simulate(ModelParams(q=0.1, m1=2.0), 5, seed=-1)
