@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -482,10 +483,10 @@ def cmd_gof(args: argparse.Namespace) -> int:
             )
     if args.pathlen_dist:
         for n, dist in sorted(_load_pathlen_dists(args.pathlen_dist).items()):
-            # Every family at a checkpoint plots the same empirical column:
-            # format it once (csv writes a str cell as is, and a float as
-            # its str) instead of once per family.
-            empirical: tuple[float, ...] = ()
+            # Every family at a checkpoint plots the same empirical column
+            # (pathlength_gof reads it off ``dist`` alone): format it once,
+            # as csv would (a float as its str), instead of once per family.
+            cells = None
             for family in families:
                 fit = _recorded_fit(
                     warned, f"n={n} pathlengths {family}", pathlength_gof, dist, None, family
@@ -494,12 +495,11 @@ def cmd_gof(args: argparse.Namespace) -> int:
                 summary_rows.append(
                     [n, "pathlengths", family, fit.plot_correlation, statistic, dof, p_value]
                 )
-                values, model = zip(*fit.plot_points)
-                if values != empirical:
-                    empirical, cells = values, list(map(str, values))
+                if cells is None:
+                    cells = [str(emp) for emp, _ in fit.plot_points]
                 point_rows.extend(
                     [n, "pathlengths", family, k, emp, mod]
-                    for k, (emp, mod) in enumerate(zip(cells, model))
+                    for k, (emp, (_, mod)) in enumerate(zip(cells, fit.plot_points))
                 )
     if not summary_rows:
         raise ValueError("nothing to check: pass --backlink-dist and/or --pathlen-dist")
@@ -673,7 +673,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process (about 1.5 ms): parse_args leaves the parser
+    # as it was, so every main() call in one interpreter can share it.
     parser = argparse.ArgumentParser(
         prog="cumuldyn",
         description="Measure and model the cumulativeness of technologies.",

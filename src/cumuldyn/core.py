@@ -32,8 +32,6 @@ __all__ = [
     "validate_graph",
 ]
 
-_INT64_MAX = 2**63 - 1
-
 
 @dataclass(frozen=True, slots=True)
 class InventionNode:
@@ -98,19 +96,11 @@ class KnowledgeGraph:
         outside = (citing < 0) | (citing >= n)
         if outside.any():
             raise ValueError(f"edge citing ordinal {citing[outside][0]} outside 0..{n - 1}")
-        low, high = (int(cited.min()), int(cited.max())) if len(cited) else (0, 0)
-        span = high - low + 1
-        if n * span <= _INT64_MAX:
-            # One int64 key ordered as (citing, cited), dangling ordinals
-            # included: its stable argsort is lexsort's permutation, far faster.
-            order = np.argsort(citing * span + (cited - low), kind="stable")
-        else:
-            order = np.lexsort((cited, citing))
         return cls(
             node_ids=tuple(node_ids),
             years=(None,) * n if years is None else tuple(years),
             indptr=np.concatenate(([0], np.cumsum(np.bincount(citing, minlength=n)))),
-            indices=cited[order],
+            indices=cited[np.lexsort((cited, citing))],
             external_backlink_counts=np.array([0] * n if external is None else external, np.int64),
         )
 

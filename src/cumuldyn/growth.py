@@ -54,16 +54,16 @@ def rho(n: int, params: ModelParams) -> float:
     return 1.0 / (params.q * n + params.m1)
 
 
-def _inverse_count(p: float, u: float, cap: int | float) -> int | float:
-    """``floor(log(u) / log(1 - p))`` for u in (0, 1], or ``cap`` if that is no smaller.
+def _inverse_count(p: float, u: float) -> int | None:
+    """``floor(log(u) / log(1 - p))`` for u in (0, 1], or None if that is infinite.
 
-    A zero ``p`` (a search that never ends) and a quotient too large for a
-    float also give ``cap``, which may be ``math.inf``.
+    It is infinite for a zero ``p`` (a search that never ends) and for a
+    quotient too large for a float.
     """
     if p == 0.0:
-        return cap
+        return None
     count = math.log(u) / math.log1p(-p)
-    return int(count) if count < cap else cap
+    return int(count) if count < math.inf else None
 
 
 def sample_backlink_count(n: int, params: ModelParams, rng: np.random.Generator) -> int:
@@ -77,8 +77,8 @@ def sample_backlink_count(n: int, params: ModelParams, rng: np.random.Generator)
     p = rho(n, params)
     if p >= 1.0:
         return 0
-    count = _inverse_count(p, 1.0 - rng.random(), math.inf)
-    if count == math.inf:
+    count = _inverse_count(p, 1.0 - rng.random())
+    if count is None:
         raise ValueError(
             f"rho({n}) = {p!r} for q={params.q!r}, m1={params.m1!r}: no finite count"
         )
@@ -150,7 +150,8 @@ def simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:
     counts = [0] * n_nodes
     indices: list[int] = []
     for i in range(n_nodes):
-        m = _inverse_count(rho(i, params), 1.0 - _uniform(next(words)), i)
+        count = _inverse_count(rho(i, params), 1.0 - _uniform(next(words)))
+        m = i if count is None else min(count, i)
         if m:
             counts[i] = m
             targets, half = _distinct_below(i, m, words, half)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from cumuldyn.cli import ReportBundle, main
+from cumuldyn.cli import ReportBundle, _build_parser, main
 from cumuldyn.core import KnowledgeGraph
 
 
@@ -45,6 +45,15 @@ def measured_dir(tmp_path, sim_dir):
     )
     assert code == 0
     return out
+
+
+class TestParser:
+    def test_repeated_parses_share_no_state(self):
+        argv = ["measure", "--nodes", "n.csv", "--edges", "e.csv", "--out", "o"]
+        first = _build_parser().parse_args([*argv, "--prefix", "A", "--granted-only"])
+        second = _build_parser().parse_args([*argv, "--prefix", "B"])
+        assert (first.prefix, first.granted_only) == (["A"], True)
+        assert (second.prefix, second.granted_only) == (["B"], False)
 
 
 class TestSimulate:

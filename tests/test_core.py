@@ -113,7 +113,7 @@ def edge_lists(draw):
     """Edges of up to 10 nodes whose cited ordinals may dangle far outside them.
 
     Sorted, shuffled or with repeated rows; the cited ordinals range up to
-    the int64 limits, so both the single-key sort and lexsort run.
+    the int64 limits.
     """
     n = draw(st.integers(1, 10))
     cited = st.integers(-3, n + 3) | st.sampled_from(_HUGE)
@@ -128,12 +128,12 @@ class TestFromEdgesOrder:
     @example(raw=(1, [(0, 2**63 - 2), (0, 0), (0, 5)]))
     @example(raw=(2, [(1, 2**62 - 1), (0, 0), (1, 0)]))
     @example(raw=(3, [(2, -(2**63)), (1, 2**63 - 1), (2, 2**63 - 1)]))
-    def test_order_equals_lexsort(self, raw):
+    def test_order_equals_sorted_edges(self, raw):
         n, edges = raw
         graph = make_graph(n, edges)
-        citing, cited = np.array(edges, np.int64).reshape(-1, 2).T
-        assert graph.indices.tolist() == cited[np.lexsort((cited, citing))].tolist()
-        assert graph.indptr.tolist() == [0, *np.cumsum(np.bincount(citing, minlength=n)).tolist()]
+        assert graph.indices.tolist() == [cited for _, cited in sorted(edges)]
+        counts = [sum(citing == i for citing, _ in edges) for i in range(n)]
+        assert graph.indptr.tolist() == [0, *np.cumsum(counts).tolist()]
         expected = reference_validate_graph(n, edges, [0] * n, [None] * n)
         assert sorted(validate_graph(graph)) == sorted(expected)
 
