@@ -13,6 +13,7 @@ from .core import (
     BacklinkDistribution,
     CumulativenessSeries,
     DistributionFit,
+    DistributionFits,
     InventionNode,
     KnowledgeGraph,
     LinearFit,

@@ -17,9 +17,8 @@ import functools
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -30,6 +29,7 @@ from . import __version__
 from .core import (
     BacklinkDistribution,
     CumulativenessSeries,
+    DistributionFits,
     KnowledgeGraph,
     LinearFit,
     ModelParams,
@@ -48,7 +48,7 @@ from .fitting import (
 )
 from .growth import GENERATOR_NAME, simulate
 from .ingest import TechnologyQuery, _undecodable_line, build_graph, load_corpus, open_csv
-from .measures import measure_checkpoints
+from .measures import measure_checkpoints, resolve_mode
 from .predictions import rate_predictions
 
 __all__ = ["main", "entry_point"]
@@ -75,7 +75,8 @@ class ReportBundle:
     The metadata (command, resolved parameters, seed, package version)
     suffices to reproduce the run; tables map file names to (header, rows).
     ``warnings``, when not None, is written to ``meta.json`` as the list of
-    warnings the run raised.
+    warnings the run raised, and ``engine``, when not None, as what the path
+    engine resolved (its arithmetic ``mode``).
     """
 
     command: str
@@ -83,6 +84,7 @@ class ReportBundle:
     diagnostics: dict = field(default_factory=dict)
     tables: dict[str, tuple[Sequence[str], list]] = field(default_factory=dict)
     warnings: list[str] | None = None
+    engine: dict | None = None
 
     def add_table(self, name: str, header: Sequence[str], rows: list) -> None:
         self.tables[name] = (header, rows)
@@ -101,6 +103,8 @@ class ReportBundle:
         }
         if self.warnings is not None:
             meta["warnings"] = self.warnings
+        if self.engine is not None:
+            meta["engine"] = self.engine
         with open(out_dir / "meta.json", "w", encoding="utf-8") as handle:
             json.dump(meta, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -203,17 +207,29 @@ def _parse_count(raw: str) -> int | float:
     return _in_range("count", value)
 
 
+def _prefix_key(
+    grouped: dict[int, dict], n: str, name: str, key: str
+) -> tuple[dict, int]:
+    """Prefix size ``n`` (1 or more) and a key in 0..n-1 named ``name``, new at that n."""
+    size = _in_range("n", int(n), 1)
+    value = _in_range(name, int(key))
+    if value > size - 1:
+        raise ValueError(f"{name} must be at most n - 1 = {size - 1}, got {value}")
+    entries = grouped.setdefault(size, {})
+    if value in entries:
+        raise ValueError(f"repeated row for n={size}, {name}={value}")
+    return entries, value
+
+
 def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
+    """Histograms by prefix size; each (n, m) once, with n >= 1 and 0 <= m <= n-1."""
     grouped: dict[int, dict[int, int]] = {}
-    rows = _read_table(
-        path,
-        ("n", "m", "count"),
-        lambda n, m, count: (
-            int(n), _in_range("m", int(m)), _in_range("count", int(count))
-        ),
-    )
-    for n, m, count in rows:
-        grouped.setdefault(n, {})[m] = count
+
+    def place(n: str, m: str, count: str) -> None:
+        entries, links = _prefix_key(grouped, n, "m", m)
+        entries[links] = _in_range("count", int(count))
+
+    _read_table(path, ("n", "m", "count"), place)
     try:
         return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
     except ValueError as exc:  # a histogram whose counts do not add up to n
@@ -221,19 +237,16 @@ def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
 
 
 def _load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
+    """Distributions by prefix size; each (n, k) once, with n >= 1 and 0 <= k <= n-1."""
     grouped: dict[int, dict[int, tuple[int | float, float]]] = {}
-    rows = _read_table(
-        path,
-        ("n", "k", "count", "normalized"),
-        lambda n, k, count, normalized: (
-            int(n),
-            int(k),
-            _parse_count(count),
-            _in_range("normalized", float(normalized), 0, 1),
-        ),
-    )
-    for n, k, count, normalized in rows:
-        grouped.setdefault(n, {})[k] = (count, normalized)
+
+    def place(n: str, k: str, count: str, normalized: str) -> None:
+        entries, length = _prefix_key(grouped, n, "k", k)
+        entries[length] = (
+            _parse_count(count), _in_range("normalized", float(normalized), 0, 1)
+        )
+
+    _read_table(path, ("n", "k", "count", "normalized"), place)
     dists = {}
     for n, entries in grouped.items():
         counts = {k: c for k, (c, _) in entries.items()}
@@ -366,6 +379,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
             **diagnostics.as_dict(),
             "self_citations_dropped": corpus.self_citations_dropped,
         },
+        engine={"mode": resolve_mode(args.mode, graph.n_nodes)},
     )
     _measure_graph(graph, args.stride, args.mode, bundle)
     bundle.write(Path(args.out))
@@ -429,16 +443,6 @@ def _warn(warned: list[str], message: str) -> None:
     print(f"cumuldyn: warning: {message}", file=sys.stderr)
 
 
-def _recorded_fit(warned: list[str], label: str, fit_fn: Callable[..., T], *args) -> T:
-    """``fit_fn(*args)``, recording each warning it raised as ``label: message``."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fit = fit_fn(*args)
-    for warning in caught:
-        _warn(warned, f"{label}: {warning.message}")
-    return fit
-
-
 def _parse_families(raw: str) -> list[str]:
     """The comma-separated ``--families`` value, each a known path-length family, once."""
     families = [f.strip() for f in raw.split(",") if f.strip()]
@@ -455,6 +459,37 @@ def _parse_families(raw: str) -> list[str]:
     return families
 
 
+def _add_gof_rows(
+    ns: list[int],
+    target: str,
+    fits: list[DistributionFits],
+    summary_rows: list[tuple],
+    point_rows: list[tuple],
+    warned: list[str],
+) -> None:
+    """The table rows and warnings of checkpoints ``ns``, each fitted by every family.
+
+    Rows go checkpoint by checkpoint, family by family.  Every fit has the
+    same layout and empirical column (each is read off the distributions
+    alone), which is formatted once, as csv would format it.
+    """
+    bounds = fits[0].bounds
+    empirical = list(map(str, fits[0].empirical))
+    for row, n in enumerate(ns):
+        lo, hi = bounds[row], bounds[row + 1]
+        values = range(hi - lo)
+        for fit in fits:
+            summary_rows.append(
+                (n, target, fit.family, fit.plot_correlation[row], *fit.chi_square[row])
+            )
+            point_rows.extend(zip(
+                repeat(n), repeat(target), repeat(fit.family), values,
+                empirical[lo:hi], fit.model[lo:hi],
+            ))
+            for message in fit.warnings[row]:
+                _warn(warned, f"n={n} {target} {fit.family}: {message}")
+
+
 def cmd_gof(args: argparse.Namespace) -> int:
     families = _parse_families(args.families)
     if args.fits is not None:
@@ -465,42 +500,19 @@ def cmd_gof(args: argparse.Namespace) -> int:
         raise ValueError("either --fits or both --q and --m0 are required")
     params = ModelParams(q=q_hat, m1=m0_hat + 1.0)
 
-    summary_rows = []
-    point_rows = []
+    summary_rows: list[tuple] = []
+    point_rows: list[tuple] = []
     warned: list[str] = []
     if args.backlink_dist:
-        for n, hist in sorted(_load_backlink_dists(args.backlink_dist).items()):
-            fit = _recorded_fit(
-                warned, f"n={n} backlinks geometric", geometric_gof, hist, params, n
-            )
-            statistic, dof, p_value = fit.chi_square
-            summary_rows.append(
-                [n, "backlinks", fit.family, fit.plot_correlation, statistic, dof, p_value]
-            )
-            point_rows.extend(
-                [n, "backlinks", fit.family, m, emp, mod]
-                for m, (emp, mod) in enumerate(fit.plot_points)
-            )
+        hists = _load_backlink_dists(args.backlink_dist)
+        ns = sorted(hists)
+        fits = [geometric_gof([hists[n] for n in ns], params)]
+        _add_gof_rows(ns, "backlinks", fits, summary_rows, point_rows, warned)
     if args.pathlen_dist:
-        for n, dist in sorted(_load_pathlen_dists(args.pathlen_dist).items()):
-            # Every family at a checkpoint plots the same empirical column
-            # (pathlength_gof reads it off ``dist`` alone): format it once,
-            # as csv would (a float as its str), instead of once per family.
-            cells = None
-            for family in families:
-                fit = _recorded_fit(
-                    warned, f"n={n} pathlengths {family}", pathlength_gof, dist, None, family
-                )
-                statistic, dof, p_value = fit.chi_square
-                summary_rows.append(
-                    [n, "pathlengths", family, fit.plot_correlation, statistic, dof, p_value]
-                )
-                if cells is None:
-                    cells = [str(emp) for emp, _ in fit.plot_points]
-                point_rows.extend(
-                    [n, "pathlengths", family, k, emp, mod]
-                    for k, (emp, (_, mod)) in enumerate(zip(cells, fit.plot_points))
-                )
+        dists = _load_pathlen_dists(args.pathlen_dist)
+        ns = sorted(dists)
+        fits = [pathlength_gof([dists[n] for n in ns], family) for family in families]
+        _add_gof_rows(ns, "pathlengths", fits, summary_rows, point_rows, warned)
     if not summary_rows:
         raise ValueError("nothing to check: pass --backlink-dist and/or --pathlen-dist")
 
@@ -575,7 +587,7 @@ def _sweep_one(corpus, name, prefixes, args, warned):
         "q": q_hat,
         "p": p_hat,
         "rate": rate,
-        "diagnostics": diagnostics.as_dict(),
+        "diagnostics": {**diagnostics.as_dict(), "mode": resolve_mode(args.mode, graph.n_nodes)},
     }
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "RatePredictions",
     "LinearFit",
     "DistributionFit",
+    "DistributionFits",
     "validate_graph",
 ]
 
@@ -312,6 +313,47 @@ class DistributionFit:
     plot_points: tuple[tuple[float, float], ...]
     plot_correlation: float
     chi_square: tuple[float, int, float]
+
+
+@dataclass(frozen=True)
+class DistributionFits:
+    """One model family fitted to a sequence of distributions, held by column.
+
+    Row ``i`` is the fit to the ``i``-th distribution: its parameters
+    ``params[i]``, its plot points ``plot_points[bounds[i]:bounds[i + 1]]``
+    (the pairs of ``empirical`` and ``model``), ``plot_correlation[i]``,
+    ``chi_square[i]`` and ``warnings[i]``, the messages explaining a
+    correlation that could not be computed (a single support point, a
+    constant axis).  Indexing gives row ``i`` as a :class:`DistributionFit`.
+    """
+
+    family: str
+    params: tuple[Mapping[str, float], ...]
+    bounds: tuple[int, ...]
+    empirical: tuple[float, ...]
+    model: tuple[float, ...]
+    plot_correlation: tuple[float, ...]
+    chi_square: tuple[tuple[float, int, float], ...]
+    warnings: tuple[tuple[str, ...], ...]
+
+    @property
+    def plot_points(self) -> tuple[tuple[float, float], ...]:
+        """Every row's (empirical, model) pairs, row after row."""
+        return tuple(zip(self.empirical, self.model))
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, row: int) -> DistributionFit:
+        row = range(len(self.params))[row]
+        lo, hi = self.bounds[row], self.bounds[row + 1]
+        return DistributionFit(
+            family=self.family,
+            params=self.params[row],
+            plot_points=tuple(zip(self.empirical[lo:hi], self.model[lo:hi])),
+            plot_correlation=self.plot_correlation[row],
+            chi_square=self.chi_square[row],
+        )
 
 
 def validate_graph(graph: KnowledgeGraph) -> list[str]:

@@ -6,12 +6,16 @@ fits are judged primarily by probability-plot correlation — the Pearson
 correlation of (empirical probability, model probability) pairs — with a
 chi-square statistic reported alongside; chi-square treats every underlying
 observation as independent and is known to be strict for large samples.
+The distribution fits are batched: one call fits one family to a whole
+sequence of distributions (the checkpoints of a series) in array passes, and
+returns one :class:`~cumuldyn.core.DistributionFits` with each row's
+warnings in it instead of raising Python warnings.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +27,7 @@ import numpy as np
 from .core import (
     BacklinkDistribution,
     CumulativenessSeries,
-    DistributionFit,
+    DistributionFits,
     KnowledgeGraph,
     LinearFit,
     ModelParams,
@@ -110,189 +114,312 @@ def fit_series(series: CumulativenessSeries, which: str) -> LinearFit:
     return ols_fit(series.ns(), series.component(which))
 
 
-def _plot_correlation(emp: np.ndarray, mod: np.ndarray, context: str) -> float:
-    """Pearson correlation of the (empirical, model) probability pairs."""
-    if len(emp) < 2:
-        warnings.warn(
-            f"{context}: degenerate distribution with a single support point; "
-            "probability-plot correlation reported as 1",
-            stacklevel=3,
-        )
-        return 1.0
-    dx = emp - emp.mean()
-    dy = mod - mod.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        matched = bool(np.allclose(emp, mod))
-        warnings.warn(
-            f"{context}: constant probabilities on one axis; correlation "
-            f"reported as {1.0 if matched else 0.0}",
-            stacklevel=3,
-        )
-        return 1.0 if matched else 0.0
+# The batched kernels below fit one family to many distributions at once.
+# Row i's values sit in flat arrays at [starts[i], starts[i] + lengths[i]),
+# one segment per row with no padding, and per-row sums are segment sums.
+
+
+def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start of each segment of ``lengths``, and each element's offset in its segment."""
+    starts = np.cumsum(lengths) - lengths
+    return starts, np.arange(lengths.sum()) - np.repeat(starts, lengths)
+
+
+def _row_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each segment's sum along the last axis, rounded as ``np.sum`` of it alone.
+
+    ``np.sum`` adds a contiguous row pairwise in an order fixed by its length,
+    so the segments of one length are summed as the rows of one C-ordered
+    array (a gathered array that is not C-ordered may be added in another
+    order).
+    """
+    sums = np.empty(values.shape[:-1] + starts.shape)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        block = np.ascontiguousarray(values[..., starts[rows, None] + np.arange(length)])
+        sums[..., rows] = block.sum(axis=-1)
+    return sums
+
+
+def _plot_correlations(
+    empirical: np.ndarray, model: np.ndarray, starts: np.ndarray, lengths: np.ndarray, context: str
+) -> tuple[list[float], list[tuple[str, ...]]]:
+    """Pearson correlation of each row's (empirical, model) pairs, and its warnings.
+
+    The means are ``np.mean``'s to the last bit, so a row counts as constant
+    on an axis exactly when ``np.std`` of it is 0.
+    """
+    pairs = np.stack((empirical, model))
+    dx, dy = pairs - np.repeat(_row_sums(pairs, starts, lengths) / lengths, lengths, axis=1)
+    sxx, syy, sxy = np.add.reduceat(np.stack((dx * dx, dy * dy, dx * dy)), starts, axis=1)
     # Divided one root at a time: sxx * syy can underflow for tiny deviations.
-    return min(max(float(dx @ dy) / math.sqrt(sxx) / math.sqrt(syy), -1.0), 1.0)
+    correlations = np.clip(sxy / np.sqrt(sxx) / np.sqrt(syy), -1.0, 1.0).tolist()
+    warned: list[tuple[str, ...]] = [()] * len(starts)
+    for row in np.flatnonzero((lengths < 2) | (sxx == 0.0) | (syy == 0.0)).tolist():
+        if lengths[row] < 2:
+            correlations[row] = 1.0
+            warned[row] = (
+                f"{context}: degenerate distribution with a single support point; "
+                "probability-plot correlation reported as 1",
+            )
+            continue
+        lo = starts[row]
+        hi = lo + lengths[row]
+        correlations[row] = 1.0 if np.allclose(empirical[lo:hi], model[lo:hi]) else 0.0
+        warned[row] = (
+            f"{context}: constant probabilities on one axis; correlation "
+            f"reported as {correlations[row]}",
+        )
+    return correlations, warned
 
 
-def _chi_square(
-    observed: np.ndarray, expected: np.ndarray
-) -> tuple[float, int, float]:
-    """Pearson chi-square with right-to-left pooling of sparse bins."""
+def _chi_squares(
+    observed: np.ndarray, expected: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> list[tuple[float, int, float]]:
+    """Pearson chi-square (statistic, dof, p-value) of each row.
+
+    Bins are pooled from the row's last one down until their expected count
+    reaches the floor; a remainder short of it joins the last pooled bin.
+    """
+    obs = observed.tolist()
+    exp = expected.tolist()
     obs_pooled: list[float] = []
     exp_pooled: list[float] = []
-    acc_obs = 0.0
-    acc_exp = 0.0
-    # Walk from the tail so underpopulated high bins merge downward.
-    for o, e in zip(observed[::-1].tolist(), expected[::-1].tolist()):
-        acc_obs += o
-        acc_exp += e
-        if acc_exp >= _MIN_EXPECTED:
-            obs_pooled.append(acc_obs)
-            exp_pooled.append(acc_exp)
-            acc_obs = acc_exp = 0.0
-    if acc_exp > 0.0 or acc_obs > 0.0:
-        if obs_pooled:
-            obs_pooled[-1] += acc_obs
-            exp_pooled[-1] += acc_exp
-        else:
-            obs_pooled.append(acc_obs)
-            exp_pooled.append(acc_exp)
-    obs_arr = np.array(obs_pooled)
-    exp_arr = np.array(exp_pooled)
-    dof = len(obs_arr) - 1
-    if dof < 1 or np.any(exp_arr <= 0.0):
-        return math.nan, max(dof, 0), math.nan
-    with np.errstate(over="ignore"):  # counts past 1e154 overflow to inf, handled next
-        statistic = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    if not math.isfinite(statistic):
-        return math.inf, dof, 0.0
+    counts = []
+    for lo, hi in zip(starts.tolist(), (starts + lengths).tolist()):
+        first = len(obs_pooled)
+        acc_obs = acc_exp = 0.0
+        for o, e in zip(reversed(obs[lo:hi]), reversed(exp[lo:hi])):
+            acc_obs += o
+            acc_exp += e
+            if acc_exp >= _MIN_EXPECTED:
+                obs_pooled.append(acc_obs)
+                exp_pooled.append(acc_exp)
+                acc_obs = acc_exp = 0.0
+        if acc_exp > 0.0 or acc_obs > 0.0:
+            if len(obs_pooled) > first:
+                obs_pooled[-1] += acc_obs
+                exp_pooled[-1] += acc_exp
+            else:
+                obs_pooled.append(acc_obs)
+                exp_pooled.append(acc_exp)
+        counts.append(len(obs_pooled) - first)
+    results = [(math.nan, max(c - 1, 0), math.nan) for c in counts]
+    bins = np.array(counts)
+    tested = np.flatnonzero(bins >= 2)
+    if not len(tested):
+        return results
+    o = np.array(obs_pooled)
+    e = np.array(exp_pooled)
+    ends = np.cumsum(bins)[tested]
+    firsts = ends - bins[tested]
+    # Counts past 1e154 overflow to inf, and a nan sum reads as not finite.
+    statistics = _row_sums((o - e) ** 2 / e, firsts, bins[tested])
+    nonpositive = np.concatenate(([0], np.cumsum(e <= 0.0)))
+    positive = nonpositive[ends] == nonpositive[firsts]
+    finite = positive & np.isfinite(statistics)
     from scipy.special import chdtrc
 
-    return statistic, dof, float(chdtrc(dof, statistic))
+    p_values = chdtrc(bins[tested] - 1.0, np.where(finite, statistics, 0.0))
+    for row, keep, ok, statistic, p_value in zip(
+        tested.tolist(), positive.tolist(), finite.tolist(), statistics.tolist(), p_values.tolist()
+    ):
+        dof = counts[row] - 1
+        if keep:
+            results[row] = (statistic, dof, p_value) if ok else (math.inf, dof, 0.0)
+    return results
+
+
+def _fits(
+    family: str,
+    params: list[Mapping[str, float]],
+    lengths: np.ndarray,
+    empirical: np.ndarray,
+    model: np.ndarray,
+    correlations: list[float],
+    chi_square: list[tuple[float, int, float]],
+    warned: list[tuple[str, ...]],
+) -> DistributionFits:
+    return DistributionFits(
+        family=family,
+        params=tuple(params),
+        bounds=(0, *np.cumsum(lengths).tolist()),
+        empirical=tuple(empirical.tolist()),
+        model=tuple(model.tolist()),
+        plot_correlation=tuple(correlations),
+        chi_square=tuple(chi_square),
+        warnings=tuple(warned),
+    )
 
 
 def geometric_gof(
-    hist: BacklinkDistribution, params: ModelParams, n: int
-) -> DistributionFit:
-    """Fit of the geometric backward-link prediction to an observed histogram.
+    hists: Sequence[BacklinkDistribution], params: ModelParams
+) -> DistributionFits:
+    """Fit of the geometric backward-link prediction to each observed histogram.
 
-    The model pmf is geometric with success probability ``rho(n)`` from the
-    supplied (typically fitted) parameters.  The chi-square pools the
-    geometric tail beyond the observed support into the last bin.
+    Histogram ``h`` is compared with the geometric pmf of success
+    probability ``rho(h.n)`` from the supplied (typically fitted) parameters,
+    over m = 0 .. h.max_links.  The chi-square pools the geometric tail
+    beyond the observed support into the last bin.
     """
-    if not hist.counts:
-        raise ValueError("empty backlink histogram")
-    p = rho(n, params)
-    max_m = hist.max_links
-    ms = np.arange(max_m + 1)
-    model = np.exp(ms * math.log1p(-p)) * p if p < 1.0 else (ms == 0).astype(float)
-    observed = np.array([hist.counts.get(m, 0) for m in range(max_m + 1)], dtype=float)
-    empirical = observed / hist.n
-    correlation = _plot_correlation(empirical, model, "geometric fit")
-    expected = hist.n * model
-    tail = hist.n * math.exp((max_m + 1) * math.log1p(-p)) if p < 1.0 else 0.0
-    statistic, dof, p_value = _chi_square(
-        np.append(observed, 0.0), np.append(expected, tail)
-    )
-    return DistributionFit(
-        family="geometric",
-        params={"rho": p},
-        plot_points=tuple(zip(empirical.tolist(), model.tolist())),
-        plot_correlation=correlation,
-        chi_square=(statistic, dof, p_value),
+    ns, ps, sizes, observed = [], [], [], []
+    for hist in hists:
+        if not hist.counts:
+            raise ValueError("empty backlink histogram")
+        ns.append(hist.n)
+        ps.append(rho(hist.n, params))
+        sizes.append(hist.max_links + 1)
+        observed.extend(map(hist.counts.get, range(sizes[-1]), repeat(0)))
+    if not ns:
+        return DistributionFits("geometric", (), (0,), (), (), (), (), ())
+    lengths = np.array(sizes)
+    starts, ms = _segments(lengths)
+    totals = np.repeat(np.array(ns, dtype=float), lengths)
+    logs = [math.log1p(-p) for p in ps]
+    with np.errstate(all="ignore"):
+        model = np.exp(ms * np.repeat(logs, lengths)) * np.repeat(ps, lengths)
+        counts = np.array(observed, dtype=float)
+        empirical = counts / totals
+        correlations, warned = _plot_correlations(
+            empirical, model, starts, lengths, "geometric fit"
+        )
+        # Each row gains one bin: nothing observed, the tail's expected count.
+        ends = starts + lengths
+        tails = [n * math.exp(size * log) for n, size, log in zip(ns, sizes, logs)]
+        chi_square = _chi_squares(
+            np.insert(counts, ends, 0.0),
+            np.insert(totals * model, ends, tails),
+            starts + np.arange(len(ns)),
+            lengths + 1,
+        )
+    return _fits(
+        "geometric", [{"rho": p} for p in ps], lengths, empirical, model,
+        correlations, chi_square, warned,
     )
 
 
 def _pathlength_model(
-    dist: PathLengthDistribution, n_prime: int, family: str, ks: np.ndarray
-) -> tuple[Mapping[str, float], np.ndarray]:
+    family: str, dists: list[PathLengthDistribution], n_primes: list[int],
+    lengths: np.ndarray, ks: np.ndarray,
+) -> tuple[list[Mapping[str, float]], np.ndarray]:
+    """Each row's parameters, and the family's pmf over every row's lengths ``ks``."""
     from scipy.special import gammaln
 
-    mean = dist.ipl
+    means = [dist.ipl for dist in dists]
+    mean = np.repeat(means, lengths)
     if family == "binomial-type":
+        pmfs = {n_prime: binomial_path_pmf(n_prime) for n_prime in set(n_primes)}
         model = np.zeros(len(ks))
-        model[:n_prime] = binomial_path_pmf(n_prime)  # ks always reaches n_prime - 1
-        return {"n_prime": float(n_prime)}, model
+        # Every row's lengths reach n_prime - 1: the pmf fills its first n_prime.
+        model[ks < np.repeat(n_primes, lengths)] = np.concatenate([pmfs[m] for m in n_primes])
+        return [{"n_prime": float(m)} for m in n_primes], model
     if family == "poisson":
-        logs = ks * math.log(mean) - mean - gammaln(ks + 1.0) if mean > 0 else None
-        model = np.exp(logs) if logs is not None else (ks == 0).astype(float)
-        return {"rate": mean}, model
+        log_means = np.repeat([math.log(m) if m > 0 else 0.0 for m in means], lengths)
+        logs = ks * log_means - mean - gammaln(ks + 1.0)
+        model = np.where(mean > 0, np.exp(logs), (ks == 0).astype(float))
+        return [{"rate": m} for m in means], model
     if family == "normal":
-        var = sum(k * k * w for k, w in dist.normalized.items()) - mean * mean
-        if var <= 0:
-            return {"mean": mean, "var": var}, (ks == round(mean)).astype(float)
-        model = np.exp(-((ks - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-        return {"mean": mean, "var": var}, model
+        variances = [
+            sum(k * k * w for k, w in dist.normalized.items()) - m * m
+            for dist, m in zip(dists, means)
+        ]
+        # A row without spread puts all its mass at the rounded mean.
+        flat = [v <= 0 for v in variances]
+        twice = np.repeat([2 * v for v in variances], lengths)
+        roots = np.repeat(
+            [1.0 if f else math.sqrt(2 * math.pi * v) for v, f in zip(variances, flat)], lengths
+        )
+        peaks = np.repeat([round(m) if f else 0 for m, f in zip(means, flat)], lengths)
+        model = np.where(
+            np.repeat(flat, lengths),
+            (ks == peaks).astype(float),
+            np.exp(-((ks - mean) ** 2) / twice) / roots,
+        )
+        return [{"mean": m, "var": v} for m, v in zip(means, variances)], model
     if family == "binomial":
-        size = max(dist.mipl, 1)
-        prob = min(max(mean / size, 0.0), 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (
-                gammaln(size + 1.0)
-                - gammaln(ks + 1.0)
-                - gammaln(size - ks + 1.0)
-                + ks * np.log(prob)
-                + (size - ks) * np.log1p(-prob)
-            )
-        model = np.where(ks <= size, np.exp(logs), 0.0)
-        model = np.nan_to_num(model, nan=0.0)
-        return {"n": float(size), "p": prob}, model
+        sizes = [max(dist.mipl, 1) for dist in dists]
+        probs = [min(max(m / size, 0.0), 1.0) for m, size in zip(means, sizes)]
+        size = np.repeat(sizes, lengths)
+        prob = np.repeat(probs, lengths)
+        logs = (
+            gammaln(size + 1.0)
+            - gammaln(ks + 1.0)
+            - gammaln(size - ks + 1.0)
+            + ks * np.log(prob)
+            + (size - ks) * np.log1p(-prob)
+        )
+        model = np.nan_to_num(np.where(ks <= size, np.exp(logs), 0.0), nan=0.0)
+        return [{"n": float(s), "p": pr} for s, pr in zip(sizes, probs)], model
     raise ValueError(f"unknown path-length family {family!r}")
 
 
 def pathlength_gof(
-    dist: PathLengthDistribution,
-    n_prime: int | None = None,
+    dists: Sequence[PathLengthDistribution],
     family: str = "binomial-type",
-) -> DistributionFit:
-    """Fit of a model family to a normalized path-length distribution.
+    n_prime: int | None = None,
+) -> DistributionFits:
+    """Fit of a model family to each normalized path-length distribution.
 
     The default family is the binomial-type distribution evaluated at
-    ``n_prime`` (the observed maximum path length unless overridden).  The
-    alternatives ('poisson', 'normal', 'binomial') are moment-matched to the
-    empirical distribution.  Chi-square counts every path as an observation,
-    which makes it extremely strict for large graphs.
+    ``n_prime`` (each distribution's observed maximum path length unless
+    overridden).  The alternatives ('poisson', 'normal', 'binomial') are
+    moment-matched to each empirical distribution.  Chi-square counts every
+    path as an observation, which makes it extremely strict for large
+    graphs.  A distribution with a single length is one plot point (1, 1),
+    reported with a warning.
     """
-    total = dist.total_paths
-    if not dist.counts or total <= 0:
-        raise ValueError("path-length distribution has no paths")
-    support = [k for k, w in dist.normalized.items() if w > 0.0]
-    if len(support) < 2:
-        warnings.warn(
+    if family not in PATHLENGTH_FAMILIES:
+        raise ValueError(f"unknown path-length family {family!r}")
+    if n_prime is not None and n_prime < 1:
+        raise ValueError(f"n_prime must be >= 1, got {n_prime}")
+    dists = list(dists)
+    if not dists:
+        return DistributionFits(family, (), (0,), (), (), (), (), ())
+    # A distribution with a single length is a degenerate row: one plot
+    # point (1, 1) at k = 0, where the binomial-type pmf is taken at n' = 1.
+    degenerate: dict[int, int] = {}  # row -> the n' it reports
+    n_primes, sizes, samples, empirical = [], [], [], []
+    for row, dist in enumerate(dists):
+        total = dist.total_paths
+        if not dist.counts or total <= 0:
+            raise ValueError("path-length distribution has no paths")
+        if sum(1 for w in dist.normalized.values() if w > 0.0) < 2:
+            degenerate[row] = n_prime or max(dist.mipl, 1)
+            n_primes.append(1)
+            sizes.append(1)
+            empirical.append(1.0)
+            samples.append(0.0)
+            continue
+        n_primes.append(n_prime or dist.mipl)
+        sizes.append(max(dist.mipl, n_primes[-1] - 1) + 1)
+        empirical.extend(map(dist.normalized.get, range(sizes[-1]), repeat(0.0)))
+        try:
+            samples.append(float(total))
+        except OverflowError:
+            samples.append(math.inf)
+    lengths = np.array(sizes)
+    starts, ks = _segments(lengths)
+    emp = np.array(empirical)
+    with np.errstate(all="ignore"):
+        params, model = _pathlength_model(family, dists, n_primes, lengths, ks)
+        model[starts[list(degenerate)]] = 1.0
+        correlations, warned = _plot_correlations(
+            emp, model, starts, lengths, f"{family} path-length fit"
+        )
+        sample = np.repeat(samples, lengths)
+        chi_square = _chi_squares(sample * emp, sample * model, starts, lengths)
+    for row, (total, size) in enumerate(zip(samples, sizes)):
+        if math.isinf(total):
+            chi_square[row] = (math.inf, size - 1, 0.0)
+    for row, reported in degenerate.items():
+        params[row] = {"n_prime": float(reported)}
+        correlations[row] = 1.0
+        chi_square[row] = (math.nan, 0, math.nan)
+        warned[row] = (
             "degenerate path-length distribution with a single length; "
             "correlation reported as 1",
-            stacklevel=2,
         )
-        params: Mapping[str, float] = {"n_prime": float(n_prime or max(dist.mipl, 1))}
-        return DistributionFit(
-            family=family,
-            params=params,
-            plot_points=((1.0, 1.0),),
-            plot_correlation=1.0,
-            chi_square=(math.nan, 0, math.nan),
-        )
-    if n_prime is None:
-        n_prime = dist.mipl
-    ks = np.arange(max(dist.mipl, n_prime - 1) + 1)
-    empirical = np.array([dist.normalized.get(k, 0.0) for k in range(len(ks))])
-    params, model = _pathlength_model(dist, n_prime, family, ks)
-    correlation = _plot_correlation(empirical, model, f"{family} path-length fit")
-    try:
-        sample = float(total)
-    except OverflowError:
-        sample = math.inf
-    if math.isfinite(sample):
-        statistic, dof, p_value = _chi_square(sample * empirical, sample * model)
-    else:
-        statistic, dof, p_value = math.inf, len(ks) - 1, 0.0
-    return DistributionFit(
-        family=family,
-        params=params,
-        plot_points=tuple(zip(empirical.tolist(), model.tolist())),
-        plot_correlation=correlation,
-        chi_square=(statistic, dof, p_value),
-    )
+    return _fits(family, params, lengths, emp, model, correlations, chi_square, warned)
 
 
 def power_law_fit(

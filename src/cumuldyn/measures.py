@@ -47,6 +47,7 @@ __all__ = [
     "node_path_vectors",
     "cumulativeness_series",
     "measure_checkpoints",
+    "resolve_mode",
     "Checkpoint",
 ]
 
@@ -63,7 +64,8 @@ def _check_prefix(graph: KnowledgeGraph, n: int) -> None:
         raise ValueError(f"prefix size {n} out of range 1..{graph.n_nodes}")
 
 
-def _resolve_mode(mode: Mode, n: int) -> str:
+def resolve_mode(mode: Mode, n: int) -> str:
+    """The arithmetic ``mode`` runs in on an ``n``-node graph: 'exact' or 'float'."""
     if mode == "auto":
         return "exact" if n <= EXACT_MODE_LIMIT else "float"
     if mode not in ("exact", "float"):
@@ -265,7 +267,7 @@ def path_length_distribution(
     themselves start at an initial node are counted in their own right.
     """
     _check_prefix(graph, n)
-    return _path_distributions(graph, [n], _resolve_mode(mode, n))[0]
+    return _path_distributions(graph, [n], resolve_mode(mode, n))[0]
 
 
 def node_path_vectors(graph: KnowledgeGraph, n: int) -> list[NodePathVector]:
@@ -318,7 +320,7 @@ def iter_checkpoints(
     if graph.n_nodes == 0:
         raise ValueError("cannot measure an empty graph")
     sizes = [*range(stride, graph.n_nodes, stride), graph.n_nodes]
-    dists = _path_distributions(graph, sizes, _resolve_mode(mode, graph.n_nodes))
+    dists = _path_distributions(graph, sizes, resolve_mode(mode, graph.n_nodes))
     links = graph.backlink_counts
     edge_totals = graph.indptr.tolist()
     external_totals = np.cumsum(graph.external_backlink_counts).tolist()

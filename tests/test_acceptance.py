@@ -249,9 +249,8 @@ class TestCriterion5DistributionShape:
     def test_5a_geometric_plot_correlation(self, shape_runs):
         correlations = []
         for graph, fitted in shape_runs:
-            for n in (1000, 2000, 3000):
-                hist = backlink_distribution(graph, n)
-                correlations.append(geometric_gof(hist, fitted, n).plot_correlation)
+            hists = [backlink_distribution(graph, n) for n in (1000, 2000, 3000)]
+            correlations.extend(geometric_gof(hists, fitted).plot_correlation)
         mean_corr = float(np.mean(correlations))
         ok = mean_corr >= 0.99
         report(
@@ -273,9 +272,8 @@ class TestCriterion5DistributionShape:
     def test_5b_binomial_type_plot_correlation(self, shape_runs):
         correlations = []
         for graph, _ in shape_runs:
-            for n in (1000, 2000, 3000):
-                dist = path_length_distribution(graph, n)
-                correlations.append(pathlength_gof(dist).plot_correlation)
+            dists = [path_length_distribution(graph, n) for n in (1000, 2000, 3000)]
+            correlations.extend(pathlength_gof(dists).plot_correlation)
         mean_corr = float(np.mean(correlations))
         ok = mean_corr >= 0.98
         report(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ class TestMeasure:
         assert total == pytest.approx(1.0, abs=1e-9)
         backlinks = read_csv(measured_dir / "backlinks.csv")
         assert len(backlinks) == 1500
+
+    @pytest.mark.parametrize(
+        "flags, limit, mode",
+        [((), None, "exact"), (("--mode", "float"), None, "float"), ((), 1499, "float")],
+        ids=["auto-exact", "float", "auto-past-the-limit"],
+    )
+    def test_meta_records_the_resolved_mode(self, tmp_path, sim_dir, monkeypatch, flags, limit, mode):
+        if limit is not None:
+            monkeypatch.setattr("cumuldyn.measures.EXACT_MODE_LIMIT", limit)
+        out = tmp_path / "measured"
+        assert run(
+            "measure", "--nodes", str(sim_dir / "nodes.csv"), "--edges", str(sim_dir / "edges.csv"),
+            "--prefix", "SIM", "--stride", "500", *flags, "--out", str(out),
+        ) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["engine"] == {"mode": mode}
+        assert meta["params"]["mode"] == ("float" if flags else "auto")
 
     def test_float_mode_round_trips_through_gof(self, tmp_path, sim_dir):
         out = tmp_path / "float_measured"
@@ -348,7 +366,7 @@ class TestGof:
             [str(n), "pathlengths", family, str(k), repr(emp), repr(mod)]
             for n, dist in sorted(dists.items())
             for family in PATHLENGTH_FAMILIES
-            for k, (emp, mod) in enumerate(pathlength_gof(dist, None, family).plot_points)
+            for k, (emp, mod) in enumerate(pathlength_gof([dist], family)[0].plot_points)
         ]
         with open(out / "gof_points.csv", newline="", encoding="utf-8") as handle:
             assert list(csv.reader(handle))[1:] == expected
@@ -377,6 +395,56 @@ class TestGof:
         for name in ("gof_summary.csv", "gof_points.csv", "meta.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_warnings_follow_the_summary_table(self, tmp_path, capsys, recwarn):
+        # Degenerate rows at two n of each table: a single backlink count at
+        # n=3 and a uniform histogram at n=8; a single path length at n=2
+        # and n=6.  n=4 and n=5 are regular rows between them.
+        backlinks = tmp_path / "backlink_dist.csv"
+        backlinks.write_text(
+            "n,m,count\n8,0,2\n8,1,2\n8,2,2\n8,3,2\n3,0,3\n4,0,2\n4,1,1\n4,3,1\n"
+        )
+        pathlens = tmp_path / "pathlen_dist.csv"
+        pathlens.write_text(
+            "n,k,count,normalized\n6,2,4,1.0\n2,0,2,1.0\n"
+            "5,0,3,0.5\n5,1,2,0.3333333333333333\n5,2,1,0.16666666666666666\n"
+            "4,0,3,0.75\n4,1,1,0.25\n"
+        )
+        out = tmp_path / "gof"
+        assert run(
+            "gof", "--backlink-dist", str(backlinks), "--pathlen-dist", str(pathlens),
+            "--q", "0.01", "--m0", "1.0", "--families", "poisson,binomial-type",
+            "--out", str(out),
+        ) == 0
+        summary = read_csv(out / "gof_summary.csv")
+        assert [(r["n"], r["target"], r["family"]) for r in summary] == [
+            ("3", "backlinks", "geometric"), ("4", "backlinks", "geometric"),
+            ("8", "backlinks", "geometric"),
+            ("2", "pathlengths", "poisson"), ("2", "pathlengths", "binomial-type"),
+            ("4", "pathlengths", "poisson"), ("4", "pathlengths", "binomial-type"),
+            ("5", "pathlengths", "poisson"), ("5", "pathlengths", "binomial-type"),
+            ("6", "pathlengths", "poisson"), ("6", "pathlengths", "binomial-type"),
+        ]
+        single = (
+            "degenerate path-length distribution with a single length; "
+            "correlation reported as 1"
+        )
+        expected = [
+            "n=3 backlinks geometric: geometric fit: degenerate distribution with a single "
+            "support point; probability-plot correlation reported as 1",
+            "n=8 backlinks geometric: geometric fit: constant probabilities on one axis; "
+            "correlation reported as 0.0",
+            f"n=2 pathlengths poisson: {single}",
+            f"n=2 pathlengths binomial-type: {single}",
+            f"n=6 pathlengths poisson: {single}",
+            f"n=6 pathlengths binomial-type: {single}",
+        ]
+        err = capsys.readouterr().err
+        assert err == "".join(f"cumuldyn: warning: {line}\n" for line in expected)
+        assert json.loads((out / "meta.json").read_text())["warnings"] == expected
+        assert not recwarn.list
+        flagged = [r["correlation"] for r in summary if r["n"] in ("2", "3", "6", "8")]
+        assert flagged == ["1.0", "0.0", "1.0", "1.0", "1.0", "1.0"]
+
     def test_meta_lists_no_warnings_for_a_clean_run(self, tmp_path, measured_dir, capsys):
         out = tmp_path / "gof"
         assert run(
@@ -385,6 +453,46 @@ class TestGof:
         ) == 0
         assert capsys.readouterr().err == ""
         assert json.loads((out / "meta.json").read_text())["warnings"] == []
+
+
+class TestTraceLayers:
+    """The benchmark's layer wrappers still find every name the commands call."""
+
+    LAYER_NAMES = (
+        "load_corpus", "build_graph", "measure_checkpoints", "simulate", "fit_series",
+        "geometric_gof", "pathlength_gof", "rate_predictions",
+    )
+
+    def test_fine_pipeline_records_every_layer(self, tmp_path, monkeypatch):
+        import cumuldyn.cli as cli
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import trace_layers
+        import workloads
+
+        # install() rebinds these names; monkeypatch puts the originals back.
+        for name in self.LAYER_NAMES:
+            monkeypatch.setattr(cli, name, getattr(cli, name))
+        monkeypatch.setattr(cli.ReportBundle, "write", cli.ReportBundle.write)
+        recorder = trace_layers.Recorder(peak=True)
+        trace_layers.install(recorder, cli)
+        workload = workloads.WORKLOADS["fine_pipeline"]
+        for command in workload.commands:
+            argv = [
+                token.replace("{out}", str(tmp_path)).replace("{seed}", "1")
+                for token in command.argv
+            ]
+            with recorder.command(command.label):
+                assert cli.main(argv) == 0
+        recorded = {span["name"] for span in recorder.spans}
+        assert set(workload.layers) <= recorded
+        support_points = sum(
+            span["counts"]["support_points"]
+            for span in recorder.spans
+            if span["name"] == "fitting.pathlength_gof"
+        )
+        points = read_csv(tmp_path / "gof" / "gof_points.csv")
+        assert support_points == sum(r["target"] == "pathlengths" for r in points) > 0
 
 
 def _old_fmt(value) -> str:
@@ -543,6 +651,26 @@ class TestSweep:
             assert diag["internal_edges"] / diag["matched_nodes"] == float(rows[name]["id"])
             assert diag["ignored_citations"] > 0
         assert techs["alpha"]["duplicates_collapsed"] >= 1
+        assert {diag["mode"] for diag in techs.values()} == {"exact"}
+
+    def test_meta_records_each_technology_mode(self, tmp_path, multi_corpus, monkeypatch):
+        nodes, edges, table = multi_corpus
+        # Past a limit of 59 nodes, auto runs the 60- and 90-node technologies in float mode.
+        monkeypatch.setattr("cumuldyn.measures.EXACT_MODE_LIMIT", 59)
+        modes = {}
+        for flags in ((), ("--mode", "exact"), ("--mode", "float")):
+            out = tmp_path / "_".join(("sweep",) + flags)
+            assert run(
+                "sweep", "--nodes", str(nodes), "--edges", str(edges),
+                "--tech-table", str(table), "--stride", "10", *flags, "--out", str(out),
+            ) == 0
+            techs = json.loads((out / "meta.json").read_text())["diagnostics"]["technologies"]
+            modes[flags[1:]] = {name: diag["mode"] for name, diag in techs.items()}
+        assert modes == {
+            (): {"alpha": "float", "beta": "float", "gamma": "exact"},
+            ("exact",): {"alpha": "exact", "beta": "exact", "gamma": "exact"},
+            ("float",): {"alpha": "float", "beta": "float", "gamma": "float"},
+        }
 
     def test_two_technologies_warn_on_stderr_and_in_meta(self, tmp_path, multi_corpus, capsys):
         nodes, edges, _ = multi_corpus
@@ -681,6 +809,13 @@ class TestTableReaders:
             ("backlink-dist", "n,m,count\n10,0,-5\n10,1,15\n", ":2: count must lie in [0, inf]"),
             ("backlink-dist", "n,m,count\n10,0,5\n10,1,4\n",
              ": histogram total 9 != prefix size 10"),
+            ("backlink-dist", "n,m,count\n5,0,4\n5,300000,1\n",
+             ":3: m must be at most n - 1 = 4, got 300000"),
+            ("backlink-dist", "n,m,count\n5,0,4\n5,5,1\n", ":3: m must be at most n - 1 = 4, got 5"),
+            ("backlink-dist", "n,m,count\n0,0,0\n", ":2: n must lie in [1, inf], got 0"),
+            ("backlink-dist", "n,m,count\n-2,0,1\n", ":2: n must lie in [1, inf], got -2"),
+            ("backlink-dist", "n,m,count\n10,0,5\n10,1,5\n10,0,5\n",
+             ":4: repeated row for n=10, m=0"),
             ("pathlen-dist", "n,k,normalized\n5,0,1.0\n", ": missing column(s) count"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,1,x\n", ":2: could not convert"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,nan\n5,1,2,0.4\n",
@@ -693,6 +828,15 @@ class TestTableReaders:
              ":3: count must lie in [0, inf], got nan"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.9\n5,1,2,0.9\n",
              ": normalized values at n=5 sum to 1.8, not 1"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.5\n5,3000000,3,0.5\n",
+             ":3: k must be at most n - 1 = 4, got 3000000"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.5\n5,5,3,0.5\n",
+             ":3: k must be at most n - 1 = 4, got 5"),
+            ("pathlen-dist", "n,k,count,normalized\n5,-1,3,0.5\n5,0,3,0.5\n",
+             ":2: k must lie in [0, inf], got -1"),
+            ("pathlen-dist", "n,k,count,normalized\n0,0,3,1.0\n", ":2: n must lie in [1, inf], got 0"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.5\n5,1,3,0.5\n5,0,3,0.5\n",
+             ":4: repeated row for n=5, k=0"),
             ("tech-table", "group_name\nalpha\n", ": missing column(s) prefix"),
             ("tech-table", "group_name,prefix\nalpha,A01\nbeta, \n", ":3: empty group_name"),
             ("series", SERIES + "40,2.0," + "9" * 140_000 + ",5,0.0\n",
@@ -710,10 +854,14 @@ class TestTableReaders:
             "backlinks-ordinal-past-series", "backlinks-negative-ordinal",
             "backlink-dist-missing", "backlink-dist-bad",
             "backlink-dist-negative-m", "backlink-dist-negative-count", "backlink-dist-total",
+            "backlink-dist-m-far-past-n", "backlink-dist-m-at-n", "backlink-dist-n-zero",
+            "backlink-dist-n-negative", "backlink-dist-repeated",
             "pathlen-dist-missing", "pathlen-dist-bad",
             "pathlen-dist-nan-normalized", "pathlen-dist-normalized-above-1",
             "pathlen-dist-negative-count", "pathlen-dist-nan-count",
             "pathlen-dist-normalized-sum",
+            "pathlen-dist-k-far-past-n", "pathlen-dist-k-at-n", "pathlen-dist-k-negative",
+            "pathlen-dist-n-zero", "pathlen-dist-repeated",
             "tech-table-missing", "tech-table-empty",
             "series-overlong-field", "nodes-overlong-field",
         ],

@@ -141,10 +141,10 @@ class TestFitSeries:
 
 class TestGeometricGof:
     def test_perfect_model_correlation_one(self):
-        params = ModelParams(q=0.001, m1=2.0)
-        n = 1000
-        p = rho(n, params)
+        # rho at n = 100 000 equals rho(1000) of q = 0.001, m1 = 2: p = 1/3.
+        params = ModelParams(q=1e-5, m1=2.0)
         total = 100_000
+        p = rho(total, params)
         counts = {}
         remaining = total
         for m in range(30):
@@ -153,16 +153,21 @@ class TestGeometricGof:
             remaining -= c
         counts[0] += remaining  # force the histogram total to match
         hist = BacklinkDistribution(n=total, counts=counts)
-        gof = geometric_gof(hist, params, n)
+        gof = geometric_gof([hist], params)[0]
+        assert gof.params == {"rho": p}
         assert gof.plot_correlation >= 0.9999
         assert all(abs(e - m) < 1e-3 for e, m in gof.plot_points)
 
     def test_uniform_histogram_is_a_negative_control(self):
         params = ModelParams(q=0.001, m1=2.0)
         hist = BacklinkDistribution(n=1100, counts={m: 100 for m in range(11)})
-        with pytest.warns(UserWarning, match="constant probabilities"):
-            gof = geometric_gof(hist, params, 1000)
-        assert gof.plot_correlation < 0.99
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = geometric_gof([hist], params)
+        assert fits.warnings == ((
+            "geometric fit: constant probabilities on one axis; correlation reported as 0.0",
+        ),)
+        assert fits[0].plot_correlation < 0.99
 
     def test_simulated_graph_fits_well(self):
         # The geometric law is evaluated at parameters fitted from the id
@@ -171,7 +176,7 @@ class TestGeometricGof:
         g = simulate(params, 3000, seed=0)
         fit = fit_series(cumulativeness_series(g, stride=100), "id")
         fitted = ModelParams(q=fit.slope, m1=fit.intercept + 1.0)
-        gof = geometric_gof(backlink_distribution(g, 3000), fitted, 3000)
+        gof = geometric_gof([backlink_distribution(g, 3000)], fitted)[0]
         assert gof.plot_correlation >= 0.99
         statistic, dof, p_value = gof.chi_square
         assert statistic >= 0
@@ -181,16 +186,40 @@ class TestGeometricGof:
     def test_chi_square_pooling_keeps_expected_above_five(self):
         params = ModelParams(q=0.001, m1=2.0)
         hist = BacklinkDistribution(n=30, counts={0: 10, 1: 8, 2: 6, 3: 3, 9: 3})
-        gof = geometric_gof(hist, params, 100)
-        statistic, dof, p_value = gof.chi_square
+        statistic, dof, p_value = geometric_gof([hist], params)[0].chi_square
         assert math.isfinite(statistic)
         assert dof >= 1
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
-            geometric_gof(
-                BacklinkDistribution(n=0, counts={}), ModelParams(q=0.1, m1=2.0), 10
-            )
+            geometric_gof([BacklinkDistribution(n=0, counts={})], ModelParams(q=0.1, m1=2.0))
+
+    def test_rows_follow_the_histograms(self):
+        params = ModelParams(q=0.01, m1=2.0)
+        hists = [
+            BacklinkDistribution(n=4, counts={0: 2, 2: 2}),
+            BacklinkDistribution(n=3, counts={0: 3}),
+            BacklinkDistribution(n=9, counts={0: 3, 1: 4, 3: 2}),
+        ]
+        fits = geometric_gof(hists, params)
+        assert len(fits) == 3
+        assert fits.bounds == (0, 3, 4, 8)
+        assert fits.plot_points == fits[0].plot_points + fits[1].plot_points + fits[2].plot_points
+        assert fits[-1] == fits[2]
+        assert [fit.params["rho"] for fit in fits] == [rho(h.n, params) for h in hists]
+        assert fits.warnings[1] == (
+            "geometric fit: degenerate distribution with a single support point; "
+            "probability-plot correlation reported as 1",
+        )
+        assert fits.warnings[0] == fits.warnings[2] == ()
+        with pytest.raises(IndexError):
+            fits[3]
+
+    def test_no_histograms_no_rows(self):
+        fits = geometric_gof([], ModelParams(q=0.1, m1=2.0))
+        assert len(fits) == 0
+        assert fits.plot_points == ()
+        assert fits.bounds == (0,)
 
 
 class TestPathlengthGof:
@@ -203,73 +232,88 @@ class TestPathlengthGof:
         dist = PathLengthDistribution(
             n=500, counts=counts, normalized=dict(model), ipl=ipl, mipl=n_prime - 1
         )
-        gof = pathlength_gof(dist, n_prime=n_prime)
+        gof = pathlength_gof([dist], n_prime=n_prime)[0]
         assert gof.plot_correlation == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_single_length(self):
         dist = PathLengthDistribution(
             n=4, counts={0: 4}, normalized={0: 1.0}, ipl=0.0, mipl=0
         )
-        with pytest.warns(UserWarning, match="degenerate"):
-            gof = pathlength_gof(dist)
-        assert gof.plot_correlation == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = pathlength_gof([dist])
+        assert fits.warnings == ((
+            "degenerate path-length distribution with a single length; "
+            "correlation reported as 1",
+        ),)
+        assert fits[0].plot_correlation == 1.0
+        assert fits[0].plot_points == ((1.0, 1.0),)
 
     def test_default_n_prime_is_mipl(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 1500, seed=3)
-        dist = path_length_distribution(g, 1500)
-        gof = pathlength_gof(dist)
-        assert gof.params["n_prime"] == dist.mipl
+        dists = [path_length_distribution(g, n) for n in (500, 1500)]
+        fits = pathlength_gof(dists)
+        assert [fit.params["n_prime"] for fit in fits] == [dist.mipl for dist in dists]
 
     def test_binomial_type_fits_simulated_data_reasonably(self):
-        correlations = []
-        for seed in range(5):
-            g = simulate(ModelParams(q=0.002, m1=3.0), 3000, seed=seed)
-            dist = path_length_distribution(g, 3000)
-            correlations.append(pathlength_gof(dist).plot_correlation)
-        assert np.mean(correlations) > 0.90
+        dists = [
+            path_length_distribution(simulate(ModelParams(q=0.002, m1=3.0), 3000, seed=seed), 3000)
+            for seed in range(5)
+        ]
+        assert np.mean(pathlength_gof(dists).plot_correlation) > 0.90
 
     @pytest.mark.parametrize("family", ["poisson", "normal", "binomial"])
     def test_alternative_families(self, family):
         g = simulate(ModelParams(q=0.002, m1=3.0), 2000, seed=1)
-        dist = path_length_distribution(g, 2000)
-        gof = pathlength_gof(dist, family=family)
-        assert -1.0 <= gof.plot_correlation <= 1.0
-        assert gof.family == family
+        fits = pathlength_gof([path_length_distribution(g, 2000)], family=family)
+        assert -1.0 <= fits[0].plot_correlation <= 1.0
+        assert fits.family == fits[0].family == family
 
     def test_unknown_family_rejected(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 500, seed=1)
         dist = path_length_distribution(g, 500)
         with pytest.raises(ValueError):
-            pathlength_gof(dist, family="teacup")
+            pathlength_gof([dist], family="teacup")
 
     def test_empty_distribution_rejected(self):
         dist = PathLengthDistribution(n=0, counts={}, normalized={}, ipl=0.0, mipl=0)
         with pytest.raises(ValueError):
-            pathlength_gof(dist)
+            pathlength_gof([dist])
 
 
-def _fit_and_warnings(fit_fn, *args):
+def _reference_fit(reference_fn, *args):
+    """The oracle's fit and the messages of the UserWarnings it raised.
+
+    The oracle evaluates numpy expressions whose floating-point
+    RuntimeWarnings (an overflow to inf, say) the kernels silence: those are
+    not fit warnings.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = fit_fn(*args)
-    return fit, [str(w.message) for w in caught]
+        fit = reference_fn(*args)
+    return fit, [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
 
 
-def _assert_same_fit(fit_fn, reference_fn, *args):
-    """Every field equal to the reference's, the correlation within 1e-12."""
-    fit, warned = _fit_and_warnings(fit_fn, *args)
-    expected, expected_warned = _fit_and_warnings(reference_fn, *args)
-    assert warned == expected_warned
-    # repr compares nan equal to nan and tells -0.0 from 0.0.
-    assert repr((fit.family, fit.params, fit.chi_square)) == repr(
-        (expected.family, expected.params, expected.chi_square)
-    )
-    assert repr(fit.plot_points) == repr(expected.plot_points)
-    if math.isnan(expected.plot_correlation):
-        assert math.isnan(fit.plot_correlation)
-    else:
-        assert abs(fit.plot_correlation - expected.plot_correlation) <= 1e-12
-    assert -1.0 <= fit.plot_correlation <= 1.0 or math.isnan(fit.plot_correlation)
+def _assert_same_rows(fits, reference_fn, rows_args):
+    """Row i of ``fits`` equal to ``reference_fn(*rows_args[i])``, the correlation within 1e-12."""
+    assert len(fits) == len(rows_args)
+    points = ()
+    for row, args in enumerate(rows_args):
+        expected, expected_warned = _reference_fit(reference_fn, *args)
+        fit = fits[row]
+        assert list(fits.warnings[row]) == expected_warned
+        # repr compares nan equal to nan and tells -0.0 from 0.0.
+        assert repr((fit.family, fit.params, fit.chi_square)) == repr(
+            (expected.family, expected.params, expected.chi_square)
+        )
+        assert repr(fit.plot_points) == repr(expected.plot_points)
+        if math.isnan(expected.plot_correlation):
+            assert math.isnan(fit.plot_correlation)
+        else:
+            assert abs(fit.plot_correlation - expected.plot_correlation) <= 1e-12
+        assert -1.0 <= fit.plot_correlation <= 1.0 or math.isnan(fit.plot_correlation)
+        points += expected.plot_points
+    assert repr(fits.plot_points) == repr(points)
 
 
 # Histogram shapes: random counts, equal counts (a constant empirical axis)
@@ -278,7 +322,7 @@ _histograms = st.one_of(
     st.lists(st.integers(0, 60), min_size=1, max_size=14),
     st.builds(lambda c, k: [c] * k, st.integers(1, 40), st.integers(2, 10)),
     st.builds(lambda c: [c], st.integers(1, 40)),
-).filter(any)
+).filter(any).map(lambda counts: BacklinkDistribution(n=sum(counts), counts=dict(enumerate(counts))))
 
 
 @st.composite
@@ -317,20 +361,20 @@ def _pathlength_dists(draw):
     )
 
 
+def _n_prime(dists, offset):
+    """None, or one n' for every row: the smallest mipl shifted by ``offset``, at least 1."""
+    return None if offset is None else max(min(d.mipl for d in dists) + offset, 1)
+
+
 class TestGofKernelsMatchReference:
-    """The array kernels against the per-scalar code kept in conftest."""
+    """The batched kernels, row by row, against the per-scalar code kept in conftest."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(
-        counts=_histograms,
-        q=st.floats(1e-4, 2.0),
-        m1=st.floats(1.01, 20.0),
-        n=st.integers(1, 10_000),
-    )
-    def test_geometric(self, counts, q, m1, n):
-        hist = BacklinkDistribution(n=sum(counts), counts=dict(enumerate(counts)))
+    @given(hist=_histograms, q=st.floats(1e-4, 2.0), m1=st.floats(1.01, 20.0))
+    def test_geometric(self, hist, q, m1):
         params = ModelParams(q=q, m1=m1)
-        _assert_same_fit(geometric_gof, reference_geometric_gof, hist, params, n)
+        fits = geometric_gof([hist], params)
+        _assert_same_rows(fits, reference_geometric_gof, [(hist, params, hist.n)])
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(
@@ -339,8 +383,45 @@ class TestGofKernelsMatchReference:
         n_prime_offset=st.one_of(st.none(), st.integers(-40, 6)),
     )
     def test_pathlength(self, dist, family, n_prime_offset):
-        n_prime = None if n_prime_offset is None else max(dist.mipl + n_prime_offset, 1)
-        _assert_same_fit(pathlength_gof, reference_pathlength_gof, dist, n_prime, family)
+        n_prime = _n_prime([dist], n_prime_offset)
+        fits = pathlength_gof([dist], family, n_prime)
+        _assert_same_rows(fits, reference_pathlength_gof, [(dist, n_prime, family)])
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        hists=st.lists(_histograms, min_size=1, max_size=8),
+        q=st.floats(1e-4, 2.0),
+        m1=st.floats(1.01, 20.0),
+    )
+    def test_geometric_checkpoint_sequences(self, hists, q, m1):
+        params = ModelParams(q=q, m1=m1)
+        fits = geometric_gof(hists, params)
+        _assert_same_rows(fits, reference_geometric_gof, [(h, params, h.n) for h in hists])
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        dists=st.lists(_pathlength_dists(), min_size=1, max_size=8),
+        family=st.sampled_from(PATHLENGTH_FAMILIES),
+        n_prime_offset=st.one_of(st.none(), st.integers(-40, 6)),
+    )
+    def test_pathlength_checkpoint_sequences(self, dists, family, n_prime_offset):
+        n_prime = _n_prime(dists, n_prime_offset)
+        fits = pathlength_gof(dists, family, n_prime)
+        _assert_same_rows(
+            fits, reference_pathlength_gof, [(dist, n_prime, family) for dist in dists]
+        )
+
+    def test_segment_sums_round_as_numpy_sum(self):
+        from cumuldyn.fitting import _row_sums
+
+        rng = np.random.default_rng(11)
+        lengths = rng.integers(1, 300, size=60)
+        values = rng.random(int(lengths.sum())) * 10.0 ** rng.integers(-8, 8, int(lengths.sum()))
+        starts = np.cumsum(lengths) - lengths
+        sums = _row_sums(np.stack((values, values[::-1])), starts, lengths)
+        for row, (start, length) in enumerate(zip(starts, lengths)):
+            assert sums[0, row] == np.sum(values[start:start + length])
+            assert sums[1, row] == np.sum(values[::-1][start:start + length])
 
 
 class TestChiSquareMonotonicity:
@@ -356,14 +437,16 @@ class TestChiSquareMonotonicity:
     def test_p_value_equals_scipy_stats(self, dof):
         from scipy.stats import chi2
 
-        from cumuldyn.fitting import _chi_square
+        from cumuldyn.fitting import _chi_squares
 
         # dof + 1 bins of expected count 20; the observed counts are shifted
         # by +d, -d alternately, so the statistic grows like d squared.
         expected = np.full(dof + 1, 20.0)
         signs = np.where(np.arange(dof + 1) % 2 == 0, 1.0, -1.0)
         for d in (0.0, 0.5, 1.0, 3.0, 6.0, 12.0, 19.0):
-            statistic, got_dof, p_value = _chi_square(expected + d * signs, expected)
+            [(statistic, got_dof, p_value)] = _chi_squares(
+                expected + d * signs, expected, np.array([0]), np.array([dof + 1])
+            )
             assert got_dof == dof
             assert p_value == float(chi2.sf(statistic, dof))
 

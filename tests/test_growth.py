@@ -164,9 +164,8 @@ class TestSimulate:
             g = simulate(params, 3000, seed=seed)
             fit = fit_series(cumulativeness_series(g, stride=100), "id")
             fitted = ModelParams(q=fit.slope, m1=fit.intercept + 1.0)
-            for n in (1000, 2000, 3000):
-                gof = geometric_gof(backlink_distribution(g, n), fitted, n)
-                correlations.append(gof.plot_correlation)
+            hists = [backlink_distribution(g, n) for n in (1000, 2000, 3000)]
+            correlations.extend(geometric_gof(hists, fitted).plot_correlation)
         assert np.mean(correlations) >= 0.99
 
     def test_bad_node_count_rejected(self):
