@@ -18,10 +18,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -54,18 +54,25 @@ from .predictions import rate_predictions
 __all__ = ["main", "entry_point"]
 
 T = TypeVar("T")
+D = TypeVar("D")
 
 _SERIES_COLUMNS = ("n", "id", "ipl", "mipl", "ed")
 _FIT_COLUMNS = ("quantity", "slope", "intercept", "r2", "se", "f", "n_obs")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence | str]) -> None:
     # csv writes each cell as str(cell), which for Python floats and numpy
-    # float64 is the shortest repr that reads back to the same value.
+    # float64 is the shortest repr that reads back to the same value.  A
+    # table whose rows are str is already rendered: each row is one finished
+    # line, built by its command the way csv would write it (see
+    # _add_gof_rows), and goes out as it is.
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if rows and isinstance(rows[0], str):
+            handle.writelines(rows)
+        else:
+            writer.writerows(rows)
 
 
 @dataclass
@@ -105,9 +112,10 @@ class ReportBundle:
             meta["warnings"] = self.warnings
         if self.engine is not None:
             meta["engine"] = self.engine
+        # One write of the whole document: json.dump with indent would stream
+        # it through the pure-Python encoder in dozens of small writes.
         with open(out_dir / "meta.json", "w", encoding="utf-8") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _read_table(
@@ -460,32 +468,44 @@ def _parse_families(raw: str) -> list[str]:
 
 
 def _add_gof_rows(
-    ns: list[int],
     target: str,
-    fits: list[DistributionFits],
+    table: dict[int, D],
+    fit_all: Callable[[list[D]], list[DistributionFits]],
     summary_rows: list[tuple],
-    point_rows: list[tuple],
+    point_rows: list[str],
     warned: list[str],
 ) -> None:
-    """The table rows and warnings of checkpoints ``ns``, each fitted by every family.
+    """The table rows and warnings of ``table``'s checkpoints, each fitted by every family.
 
-    Rows go checkpoint by checkpoint, family by family.  Every fit has the
-    same layout and empirical column (each is read off the distributions
-    alone), which is formatted once, as csv would format it.
+    ``table`` maps each checkpoint size to its distribution, and ``fit_all``
+    fits the distributions, in order of size, once per family.  Rows go
+    checkpoint by checkpoint, family by family.  Only the rows outlive the
+    call: the distributions and fits are let go before any table is written.
+
+    Summary rows are tuples for csv; point rows are the finished lines of
+    ``gof_points.csv``, one per plot point.  Every fit has the same layout
+    and empirical column (each is read off the distributions alone), whose
+    strings are formatted once per checkpoint.  Each (checkpoint, family)
+    block formats its ``n,target,family,`` prefix once, then each line is
+    one ``str.format`` of the value, the empirical string and the model
+    float; ``format(x, "")`` is ``str(x)``, as csv writes it.  No cell needs
+    csv's quoting: each is an int, a float, ``backlinks``/``pathlengths``,
+    or a family name that ``_parse_families`` checked, none holding a comma,
+    a quote or a line break.
     """
+    ns = sorted(table)
+    fits = fit_all([table[n] for n in ns])
     bounds = fits[0].bounds
-    empirical = list(map(str, fits[0].empirical))
     for row, n in enumerate(ns):
         lo, hi = bounds[row], bounds[row + 1]
         values = range(hi - lo)
+        empirical = list(map(str, fits[0].empirical[lo:hi]))
         for fit in fits:
             summary_rows.append(
                 (n, target, fit.family, fit.plot_correlation[row], *fit.chi_square[row])
             )
-            point_rows.extend(zip(
-                repeat(n), repeat(target), repeat(fit.family), values,
-                empirical[lo:hi], fit.model[lo:hi],
-            ))
+            line = f"{n},{target},{fit.family},{{}},{{}},{{}}\n".format
+            point_rows.extend(map(line, values, empirical, fit.model[lo:hi]))
             for message in fit.warnings[row]:
                 _warn(warned, f"n={n} {target} {fit.family}: {message}")
 
@@ -501,18 +521,22 @@ def cmd_gof(args: argparse.Namespace) -> int:
     params = ModelParams(q=q_hat, m1=m0_hat + 1.0)
 
     summary_rows: list[tuple] = []
-    point_rows: list[tuple] = []
+    point_rows: list[str] = []
     warned: list[str] = []
     if args.backlink_dist:
-        hists = _load_backlink_dists(args.backlink_dist)
-        ns = sorted(hists)
-        fits = [geometric_gof([hists[n] for n in ns], params)]
-        _add_gof_rows(ns, "backlinks", fits, summary_rows, point_rows, warned)
+        _add_gof_rows(
+            "backlinks",
+            _load_backlink_dists(args.backlink_dist),
+            lambda hists: [geometric_gof(hists, params)],
+            summary_rows, point_rows, warned,
+        )
     if args.pathlen_dist:
-        dists = _load_pathlen_dists(args.pathlen_dist)
-        ns = sorted(dists)
-        fits = [pathlength_gof([dists[n] for n in ns], family) for family in families]
-        _add_gof_rows(ns, "pathlengths", fits, summary_rows, point_rows, warned)
+        _add_gof_rows(
+            "pathlengths",
+            _load_pathlen_dists(args.pathlen_dist),
+            lambda dists: [pathlength_gof(dists, family) for family in families],
+            summary_rows, point_rows, warned,
+        )
     if not summary_rows:
         raise ValueError("nothing to check: pass --backlink-dist and/or --pathlen-dist")
 

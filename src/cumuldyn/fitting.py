@@ -366,7 +366,8 @@ def pathlength_gof(
     moment-matched to each empirical distribution.  Chi-square counts every
     path as an observation, which makes it extremely strict for large
     graphs.  A distribution with a single length is one plot point (1, 1),
-    reported with a warning.
+    reported with a warning; its params are still the family's (the n' it
+    would take, or the moment-matched ones).
     """
     if family not in PATHLENGTH_FAMILIES:
         raise ValueError(f"unknown path-length family {family!r}")
@@ -412,7 +413,9 @@ def pathlength_gof(
         if math.isinf(total):
             chi_square[row] = (math.inf, size - 1, 0.0)
     for row, reported in degenerate.items():
-        params[row] = {"n_prime": float(reported)}
+        # The other families keep their moment-matched params of the row.
+        if family == "binomial-type":
+            params[row] = {"n_prime": float(reported)}
         correlations[row] = 1.0
         chi_square[row] = (math.nan, 0, math.nan)
         warned[row] = (

@@ -345,7 +345,9 @@ def reference_pathlength_gof(
             "degenerate path-length distribution with a single length; "
             "correlation reported as 1"
         )
-        params = {"n_prime": float(n_prime or max(dist.mipl, 1))}
+        params, _ = _reference_pathlength_model(
+            dist, n_prime or max(dist.mipl, 1), family, np.arange(1)
+        )
         return DistributionFit(family, params, ((1.0, 1.0),), 1.0, (math.nan, 0, math.nan))
     if n_prime is None:
         n_prime = dist.mipl

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumuldyn.cli import ReportBundle, _build_parser, main
 from cumuldyn.core import KnowledgeGraph
@@ -352,24 +355,93 @@ class TestGof:
         assert message in capsys.readouterr().err
 
     def test_points_match_each_fit(self, tmp_path, measured_dir):
-        from cumuldyn.cli import _load_pathlen_dists
-        from cumuldyn.fitting import PATHLENGTH_FAMILIES, pathlength_gof
+        from cumuldyn.cli import _load_backlink_dists, _load_pathlen_dists
+        from cumuldyn.core import ModelParams
+        from cumuldyn.fitting import PATHLENGTH_FAMILIES, geometric_gof, pathlength_gof
 
         out = tmp_path / "gof"
         assert run(
-            "gof", "--pathlen-dist", str(measured_dir / "pathlen_dist.csv"),
+            "gof", "--backlink-dist", str(measured_dir / "backlink_dist.csv"),
+            "--pathlen-dist", str(measured_dir / "pathlen_dist.csv"),
             "--q", "0.002", "--m0", "2.0", "--families", ",".join(PATHLENGTH_FAMILIES),
             "--out", str(out),
         ) == 0
+        hists = _load_backlink_dists(str(measured_dir / "backlink_dist.csv"))
         dists = _load_pathlen_dists(str(measured_dir / "pathlen_dist.csv"))
-        expected = [
-            [str(n), "pathlengths", family, str(k), repr(emp), repr(mod)]
+        params = ModelParams(q=0.002, m1=3.0)
+        fits = [
+            (n, "backlinks", geometric_gof([hist], params)[0])
+            for n, hist in sorted(hists.items())
+        ] + [
+            (n, "pathlengths", pathlength_gof([dist], family)[0])
             for n, dist in sorted(dists.items())
             for family in PATHLENGTH_FAMILIES
-            for k, (emp, mod) in enumerate(pathlength_gof([dist], family)[0].plot_points)
         ]
+        expected = [
+            [str(n), target, fit.family, str(k), repr(emp), repr(mod)]
+            for n, target, fit in fits
+            for k, (emp, mod) in enumerate(fit.plot_points)
+        ]
+        assert {row[1] for row in expected} == {"backlinks", "pathlengths"}
         with open(out / "gof_points.csv", newline="", encoding="utf-8") as handle:
             assert list(csv.reader(handle))[1:] == expected
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_point_lines_are_what_csv_writes(self, data):
+        from cumuldyn.cli import _add_gof_rows
+        from cumuldyn.core import DistributionFits
+        from cumuldyn.fitting import PATHLENGTH_FAMILIES
+
+        target, families = data.draw(st.one_of(
+            st.just(("backlinks", ["geometric"])),
+            st.tuples(
+                st.just("pathlengths"),
+                st.lists(st.sampled_from(PATHLENGTH_FAMILIES), min_size=1, max_size=4,
+                         unique=True),
+            ),
+        ))
+        # Single-support rows (size 1) among longer ones.
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+        ns = sorted(data.draw(st.lists(
+            st.integers(1, 10**9), min_size=len(sizes), max_size=len(sizes), unique=True
+        )))
+        cells = st.one_of(
+            st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1e-5]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        total = sum(sizes)
+        rows = range(len(sizes))
+
+        def fit(family, empirical):
+            model = data.draw(st.lists(cells, min_size=total, max_size=total))
+            return DistributionFits(
+                family=family,
+                params=tuple({} for _ in rows),
+                bounds=(0, *np.cumsum(sizes).tolist()),
+                empirical=tuple(empirical),
+                model=tuple(model),
+                plot_correlation=tuple(1.0 for _ in rows),
+                chi_square=tuple((math.nan, 0, math.nan) for _ in rows),
+                warnings=tuple(() for _ in rows),
+            )
+
+        empirical = data.draw(st.lists(cells, min_size=total, max_size=total))
+        fits = [fit(family, empirical) for family in families]
+        lines: list[str] = []
+        _add_gof_rows(target, dict.fromkeys(ns), lambda _: fits, [], lines, [])
+        assert len(lines) == total * len(families)
+        # The rows as csv.writer took them before lines: n, target, family,
+        # the value, the empirical string and the model float.
+        bounds = fits[0].bounds
+        rendered = io.StringIO()
+        csv.writer(rendered, lineterminator="\n").writerows(
+            (n, target, f.family, k, str(f.empirical[lo + k]), f.model[lo + k])
+            for n, lo, hi in zip(ns, bounds, bounds[1:])
+            for f in fits
+            for k in range(hi - lo)
+        )
+        assert "".join(lines) == rendered.getvalue()
 
     def test_warnings_are_deterministic_lines(self, tmp_path, capsys, recwarn):
         dist = tmp_path / "pathlen_dist.csv"
@@ -741,7 +813,7 @@ class TestSweep:
             "--out", str(tmp_path / "sweep"),
         ) == 0
 
-    def test_deterministic_parallel(self, tmp_path, multi_corpus):
+    def test_byte_identical_reruns(self, tmp_path, multi_corpus):
         nodes, edges, table = multi_corpus
         outs = []
         for name in ("s1", "s2"):
@@ -751,7 +823,11 @@ class TestSweep:
                 "--tech-table", str(table), "--stride", "10", "--out", str(out),
             ) == 0
             outs.append(out)
-        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == ["cross_fits.csv", "meta.json", "sweep.csv"]
+        assert sorted(path.name for path in outs[1].iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestTableReaders:

@@ -249,6 +249,30 @@ class TestPathlengthGof:
         assert fits[0].plot_correlation == 1.0
         assert fits[0].plot_points == ((1.0, 1.0),)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("binomial-type", {"n_prime": 2.0}),
+            ("poisson", {"rate": 2.0}),
+            ("normal", {"mean": 2.0, "var": 0.0}),
+            ("binomial", {"n": 2.0, "p": 1.0}),
+        ],
+    )
+    def test_degenerate_row_reports_its_family_params(self, family, params):
+        # Every path has length 2; a regular row follows in the same batch.
+        single = PathLengthDistribution(
+            n=5, counts={0: 0, 1: 0, 2: 4}, normalized={0: 0.0, 1: 0.0, 2: 1.0},
+            ipl=2.0, mipl=2,
+        )
+        regular = PathLengthDistribution(
+            n=6, counts={0: 1, 1: 3}, normalized={0: 0.25, 1: 0.75}, ipl=0.75, mipl=1
+        )
+        fits = pathlength_gof([single, regular], family)
+        assert fits.params[0] == params
+        assert fits[0].plot_points == ((1.0, 1.0),)
+        assert repr(fits[0].chi_square) == repr((math.nan, 0, math.nan))
+        assert fits.params[1] == pathlength_gof([regular], family).params[0]
+
     def test_default_n_prime_is_mipl(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 1500, seed=3)
         dists = [path_length_distribution(g, n) for n in (500, 1500)]
