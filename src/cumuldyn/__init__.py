@@ -11,6 +11,7 @@ data.
 
 from .core import (
     BacklinkDistribution,
+    BacklinkTable,
     CumulativenessSeries,
     DistributionFit,
     DistributionFits,
@@ -19,6 +20,7 @@ from .core import (
     LinearFit,
     ModelParams,
     PathLengthDistribution,
+    PathLengthTable,
     RatePredictions,
     SeriesPoint,
     validate_graph,
@@ -55,8 +57,6 @@ from .measures import (
 from .predictions import (
     analytic_ipl,
     analytic_path_counts,
-    binomial_path_dist,
-    binomial_path_dist_np,
     corrected_rate_a,
     corrected_rate_b,
     expected_id,

@@ -19,22 +19,23 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import count
-from operator import itemgetter
+from operator import add
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .core import (
-    BacklinkDistribution,
+    BacklinkTable,
     CumulativenessSeries,
     DistributionFits,
     KnowledgeGraph,
     LinearFit,
     ModelParams,
-    PathLengthDistribution,
+    PathLengthTable,
     SeriesPoint,
+    _as_float,
 )
 from .fitting import (
     PATHLENGTH_FAMILIES,
@@ -47,14 +48,18 @@ from .fitting import (
     power_law_fit,
 )
 from .growth import GENERATOR_NAME, simulate
-from .ingest import TechnologyQuery, _undecodable_line, build_graph, load_corpus, open_csv
+from .ingest import (
+    TechnologyQuery,
+    _raise_earliest,
+    _read_columns,
+    _undecodable_line,
+    build_graph,
+    load_corpus,
+)
 from .measures import measure_checkpoints, resolve_mode
 from .predictions import rate_predictions
 
 __all__ = ["main", "entry_point"]
-
-T = TypeVar("T")
-D = TypeVar("D")
 
 _SERIES_COLUMNS = ("n", "id", "ipl", "mipl", "ed")
 _FIT_COLUMNS = ("quantity", "slope", "intercept", "r2", "se", "f", "n_obs")
@@ -63,8 +68,8 @@ _FIT_COLUMNS = ("quantity", "slope", "intercept", "r2", "se", "f", "n_obs")
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence | str]) -> None:
     # csv writes each cell as str(cell), which for Python floats and numpy
     # float64 is the shortest repr that reads back to the same value.  A
-    # table whose rows are str is already rendered: each row is one finished
-    # line, built by its command the way csv would write it (see
+    # table whose rows are str is already rendered: each row is finished
+    # lines, built by its command the way csv would write them (see
     # _add_gof_rows), and goes out as it is.
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -118,161 +123,190 @@ class ReportBundle:
             handle.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _read_table(
-    path: str, columns: Sequence[str], parse_row: Callable[..., T]
-) -> list[T]:
-    """Parse each row of a CSV table whose header must name ``columns``.
+def _read_table(path: str, columns: tuple[str, ...]) -> tuple[list[list[str]], list]:
+    """The cells of ``columns`` in a CSV table's non-blank rows, column by column.
 
-    ``parse_row`` is called with the row's fields of ``columns``, in order
-    (at least two columns).  A missing column raises ValueError naming the
-    file; a row short of ``columns`` or one ``parse_row`` rejects with
-    ValueError, bytes that are not UTF-8 and an overlong field raise
-    ValueError naming ``file:line``.  Blank lines are skipped and a leading
-    byte-order mark is ignored.
+    Reads as ``ingest`` reads a corpus file.  Also returns the table's error
+    list, which starts with the first row short of ``columns``, if any; the
+    cells that row lacks read as ``0``.
     """
-    with open_csv(path) as reader:
-        header = next(reader, None) or []
-        index = {name: i for i, name in enumerate(header)}
-        missing = [c for c in columns if c not in index]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        positions = [index[c] for c in columns]
-        pick = itemgetter(*positions)
-        width = max(positions) + 1
-        parsed = []
-        for fields in filter(None, reader):
-            try:
-                if len(fields) < width:
-                    raise ValueError("too few fields")
-                parsed.append(parse_row(*pick(fields)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return parsed
+    cells = _read_columns(path, columns, None, "column(s)")
+    short = [column.index(None) for column in cells if None in column]
+    if not short:
+        return cells, []
+    padded = [["0" if cell is None else cell for cell in column] for column in cells]
+    return padded, [(min(short), "too few fields")]
 
 
-def _finite(column: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"{column} must be finite, got {value}")
-    return value
+# A table is checked one column at a time.  Each check adds the first row
+# it rejects (counted from 0 without blank lines) to the table's error list
+# as (row, message), in the order a row meets the checks; _raise_earliest
+# reports the earliest row and its first failed check as file:line: message.
 
 
-def _in_range(column: str, value: T, low: float = 0, high: float = math.inf) -> T:
-    if not low <= value <= high:  # also rejects nan
-        raise ValueError(f"{column} must lie in [{low}, {high}], got {value}")
-    return value
+def _convert(cells: list[str], kind: Callable, errors: list) -> list:
+    """``kind`` of each cell; from the first cell it rejects on, the values are 0."""
+    values: list = []
+    try:
+        values.extend(map(kind, cells))
+    except ValueError as exc:
+        errors.append((len(values), str(exc)))
+        values += [0] * (len(cells) - len(values))
+    return values
+
+
+def _flag(errors: list, rejected: np.ndarray, message: Callable[[int], str]) -> None:
+    if rejected.any():
+        row = int(rejected.argmax())
+        errors.append((row, message(row)))
+
+
+def _column(
+    errors: list, cells: list[str], kind: Callable, name: str, low: float = 0, high=math.inf
+) -> tuple[list, np.ndarray]:
+    """``kind`` of each cell, as read and as an array (of Python ints where an int
+    column outgrows int64), checked to lie in [low, high]."""
+    values = _convert(cells, kind, errors)
+    try:
+        array = np.array(values, dtype=np.int64 if kind is int else None)
+    except OverflowError:
+        array = np.array(values, dtype=object)
+    with np.errstate(invalid="ignore"):  # nan lies in no range
+        outside = ~((low <= array) & (array <= high))
+    _flag(errors, outside, lambda row: f"{name} must lie in [{low}, {high}], got {values[row]}")
+    return values, array
+
+
+def _repeated(*keys: np.ndarray) -> np.ndarray:
+    """Which rows repeat the keys of an earlier row."""
+    order = np.lexsort(keys[::-1])
+    same = np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in keys])
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:][same]] = True
+    return repeated
 
 
 def _load_series(path: str) -> CumulativenessSeries:
     """The checkpoints of a series table, whose n must start at 1 or more and rise."""
-    last = 0
-
-    def point(n: str, id_: str, ipl: str, mipl: str, ed: str) -> SeriesPoint:
-        nonlocal last
-        size = _in_range("n", int(n), 1)
-        if size <= last:
-            raise ValueError(f"n must rise from row to row, got {size} after {last}")
-        last = size
-        return SeriesPoint(
-            n=size,
-            id=_finite("id", float(id_)),
-            ipl=_finite("ipl", float(ipl)),
-            mipl=int(_finite("mipl", float(mipl))),
-            ed=_finite("ed", float(ed)),
-        )
-
-    points = _read_table(path, _SERIES_COLUMNS, point)
-    if not points:
+    (n, *cells), errors = _read_table(path, _SERIES_COLUMNS)
+    sizes, size = _column(errors, n, int, "n", 1)
+    _flag(
+        errors, np.concatenate(([False], size[1:] <= size[:-1])),
+        lambda row: f"n must rise from row to row, got {sizes[row]} after {sizes[row - 1]}",
+    )
+    floats = []
+    for column, name in zip(cells, _SERIES_COLUMNS[1:]):
+        floats.append(got := _convert(column, float, errors))
+        _flag(errors, ~np.isfinite(got), lambda row: f"{name} must be finite, got {got[row]}")
+    _raise_earliest(path, errors)
+    if not sizes:
         raise ValueError(f"{path}: empty series")
-    return CumulativenessSeries(checkpoints=tuple(points))
+    ids, ipls, mipls, eds = floats
+    return CumulativenessSeries(tuple(map(SeriesPoint, sizes, ids, ipls, map(int, mipls), eds)))
 
 
 def _load_backlinks(path: str, n: int) -> list[int]:
     """m_1..m_n from a table that lists each ordinal 0..n-1 exactly once."""
-    backlinks: list[int | None] = [None] * n
-
-    def place(ordinal: str, m: str) -> None:
-        i = _in_range("ordinal", int(ordinal), 0, n - 1)
-        if backlinks[i] is not None:
-            raise ValueError(f"duplicate ordinal {i}")
-        backlinks[i] = _in_range("m", int(m))
-
-    _read_table(path, ("ordinal", "m"), place)
-    missing = backlinks.count(None)
+    (ordinal, m), errors = _read_table(path, ("ordinal", "m"))
+    ordinals, ranks = _column(errors, ordinal, int, "ordinal", 0, n - 1)
+    _flag(errors, _repeated(ranks), lambda row: f"duplicate ordinal {ordinals[row]}")
+    links, _ = _column(errors, m, int, "m")
+    _raise_earliest(path, errors)
+    missing = np.flatnonzero(np.bincount(ranks, minlength=n) == 0).tolist()
     if missing:
         raise ValueError(
-            f"{path}: no row for ordinal {backlinks.index(None)} "
-            f"({missing} of ordinals 0..{n - 1} missing)"
+            f"{path}: no row for ordinal {missing[0]} "
+            f"({len(missing)} of ordinals 0..{n - 1} missing)"
         )
-    return backlinks
+    return list(map(links.__getitem__, np.argsort(ranks).tolist()))
 
 
-def _parse_count(raw: str) -> int | float:
+def _count(raw: str) -> int | float:
     """An integer count, or a float one (``inf`` where float mode overflowed)."""
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        value = float(raw)
-    return _in_range("count", value)
+        return float(raw)
 
 
-def _prefix_key(
-    grouped: dict[int, dict], n: str, name: str, key: str
-) -> tuple[dict, int]:
-    """Prefix size ``n`` (1 or more) and a key in 0..n-1 named ``name``, new at that n."""
-    size = _in_range("n", int(n), 1)
-    value = _in_range(name, int(key))
-    if value > size - 1:
-        raise ValueError(f"{name} must be at most n - 1 = {size - 1}, got {value}")
-    entries = grouped.setdefault(size, {})
-    if value in entries:
-        raise ValueError(f"repeated row for n={size}, {name}={value}")
-    return entries, value
+def _read_distributions(path: str, columns: tuple[str, ...], parse_count: Callable) -> tuple:
+    """A checked table of distributions by prefix size, in runs of one n.
+
+    Each row names a prefix size n >= 1, a key in 0..n-1 (each (n, key)
+    once), a count >= 0 and, in a fourth column if any, a value in [0, 1].
+    Returns the sizes as read, each n's first row in the file, and, with the
+    rows ordered by n (file order within an n), the bounds of each n's run,
+    the counts as read and the columns from the key on as arrays.
+    """
+    (n, key, count, *value), errors = _read_table(path, columns)
+    name = columns[1]
+    sizes, size = _column(errors, n, int, "n", 1)
+    keys, keyed = _column(errors, key, int, name)
+    _flag(
+        errors, keyed > size - 1,
+        lambda row: f"{name} must be at most n - 1 = {sizes[row] - 1}, got {keys[row]}",
+    )
+    _flag(
+        errors, _repeated(size, keyed),
+        lambda row: f"repeated row for n={sizes[row]}, {name}={keys[row]}",
+    )
+    counts, counted = _column(errors, count, parse_count, "count")
+    arrays = [keyed, counted]
+    if value:
+        arrays.append(_column(errors, value[0], float, columns[3], 0, 1)[1])
+    _raise_earliest(path, errors)
+    order = np.argsort(size, kind="stable")
+    ranked = size[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))[: len(order)]
+    return (
+        sizes, order[starts].tolist(), [*starts.tolist(), len(order)],
+        list(map(counts.__getitem__, order.tolist())), *(array[order] for array in arrays),
+    )
 
 
-def _load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
+def _load_backlink_dists(path: str) -> BacklinkTable:
     """Histograms by prefix size; each (n, m) once, with n >= 1 and 0 <= m <= n-1."""
-    grouped: dict[int, dict[int, int]] = {}
+    sizes, firsts, bounds, counts, links, _ = _read_distributions(path, ("n", "m", "count"), int)
+    wrong = [
+        (row, f"histogram total {total} != prefix size {sizes[row]}")
+        for row, lo, hi in zip(firsts, bounds, bounds[1:])
+        if (total := sum(counts[lo:hi])) != sizes[row]
+    ]
+    if wrong:  # the n that comes first in the file
+        raise ValueError(f"{path}: {min(wrong)[1]}")
+    return BacklinkTable(
+        [sizes[row] for row in firsts], np.array(bounds), links, np.array(counts, dtype=float)
+    )
 
-    def place(n: str, m: str, count: str) -> None:
-        entries, links = _prefix_key(grouped, n, "m", m)
-        entries[links] = _in_range("count", int(count))
 
-    _read_table(path, ("n", "m", "count"), place)
-    try:
-        return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
-    except ValueError as exc:  # a histogram whose counts do not add up to n
-        raise ValueError(f"{path}: {exc}") from None
+def _load_pathlen_dists(path: str) -> PathLengthTable:
+    """Distributions by prefix size; each (n, k) once, with n >= 1 and 0 <= k <= n-1.
 
-
-def _load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
-    """Distributions by prefix size; each (n, k) once, with n >= 1 and 0 <= k <= n-1."""
-    grouped: dict[int, dict[int, tuple[int | float, float]]] = {}
-
-    def place(n: str, k: str, count: str, normalized: str) -> None:
-        entries, length = _prefix_key(grouped, n, "k", k)
-        entries[length] = (
-            _parse_count(count), _in_range("normalized", float(normalized), 0, 1)
-        )
-
-    _read_table(path, ("n", "k", "count", "normalized"), place)
-    dists = {}
-    for n, entries in grouped.items():
-        counts = {k: c for k, (c, _) in entries.items()}
-        normalized = {k: w for k, (_, w) in entries.items()}
-        positive = [k for k, c in counts.items() if c > 0]
-        if not positive:
-            raise ValueError(f"{path}: distribution at n={n} has no paths")
-        total = math.fsum(normalized.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"{path}: normalized values at n={n} sum to {total!r}, not 1")
-        dists[n] = PathLengthDistribution(
-            n=n,
-            counts=counts,
-            normalized=normalized,
-            ipl=sum(k * w for k, w in normalized.items()),
-            mipl=max(positive),
-        )
-    return dists
+    Each n's sums (ipl, variance, total count) add its rows in file order.
+    """
+    sizes, firsts, bounds, counts, ks, counted, weights = _read_distributions(
+        path, ("n", "k", "count", "normalized"), _count
+    )
+    moments, squares = (ks * weights).tolist(), (ks * ks * weights).tolist()
+    shares = weights.tolist()
+    positive = np.where(counted > 0, ks, -1).tolist()
+    ipl, variance, mipl, samples, wrong = [], [], [], [], []
+    for row, lo, hi in zip(firsts, bounds, bounds[1:]):
+        mean = sum(moments[lo:hi])
+        ipl.append(mean)
+        variance.append(sum(squares[lo:hi]) - mean * mean)
+        mipl.append(max(positive[lo:hi]))
+        samples.append(_as_float(sum(counts[lo:hi])))
+        total = math.fsum(shares[lo:hi])
+        if mipl[-1] < 0:
+            wrong.append((row, f"distribution at n={sizes[row]} has no paths"))
+        elif abs(total - 1.0) > 1e-9:
+            wrong.append((row, f"normalized values at n={sizes[row]} sum to {total!r}, not 1"))
+    if wrong:  # the n that comes first in the file
+        raise ValueError(f"{path}: {min(wrong)[1]}")
+    return PathLengthTable(
+        [sizes[row] for row in firsts], ipl, variance, mipl, samples, np.array(bounds), ks, weights
+    )
 
 
 def _query_from_args(args: argparse.Namespace) -> TechnologyQuery:
@@ -281,23 +315,12 @@ def _query_from_args(args: argparse.Namespace) -> TechnologyQuery:
         prefixes.extend(p.strip() for p in chunk.split(",") if p.strip())
     if not prefixes:
         raise ValueError("at least one --prefix is required")
-    return TechnologyQuery(
-        name=args.name,
-        class_prefixes=frozenset(prefixes),
-        year_cutoff=args.year_cutoff,
-    )
+    return TechnologyQuery(args.name, frozenset(prefixes), args.year_cutoff)
 
 
 def _fit_row(quantity: str, fit: LinearFit) -> list:
-    return [
-        quantity,
-        fit.slope,
-        fit.intercept,
-        fit.r_squared,
-        fit.residual_se,
-        fit.f_statistic,
-        fit.n_obs,
-    ]
+    fields = ("slope", "intercept", "r_squared", "residual_se", "f_statistic", "n_obs")
+    return [quantity, *(getattr(fit, name) for name in fields)]
 
 
 # --------------------------------------------------------------------------
@@ -310,13 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     graph = simulate(params, args.n, args.seed)
     bundle = ReportBundle(
         command="simulate",
-        params={
-            "q": args.q,
-            "m1": args.m1,
-            "n": args.n,
-            "seed": args.seed,
-            "rng": GENERATOR_NAME,
-        },
+        params={"q": args.q, "m1": args.m1, "n": args.n, "seed": args.seed, "rng": GENERATOR_NAME},
     )
     ids = graph.node_ids
     citing = np.repeat(np.arange(graph.n_nodes), graph.backlink_counts).tolist()
@@ -404,14 +421,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     n_final = series.checkpoints[-1].n
     backlinks = _load_backlinks(backlinks_path, n_final) if backlinks_path else None
 
-    rows = []
-    fitted: dict[str, LinearFit] = {}
-    for quantity in ("id", "ipl", "mipl"):
-        fitted[quantity] = fit_series(series, quantity)
-        rows.append(_fit_row(quantity, fitted[quantity]))
-
-    q_hat = fitted["id"].slope
-    m0_hat = fitted["id"].intercept
+    fitted = {quantity: fit_series(series, quantity) for quantity in ("id", "ipl", "mipl")}
+    q_hat, m0_hat = fitted["id"].slope, fitted["id"].intercept
     if q_hat <= 0:
         raise ValueError(
             f"fitted id slope {q_hat!r} is not positive; rate predictions "
@@ -420,13 +431,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rates = rate_predictions(q_hat, m0_hat, n_final, backlinks=backlinks)
     bundle = ReportBundle(
         command="fit",
-        params={
-            "series": args.series,
-            "backlinks": backlinks_path,
-            "n_final": n_final,
-        },
+        params={"series": args.series, "backlinks": backlinks_path, "n_final": n_final},
     )
-    bundle.add_table("fits.csv", _FIT_COLUMNS, rows)
+    bundle.add_table("fits.csv", _FIT_COLUMNS, [_fit_row(q, fit) for q, fit in fitted.items()])
     columns = ("p", "q_prime_a", "p_prime_a", "q_prime_b", "p_prime_b", "v", "delta_n")
     bundle.add_table("rates.csv", columns, [[getattr(rates, c) for c in columns]])
     bundle.write(Path(args.out))
@@ -434,14 +441,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_fitted_params(path: str) -> tuple[float, float]:
-    rows = _read_table(
-        path,
-        ("quantity", "slope", "intercept"),
-        lambda quantity, slope, intercept: (quantity, float(slope), float(intercept)),
-    )
-    for quantity, slope, intercept in rows:
-        if quantity == "id":
-            return slope, intercept
+    (quantities, slope, intercept), errors = _read_table(path, ("quantity", "slope", "intercept"))
+    slopes = _convert(slope, float, errors)
+    intercepts = _convert(intercept, float, errors)
+    _raise_earliest(path, errors)
+    if "id" in quantities:
+        row = quantities.index("id")
+        return slopes[row], intercepts[row]
     raise ValueError(f"{path}: no 'id' row to take fitted q and m0 from")
 
 
@@ -468,44 +474,32 @@ def _parse_families(raw: str) -> list[str]:
 
 
 def _add_gof_rows(
-    target: str,
-    table: dict[int, D],
-    fit_all: Callable[[list[D]], list[DistributionFits]],
-    summary_rows: list[tuple],
-    point_rows: list[str],
-    warned: list[str],
+    target: str, ns: list[int], fits: list[DistributionFits],
+    summary_rows: list[tuple], point_rows: list[str], warned: list[str],
 ) -> None:
-    """The table rows and warnings of ``table``'s checkpoints, each fitted by every family.
+    """The table rows and warnings of the checkpoints of sizes ``ns``.
 
-    ``table`` maps each checkpoint size to its distribution, and ``fit_all``
-    fits the distributions, in order of size, once per family.  Rows go
-    checkpoint by checkpoint, family by family.  Only the rows outlive the
-    call: the distributions and fits are let go before any table is written.
-
-    Summary rows are tuples for csv; point rows are the finished lines of
-    ``gof_points.csv``, one per plot point.  Every fit has the same layout
-    and empirical column (each is read off the distributions alone), whose
-    strings are formatted once per checkpoint.  Each (checkpoint, family)
-    block formats its ``n,target,family,`` prefix once, then each line is
-    one ``str.format`` of the value, the empirical string and the model
-    float; ``format(x, "")`` is ``str(x)``, as csv writes it.  No cell needs
-    csv's quoting: each is an int, a float, ``backlinks``/``pathlengths``,
-    or a family name that ``_parse_families`` checked, none holding a comma,
-    a quote or a line break.
+    ``fits`` holds one fit of every checkpoint per family.  Rows go
+    checkpoint by checkpoint, family by family; only the rows outlive the
+    call.  Summary rows are tuples for csv; a point row is the finished
+    lines of one (checkpoint, family) block of ``gof_points.csv``.  Every
+    fit has the same layout and empirical column, so each checkpoint's
+    ``value,empirical,`` cells are formatted once for all families; each
+    line adds the block's ``n,target,family,`` prefix and the model float's
+    repr, which is what csv writes.  No cell needs csv's quoting: each is a
+    number, a target or a family name that ``_parse_families`` checked.
     """
-    ns = sorted(table)
-    fits = fit_all([table[n] for n in ns])
     bounds = fits[0].bounds
     for row, n in enumerate(ns):
         lo, hi = bounds[row], bounds[row + 1]
-        values = range(hi - lo)
-        empirical = list(map(str, fits[0].empirical[lo:hi]))
+        cells = [f"{k},{e}," for k, e in enumerate(fits[0].empirical[lo:hi])]
         for fit in fits:
             summary_rows.append(
                 (n, target, fit.family, fit.plot_correlation[row], *fit.chi_square[row])
             )
-            line = f"{n},{target},{fit.family},{{}},{{}},{{}}\n".format
-            point_rows.extend(map(line, values, empirical, fit.model[lo:hi]))
+            prefix = f"{n},{target},{fit.family},"
+            lines = map(add, cells, map(repr, fit.model[lo:hi]))
+            point_rows.append(prefix + f"\n{prefix}".join(lines) + "\n")
             for message in fit.warnings[row]:
                 _warn(warned, f"n={n} {target} {fit.family}: {message}")
 
@@ -524,17 +518,15 @@ def cmd_gof(args: argparse.Namespace) -> int:
     point_rows: list[str] = []
     warned: list[str] = []
     if args.backlink_dist:
+        hists = _load_backlink_dists(args.backlink_dist)
         _add_gof_rows(
-            "backlinks",
-            _load_backlink_dists(args.backlink_dist),
-            lambda hists: [geometric_gof(hists, params)],
+            "backlinks", hists.ns, [geometric_gof(hists, params)],
             summary_rows, point_rows, warned,
         )
     if args.pathlen_dist:
+        dists = _load_pathlen_dists(args.pathlen_dist)
         _add_gof_rows(
-            "pathlengths",
-            _load_pathlen_dists(args.pathlen_dist),
-            lambda dists: [pathlength_gof(dists, family) for family in families],
+            "pathlengths", dists.ns, [pathlength_gof(dists, family) for family in families],
             summary_rows, point_rows, warned,
         )
     if not summary_rows:
@@ -543,38 +535,27 @@ def cmd_gof(args: argparse.Namespace) -> int:
     bundle = ReportBundle(
         command="gof",
         params={
-            "q": q_hat,
-            "m0": m0_hat,
-            "backlink_dist": args.backlink_dist,
-            "pathlen_dist": args.pathlen_dist,
-            "families": families,
+            "q": q_hat, "m0": m0_hat, "backlink_dist": args.backlink_dist,
+            "pathlen_dist": args.pathlen_dist, "families": families,
         },
         warnings=warned,
     )
-    bundle.add_table(
-        "gof_summary.csv",
-        ("n", "target", "family", "correlation", "chi2", "dof", "p_value"),
-        summary_rows,
-    )
-    bundle.add_table(
-        "gof_points.csv",
-        ("n", "target", "family", "value", "empirical", "model"),
-        point_rows,
-    )
+    summary = ("n", "target", "family", "correlation", "chi2", "dof", "p_value")
+    bundle.add_table("gof_summary.csv", summary, summary_rows)
+    points = ("n", "target", "family", "value", "empirical", "model")
+    bundle.add_table("gof_points.csv", points, point_rows)
     bundle.write(Path(args.out))
     return 0
 
 
-def _tech_row(name: str, prefix: str) -> tuple[str, str]:
-    name, prefix = name.strip(), prefix.strip()
-    if not name or not prefix:
-        raise ValueError("empty group_name or prefix")
-    return name, prefix
-
-
 def _read_tech_table(path: str) -> dict[str, set[str]]:
+    columns, errors = _read_table(path, ("group_name", "prefix"))
+    names, prefixes = ([cell.strip() for cell in column] for column in columns)
+    blank = [not (name and prefix) for name, prefix in zip(names, prefixes)]
+    _flag(errors, np.array(blank, dtype=bool), lambda row: "empty group_name or prefix")
+    _raise_earliest(path, errors)
     techs: dict[str, set[str]] = {}
-    for name, prefix in _read_table(path, ("group_name", "prefix"), _tech_row):
+    for name, prefix in zip(names, prefixes):
         techs.setdefault(name, set()).add(prefix)
     if not techs:
         raise ValueError(f"{path}: no technologies listed")
@@ -727,9 +708,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--m1", type=float, required=True, help="initial knowledge need (> 1)")
     sim.add_argument("--n", type=int, required=True, help="number of inventions")
     sim.add_argument("--seed", type=int, default=0, help="64-bit random seed")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--config", help="key=value file standing in for flags")
-    sim.set_defaults(func=cmd_simulate)
 
     mea = sub.add_parser(
         "measure", help="measure indicators of one technology", allow_abbrev=False
@@ -747,9 +725,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mea.add_argument("--granted-only", action="store_true")
     mea.add_argument("--stride", type=int, default=100, help="checkpoint spacing")
     mea.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
-    mea.add_argument("--out", required=True, help="output directory")
-    mea.add_argument("--config", help="key=value file standing in for flags")
-    mea.set_defaults(func=cmd_measure)
 
     fit = sub.add_parser(
         "fit", help="fit growth rates to a measured series", allow_abbrev=False
@@ -759,9 +734,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backlinks",
         help="backlinks.csv path (default: sibling of --series when present)",
     )
-    fit.add_argument("--out", required=True, help="output directory")
-    fit.add_argument("--config", help="key=value file standing in for flags")
-    fit.set_defaults(func=cmd_fit)
 
     gof = sub.add_parser(
         "gof", help="goodness of fit of the predicted distributions", allow_abbrev=False
@@ -777,9 +749,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of distinct path-length families to try, among "
         + ", ".join(PATHLENGTH_FAMILIES),
     )
-    gof.add_argument("--out", required=True, help="output directory")
-    gof.add_argument("--config", help="key=value file standing in for flags")
-    gof.set_defaults(func=cmd_gof)
 
     swp = sub.add_parser(
         "sweep", help="measure and compare many technologies", allow_abbrev=False
@@ -794,9 +763,12 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--granted-only", action="store_true")
     swp.add_argument("--stride", type=int, default=100)
     swp.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
-    swp.add_argument("--out", required=True, help="output directory")
-    swp.add_argument("--config", help="key=value file standing in for flags")
-    swp.set_defaults(func=cmd_sweep)
+    for command, func in zip(
+        (sim, mea, fit, gof, swp), (cmd_simulate, cmd_measure, cmd_fit, cmd_gof, cmd_sweep)
+    ):
+        command.add_argument("--out", required=True, help="output directory")
+        command.add_argument("--config", help="key=value file standing in for flags")
+        command.set_defaults(func=func)
     return parser
 
 

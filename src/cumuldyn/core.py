@@ -23,7 +23,9 @@ __all__ = [
     "KnowledgeGraph",
     "ModelParams",
     "BacklinkDistribution",
+    "BacklinkTable",
     "PathLengthDistribution",
+    "PathLengthTable",
     "SeriesPoint",
     "CumulativenessSeries",
     "RatePredictions",
@@ -230,6 +232,73 @@ class PathLengthDistribution:
     @property
     def total_paths(self) -> int | float:
         return sum(self.counts.values())
+
+
+class BacklinkTable(NamedTuple):
+    """Backward-link histograms held by column, one row per prefix size.
+
+    Row ``i`` is the histogram of the prefix of ``ns[i]`` nodes: for each
+    ``j`` in ``bounds[i]:bounds[i + 1]``, ``counts[j]`` nodes have
+    ``links[j]`` internal backward links.
+    """
+
+    ns: list[int]
+    bounds: np.ndarray
+    links: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_hists(cls, hists: Iterable[BacklinkDistribution]) -> BacklinkTable:
+        hists = list(hists)
+        if not all(hist.counts for hist in hists):
+            raise ValueError("empty backlink histogram")
+        return cls(
+            [hist.n for hist in hists], np.cumsum([0, *(len(hist.counts) for hist in hists)]),
+            np.array([m for hist in hists for m in hist.counts], dtype=np.int64),
+            np.array([c for hist in hists for c in hist.counts.values()], dtype=float),
+        )
+
+
+class PathLengthTable(NamedTuple):
+    """Path-length distributions held by column, one row per prefix size.
+
+    Row ``i``, the prefix of ``ns[i]`` nodes, has the mean and variance of its
+    lengths ``ipl[i]`` and ``variance[i]``, the longest length with paths
+    ``mipl[i]``, the total path count as a float ``samples[i]`` (``inf`` past
+    the float range), and the normalized count ``normalized[j]`` of each
+    length ``lengths[j]``, for ``j`` in ``bounds[i]:bounds[i + 1]``.
+    """
+
+    ns: list[int]
+    ipl: list[float]
+    variance: list[float]
+    mipl: list[int]
+    samples: list[float]
+    bounds: np.ndarray
+    lengths: np.ndarray
+    normalized: np.ndarray
+
+    @classmethod
+    def from_dists(cls, dists: Iterable[PathLengthDistribution]) -> PathLengthTable:
+        dists = list(dists)
+        totals = [dist.total_paths for dist in dists]
+        if not all(dist.counts and total > 0 for dist, total in zip(dists, totals)):
+            raise ValueError("path-length distribution has no paths")
+        return cls(
+            [dist.n for dist in dists], [dist.ipl for dist in dists],
+            [sum(k * k * w for k, w in d.normalized.items()) - d.ipl * d.ipl for d in dists],
+            [dist.mipl for dist in dists], list(map(_as_float, totals)),
+            np.cumsum([0, *(len(dist.normalized) for dist in dists)]),
+            np.array([k for dist in dists for k in dist.normalized], dtype=np.int64),
+            np.array([w for dist in dists for w in dist.normalized.values()], dtype=float),
+        )
+
+
+def _as_float(total: int | float) -> float:  # inf past the float range
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
 
 
 class SeriesPoint(NamedTuple):

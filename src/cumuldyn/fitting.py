@@ -15,7 +15,6 @@ warnings in it instead of raising Python warnings.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,12 +25,14 @@ import numpy as np
 
 from .core import (
     BacklinkDistribution,
+    BacklinkTable,
     CumulativenessSeries,
     DistributionFits,
     KnowledgeGraph,
     LinearFit,
     ModelParams,
     PathLengthDistribution,
+    PathLengthTable,
 )
 from .growth import rho
 from .predictions import binomial_path_pmf
@@ -131,13 +132,18 @@ def _row_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
     ``np.sum`` adds a contiguous row pairwise in an order fixed by its length,
     so the segments of one length are summed as the rows of one C-ordered
     array (a gathered array that is not C-ordered may be added in another
-    order).
+    order).  One gather puts the segments in order of length.
     """
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order]
+    gathered = values[..., np.repeat(starts[order], ranked) + _segments(ranked)[1]]
+    blocks, edge = [], 0
+    for length, count in zip(*(a.tolist() for a in np.unique(ranked, return_counts=True))):
+        block = gathered[..., edge:edge + count * length].reshape(*values.shape[:-1], count, length)
+        blocks.append(np.ascontiguousarray(block).sum(axis=-1))
+        edge += count * length
     sums = np.empty(values.shape[:-1] + starts.shape)
-    for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
-        block = np.ascontiguousarray(values[..., starts[rows, None] + np.arange(length)])
-        sums[..., rows] = block.sum(axis=-1)
+    sums[..., order] = np.concatenate(blocks, axis=-1)
     return sums
 
 
@@ -231,13 +237,8 @@ def _chi_squares(
 
 
 def _fits(
-    family: str,
-    params: list[Mapping[str, float]],
-    lengths: np.ndarray,
-    empirical: np.ndarray,
-    model: np.ndarray,
-    correlations: list[float],
-    chi_square: list[tuple[float, int, float]],
+    family: str, params: list[Mapping[str, float]], lengths: np.ndarray, empirical: np.ndarray,
+    model: np.ndarray, correlations: list[float], chi_square: list[tuple[float, int, float]],
     warned: list[tuple[str, ...]],
 ) -> DistributionFits:
     return DistributionFits(
@@ -253,39 +254,36 @@ def _fits(
 
 
 def geometric_gof(
-    hists: Sequence[BacklinkDistribution], params: ModelParams
+    hists: Sequence[BacklinkDistribution] | BacklinkTable, params: ModelParams
 ) -> DistributionFits:
     """Fit of the geometric backward-link prediction to each observed histogram.
 
-    Histogram ``h`` is compared with the geometric pmf of success
-    probability ``rho(h.n)`` from the supplied (typically fitted) parameters,
-    over m = 0 .. h.max_links.  The chi-square pools the geometric tail
-    beyond the observed support into the last bin.
+    Histogram ``h`` (a record, or a row of a :class:`BacklinkTable`) is
+    compared with the geometric pmf of success probability ``rho(h.n)``
+    from the supplied (typically fitted) parameters, over m = 0 .. the
+    largest m it lists.  The chi-square pools the geometric tail beyond the
+    observed support into the last bin.
     """
-    ns, ps, sizes, observed = [], [], [], []
-    for hist in hists:
-        if not hist.counts:
-            raise ValueError("empty backlink histogram")
-        ns.append(hist.n)
-        ps.append(rho(hist.n, params))
-        sizes.append(hist.max_links + 1)
-        observed.extend(map(hist.counts.get, range(sizes[-1]), repeat(0)))
+    table = hists if isinstance(hists, BacklinkTable) else BacklinkTable.from_hists(hists)
+    ns = table.ns
     if not ns:
         return DistributionFits("geometric", (), (0,), (), (), (), (), ())
-    lengths = np.array(sizes)
+    ps = [rho(n, params) for n in ns]
+    lengths = np.maximum.reduceat(table.links, table.bounds[:-1]) + 1
     starts, ms = _segments(lengths)
     totals = np.repeat(np.array(ns, dtype=float), lengths)
     logs = [math.log1p(-p) for p in ps]
     with np.errstate(all="ignore"):
         model = np.exp(ms * np.repeat(logs, lengths)) * np.repeat(ps, lengths)
-        counts = np.array(observed, dtype=float)
+        counts = np.zeros(len(ms))
+        counts[np.repeat(starts, np.diff(table.bounds)) + table.links] = table.counts
         empirical = counts / totals
         correlations, warned = _plot_correlations(
             empirical, model, starts, lengths, "geometric fit"
         )
         # Each row gains one bin: nothing observed, the tail's expected count.
         ends = starts + lengths
-        tails = [n * math.exp(size * log) for n, size, log in zip(ns, sizes, logs)]
+        tails = [n * math.exp(size * log) for n, size, log in zip(ns, lengths.tolist(), logs)]
         chi_square = _chi_squares(
             np.insert(counts, ends, 0.0),
             np.insert(totals * model, ends, tails),
@@ -299,13 +297,12 @@ def geometric_gof(
 
 
 def _pathlength_model(
-    family: str, dists: list[PathLengthDistribution], n_primes: list[int],
-    lengths: np.ndarray, ks: np.ndarray,
+    family: str, table: PathLengthTable, n_primes: list[int], lengths: np.ndarray, ks: np.ndarray,
 ) -> tuple[list[Mapping[str, float]], np.ndarray]:
     """Each row's parameters, and the family's pmf over every row's lengths ``ks``."""
     from scipy.special import gammaln
 
-    means = [dist.ipl for dist in dists]
+    means = table.ipl
     mean = np.repeat(means, lengths)
     if family == "binomial-type":
         pmfs = {n_prime: binomial_path_pmf(n_prime) for n_prime in set(n_primes)}
@@ -319,10 +316,7 @@ def _pathlength_model(
         model = np.where(mean > 0, np.exp(logs), (ks == 0).astype(float))
         return [{"rate": m} for m in means], model
     if family == "normal":
-        variances = [
-            sum(k * k * w for k, w in dist.normalized.items()) - m * m
-            for dist, m in zip(dists, means)
-        ]
+        variances = table.variance
         # A row without spread puts all its mass at the rounded mean.
         flat = [v <= 0 for v in variances]
         twice = np.repeat([2 * v for v in variances], lengths)
@@ -337,7 +331,7 @@ def _pathlength_model(
         )
         return [{"mean": m, "var": v} for m, v in zip(means, variances)], model
     if family == "binomial":
-        sizes = [max(dist.mipl, 1) for dist in dists]
+        sizes = [max(m, 1) for m in table.mipl]
         probs = [min(max(m / size, 0.0), 1.0) for m, size in zip(means, sizes)]
         size = np.repeat(sizes, lengths)
         prob = np.repeat(probs, lengths)
@@ -354,13 +348,13 @@ def _pathlength_model(
 
 
 def pathlength_gof(
-    dists: Sequence[PathLengthDistribution],
-    family: str = "binomial-type",
+    dists: Sequence[PathLengthDistribution] | PathLengthTable, family: str = "binomial-type",
     n_prime: int | None = None,
 ) -> DistributionFits:
     """Fit of a model family to each normalized path-length distribution.
 
-    The default family is the binomial-type distribution evaluated at
+    ``dists`` are records or the rows of a :class:`PathLengthTable`.  The
+    default family is the binomial-type distribution evaluated at
     ``n_prime`` (each distribution's observed maximum path length unless
     overridden).  The alternatives ('poisson', 'normal', 'binomial') are
     moment-matched to each empirical distribution.  Chi-square counts every
@@ -373,49 +367,37 @@ def pathlength_gof(
         raise ValueError(f"unknown path-length family {family!r}")
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
-    dists = list(dists)
-    if not dists:
+    table = dists if isinstance(dists, PathLengthTable) else PathLengthTable.from_dists(dists)
+    if not table.ns:
         return DistributionFits(family, (), (0,), (), (), (), (), ())
-    # A distribution with a single length is a degenerate row: one plot
-    # point (1, 1) at k = 0, where the binomial-type pmf is taken at n' = 1.
-    degenerate: dict[int, int] = {}  # row -> the n' it reports
-    n_primes, sizes, samples, empirical = [], [], [], []
-    for row, dist in enumerate(dists):
-        total = dist.total_paths
-        if not dist.counts or total <= 0:
-            raise ValueError("path-length distribution has no paths")
-        if sum(1 for w in dist.normalized.values() if w > 0.0) < 2:
-            degenerate[row] = n_prime or max(dist.mipl, 1)
-            n_primes.append(1)
-            sizes.append(1)
-            empirical.append(1.0)
-            samples.append(0.0)
-            continue
-        n_primes.append(n_prime or dist.mipl)
-        sizes.append(max(dist.mipl, n_primes[-1] - 1) + 1)
-        empirical.extend(map(dist.normalized.get, range(sizes[-1]), repeat(0.0)))
-        try:
-            samples.append(float(total))
-        except OverflowError:
-            samples.append(math.inf)
-    lengths = np.array(sizes)
+    # A distribution with a single positive weight is a degenerate row: one
+    # plot point (1, 1) at k = 0, where the binomial-type pmf is taken at n' = 1.
+    entries = np.diff(table.bounds)
+    positive = np.concatenate(([0], np.cumsum(table.normalized > 0.0)))[table.bounds]
+    degenerate = np.diff(positive) < 2
+    mipl = np.array(table.mipl)
+    n_primes = np.where(degenerate, 1, n_prime or mipl)
+    lengths = np.where(degenerate, 1, np.maximum(mipl, n_primes - 1) + 1)
     starts, ks = _segments(lengths)
-    emp = np.array(empirical)
+    emp = np.zeros(len(ks))
+    inside = np.repeat(~degenerate, entries) & (table.lengths < np.repeat(lengths, entries))
+    emp[np.repeat(starts, entries)[inside] + table.lengths[inside]] = table.normalized[inside]
+    emp[starts[degenerate]] = 1.0
+    samples = np.where(degenerate, 0.0, table.samples)
     with np.errstate(all="ignore"):
-        params, model = _pathlength_model(family, dists, n_primes, lengths, ks)
-        model[starts[list(degenerate)]] = 1.0
+        params, model = _pathlength_model(family, table, n_primes.tolist(), lengths, ks)
+        model[starts[degenerate]] = 1.0
         correlations, warned = _plot_correlations(
             emp, model, starts, lengths, f"{family} path-length fit"
         )
         sample = np.repeat(samples, lengths)
         chi_square = _chi_squares(sample * emp, sample * model, starts, lengths)
-    for row, (total, size) in enumerate(zip(samples, sizes)):
-        if math.isinf(total):
-            chi_square[row] = (math.inf, size - 1, 0.0)
-    for row, reported in degenerate.items():
+    for row in np.flatnonzero(np.isinf(samples)).tolist():
+        chi_square[row] = (math.inf, int(lengths[row]) - 1, 0.0)
+    for row in np.flatnonzero(degenerate).tolist():
         # The other families keep their moment-matched params of the row.
         if family == "binomial-type":
-            params[row] = {"n_prime": float(reported)}
+            params[row] = {"n_prime": float(n_prime or max(table.mipl[row], 1))}
         correlations[row] = 1.0
         chi_square[row] = (math.nan, 0, math.nan)
         warned[row] = (

@@ -244,20 +244,23 @@ def open_csv(path: str) -> Iterator[Iterator[list[str]]]:
             ) from None
 
 
-def _read_columns(path: str, required: tuple[str, ...], optional: str) -> list[list[str | None]]:
+def _read_columns(
+    path: str, required: tuple[str, ...], optional: str | None, what: str = "required column(s)"
+) -> list[list[str | None]]:
     """The ``required`` columns and the ``optional`` one of a CSV file.
 
     Blank lines are skipped and extra fields ignored.  A field missing from a
     short row reads as None, and so does every field of an absent optional
-    column.  A header naming a column twice takes the later one.
+    column.  A header naming a column twice takes the later one.  A missing
+    required column raises :class:`CorpusError` naming the file and ``what``.
     """
     with open_csv(path) as reader:
         index = {name: i for i, name in enumerate(next(reader, None) or [])}
         missing = [c for c in required if c not in index]
         if missing:
-            raise CorpusError(f"{path}: missing required column(s) {', '.join(missing)}")
+            raise CorpusError(f"{path}: missing {what} {', '.join(missing)}")
         rows = [row for row in reader if row]
-    wanted = [index.get(name) for name in (*required, optional)]
+    wanted = [index.get(name) for name in (*required, optional) if name is not None]
     width = max(i for i in wanted if i is not None) + 1
     if min(map(len, rows), default=width) < width:
         rows = [row + [None] * (width - len(row)) for row in rows]

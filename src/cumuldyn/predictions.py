@@ -37,8 +37,6 @@ __all__ = [
     "corrected_rate_b",
     "rate_predictions",
     "binomial_path_pmf",
-    "binomial_path_dist",
-    "binomial_path_dist_np",
     "max_speed",
     "expected_initial_count",
 ]
@@ -202,31 +200,6 @@ def binomial_path_pmf(n_prime: int) -> np.ndarray:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     log_z = _log_expm1(n_prime * math.log(2.0))
     return np.exp(_log_binomial(float(n_prime), np.arange(n_prime) + 1.0) - log_z)
-
-
-def binomial_path_dist(n_prime: int) -> dict[int, float]:
-    """Binomial-type path-length distribution: C(n', k+1) / (2^n' - 1)."""
-    return dict(enumerate(binomial_path_pmf(n_prime).tolist()))
-
-
-def binomial_path_dist_np(n: int, p: float) -> dict[int, float]:
-    """Binomial-type distribution parameterized by n and the rate p.
-
-    Evaluates ``C(2pn, k+1)`` with the real-argument (log-gamma) binomial
-    coefficient over k = 0 .. ceil(2pn) - 1 and normalizes by the sum of
-    those terms, which equals ``4^(p*n) - 1`` whenever 2pn is an integer.
-    Truncating at the last positive term keeps the result a probability
-    distribution for non-integral 2pn as well.
-    """
-    x = 2.0 * p * n
-    if x <= 0:
-        raise ValueError(f"2*p*n must be positive, got {x}")
-    top = math.ceil(x)
-    ks = np.arange(top)
-    logs = _log_binomial(x, ks + 1.0)
-    peak = float(np.max(logs))
-    log_z = peak + math.log(float(np.sum(np.exp(logs - peak))))
-    return {int(k): float(v) for k, v in zip(ks, np.exp(logs - log_z))}
 
 
 def expected_initial_count(n: int, params: ModelParams) -> tuple[float, float]:

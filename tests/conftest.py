@@ -12,14 +12,16 @@ import pytest
 
 from cumuldyn.core import (
     BacklinkDistribution,
+    CumulativenessSeries,
     DistributionFit,
     KnowledgeGraph,
     ModelParams,
     PathLengthDistribution,
+    SeriesPoint,
 )
 from cumuldyn.growth import rho
-from cumuldyn.ingest import CitationRecord, CorpusError, CorpusNode, TechnologyQuery
-from cumuldyn.predictions import binomial_path_dist
+from cumuldyn.ingest import CitationRecord, CorpusError, CorpusNode, TechnologyQuery, open_csv
+from cumuldyn.predictions import binomial_path_pmf
 
 
 def make_graph(
@@ -219,6 +221,173 @@ def reference_build_graph(
         "ignored_citations": ignored,
     }
     return graph, diagnostics
+
+
+def binomial_path_dist(n_prime: int) -> dict[int, float]:
+    """Binomial-type path-length distribution: C(n', k+1) / (2^n' - 1)."""
+    return dict(enumerate(binomial_path_pmf(n_prime).tolist()))
+
+
+def binomial_path_dist_np(n: int, p: float) -> dict[int, float]:
+    """Binomial-type distribution parameterized by n and the rate p.
+
+    Evaluates ``C(2pn, k+1)`` with the real-argument (log-gamma) binomial
+    coefficient over k = 0 .. ceil(2pn) - 1 and normalizes by the sum of
+    those terms, which equals ``4^(p*n) - 1`` whenever 2pn is an integer.
+    Truncating at the last positive term keeps the result a probability
+    distribution for non-integral 2pn as well.
+    """
+    from scipy.special import gammaln
+
+    x = 2.0 * p * n
+    if x <= 0:
+        raise ValueError(f"2*p*n must be positive, got {x}")
+    ks = np.arange(math.ceil(x)) + 1.0
+    logs = gammaln(x + 1.0) - gammaln(ks + 1.0) - gammaln(x - ks + 1.0)
+    peak = float(np.max(logs))
+    log_z = peak + math.log(float(np.sum(np.exp(logs - peak))))
+    return {int(k): float(v) for k, v in enumerate(np.exp(logs - log_z))}
+
+
+# The CLI's table readers as they were row by row: each row parsed and
+# checked where it is read, so the first bad row raises with its own line.
+
+
+def _reference_read_table(path: str, columns, parse_row) -> list:
+    with open_csv(path) as reader:
+        header = next(reader, None) or []
+        index = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        positions = [index[c] for c in columns]
+        width = max(positions) + 1
+        parsed = []
+        for fields in filter(None, reader):
+            try:
+                if len(fields) < width:
+                    raise ValueError("too few fields")
+                parsed.append(parse_row(*(fields[i] for i in positions)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return parsed
+
+
+def _finite(column: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {value}")
+    return value
+
+
+def _in_range(column: str, value, low: float = 0, high: float = math.inf):
+    if not low <= value <= high:  # also rejects nan
+        raise ValueError(f"{column} must lie in [{low}, {high}], got {value}")
+    return value
+
+
+def reference_load_series(path: str) -> CumulativenessSeries:
+    last = 0
+
+    def point(n: str, id_: str, ipl: str, mipl: str, ed: str) -> SeriesPoint:
+        nonlocal last
+        size = _in_range("n", int(n), 1)
+        if size <= last:
+            raise ValueError(f"n must rise from row to row, got {size} after {last}")
+        last = size
+        return SeriesPoint(
+            n=size,
+            id=_finite("id", float(id_)),
+            ipl=_finite("ipl", float(ipl)),
+            mipl=int(_finite("mipl", float(mipl))),
+            ed=_finite("ed", float(ed)),
+        )
+
+    points = _reference_read_table(path, ("n", "id", "ipl", "mipl", "ed"), point)
+    if not points:
+        raise ValueError(f"{path}: empty series")
+    return CumulativenessSeries(checkpoints=tuple(points))
+
+
+def reference_load_backlinks(path: str, n: int) -> list[int]:
+    backlinks: list[int | None] = [None] * n
+
+    def place(ordinal: str, m: str) -> None:
+        i = _in_range("ordinal", int(ordinal), 0, n - 1)
+        if backlinks[i] is not None:
+            raise ValueError(f"duplicate ordinal {i}")
+        backlinks[i] = _in_range("m", int(m))
+
+    _reference_read_table(path, ("ordinal", "m"), place)
+    missing = backlinks.count(None)
+    if missing:
+        raise ValueError(
+            f"{path}: no row for ordinal {backlinks.index(None)} "
+            f"({missing} of ordinals 0..{n - 1} missing)"
+        )
+    return backlinks
+
+
+def _parse_count(raw: str):
+    try:
+        value = int(raw)
+    except ValueError:
+        value = float(raw)
+    return _in_range("count", value)
+
+
+def _prefix_key(grouped: dict, n: str, name: str, key: str) -> tuple[dict, int]:
+    size = _in_range("n", int(n), 1)
+    value = _in_range(name, int(key))
+    if value > size - 1:
+        raise ValueError(f"{name} must be at most n - 1 = {size - 1}, got {value}")
+    entries = grouped.setdefault(size, {})
+    if value in entries:
+        raise ValueError(f"repeated row for n={size}, {name}={value}")
+    return entries, value
+
+
+def reference_load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
+    grouped: dict[int, dict[int, int]] = {}
+
+    def place(n: str, m: str, count: str) -> None:
+        entries, links = _prefix_key(grouped, n, "m", m)
+        entries[links] = _in_range("count", int(count))
+
+    _reference_read_table(path, ("n", "m", "count"), place)
+    try:
+        return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def reference_load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
+    grouped: dict[int, dict] = {}
+
+    def place(n: str, k: str, count: str, normalized: str) -> None:
+        entries, length = _prefix_key(grouped, n, "k", k)
+        entries[length] = (
+            _parse_count(count), _in_range("normalized", float(normalized), 0, 1)
+        )
+
+    _reference_read_table(path, ("n", "k", "count", "normalized"), place)
+    dists = {}
+    for n, entries in grouped.items():
+        counts = {k: c for k, (c, _) in entries.items()}
+        normalized = {k: w for k, (_, w) in entries.items()}
+        positive = [k for k, c in counts.items() if c > 0]
+        if not positive:
+            raise ValueError(f"{path}: distribution at n={n} has no paths")
+        total = math.fsum(normalized.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"{path}: normalized values at n={n} sum to {total!r}, not 1")
+        dists[n] = PathLengthDistribution(
+            n=n,
+            counts=counts,
+            normalized=normalized,
+            ipl=sum(k * w for k, w in normalized.items()),
+            mipl=max(positive),
+        )
+    return dists
 
 
 def _reference_plot_correlation(points, context: str) -> float:

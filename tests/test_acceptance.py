@@ -39,15 +39,18 @@ from cumuldyn.measures import (
 )
 from cumuldyn.predictions import (
     analytic_path_counts,
-    binomial_path_dist,
-    binomial_path_dist_np,
     corrected_rate_a,
     corrected_rate_b,
     normalized_path_dist,
     total_paths_closed,
 )
 
-from conftest import brute_force_path_counts, random_dag
+from conftest import (
+    binomial_path_dist,
+    binomial_path_dist_np,
+    brute_force_path_counts,
+    random_dag,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

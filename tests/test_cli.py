@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumuldyn.cli import ReportBundle, _build_parser, main
-from cumuldyn.core import KnowledgeGraph
+from cumuldyn.core import KnowledgeGraph, ModelParams, PathLengthTable
+from cumuldyn.fitting import PATHLENGTH_FAMILIES, geometric_gof, pathlength_gof
+
+from conftest import reference_load_backlink_dists, reference_load_pathlen_dists
 
 
 def read_csv(path):
@@ -355,7 +358,6 @@ class TestGof:
         assert message in capsys.readouterr().err
 
     def test_points_match_each_fit(self, tmp_path, measured_dir):
-        from cumuldyn.cli import _load_backlink_dists, _load_pathlen_dists
         from cumuldyn.core import ModelParams
         from cumuldyn.fitting import PATHLENGTH_FAMILIES, geometric_gof, pathlength_gof
 
@@ -366,8 +368,8 @@ class TestGof:
             "--q", "0.002", "--m0", "2.0", "--families", ",".join(PATHLENGTH_FAMILIES),
             "--out", str(out),
         ) == 0
-        hists = _load_backlink_dists(str(measured_dir / "backlink_dist.csv"))
-        dists = _load_pathlen_dists(str(measured_dir / "pathlen_dist.csv"))
+        hists = reference_load_backlink_dists(str(measured_dir / "backlink_dist.csv"))
+        dists = reference_load_pathlen_dists(str(measured_dir / "pathlen_dist.csv"))
         params = ModelParams(q=0.002, m1=3.0)
         fits = [
             (n, "backlinks", geometric_gof([hist], params)[0])
@@ -429,8 +431,8 @@ class TestGof:
         empirical = data.draw(st.lists(cells, min_size=total, max_size=total))
         fits = [fit(family, empirical) for family in families]
         lines: list[str] = []
-        _add_gof_rows(target, dict.fromkeys(ns), lambda _: fits, [], lines, [])
-        assert len(lines) == total * len(families)
+        _add_gof_rows(target, ns, fits, [], lines, [])
+        assert len(lines) == len(sizes) * len(families)  # one block per checkpoint and family
         # The rows as csv.writer took them before lines: n, target, family,
         # the value, the empirical string and the model float.
         bounds = fits[0].bounds
@@ -994,6 +996,142 @@ class TestTableReaders:
         assert run(*self._argv(tmp_path, "series", table)) == 0
         fits = {r["quantity"]: r for r in read_csv(tmp_path / "out" / "fits.csv")}
         assert float(fits["id"]["slope"]) == pytest.approx(0.05)
+
+
+# Cells a random table's faults are drawn from: text, blanks, values out of
+# range, nan and infinities, a float past float range, an int past int64.
+_TOKENS = [
+    "x", "", "0", "-1", "-0", "1", "2", "99", "0.5", "1.5", "2.0", "nan", "inf",
+    "-inf", "1e400", " 3 ", str(2**70),
+]
+
+
+@st.composite
+def _tables(draw, reader):
+    """A table for ``reader`` as text, and the n the backlinks reader takes.
+
+    The table starts valid, rows of all prefix sizes interleaved; then up to
+    two faults are injected (a cell replaced, a row repeated, dropped or cut
+    short) and blank lines and a byte-order mark may be added.
+    """
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    n_final = 0
+    if reader == "series":
+        header = "n,id,ipl,mipl,ed"
+        steps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+        mipl = st.sampled_from(["3", "3.0", "0"])
+        rows = [
+            [str(n), draw(finite), draw(finite), draw(mipl), draw(finite)]
+            for n in np.cumsum(steps).tolist()
+        ]
+    elif reader == "backlinks":
+        header = "ordinal,m"
+        n_final = draw(st.integers(1, 8))
+        ordinals = draw(st.permutations(range(n_final)))
+        rows = [[str(i), str(draw(st.integers(0, 5)))] for i in ordinals]
+    else:
+        ns = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True))
+        rows = []
+        for n in ns:
+            if reader == "backlink-dist":
+                links = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+                rows += [[str(n), str(m), str(links.count(m))] for m in sorted(set(links))]
+                continue
+            ks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            counts = draw(st.lists(
+                st.one_of(st.integers(0, 50), st.just(2**70), st.floats(0, 1e300)),
+                min_size=len(ks), max_size=len(ks),
+            ))
+            total = sum(counts) or 1
+            rows += [[str(n), str(k), str(c), repr(c / total)] for k, c in zip(ks, counts)]
+        header = "n,m,count" if reader == "backlink-dist" else "n,k,count,normalized"
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        row = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["cell", "cell", "repeat", "drop", "short"]))
+        if not rows[row]:  # a row already cut to nothing reads as a blank line
+            continue
+        if fault == "cell":
+            rows[row] = list(rows[row])
+            rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(st.sampled_from(_TOKENS))
+        elif fault == "repeat":
+            rows.insert(draw(st.integers(row + 1, len(rows))), rows[row])
+        elif fault == "drop":
+            del rows[row]
+        else:
+            rows[row] = rows[row][: draw(st.integers(0, len(rows[row]) - 1))]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "\n".join([header, *lines]) + "\n", n_final
+
+
+class TestColumnarReadersMatchReference:
+    """The columnar readers against the row-by-row ones they replaced."""
+
+    @pytest.mark.parametrize("reader", ["series", "backlinks", "backlink-dist", "pathlen-dist"])
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_same_values_or_same_error(self, reader, data, tmp_path_factory):
+        from cumuldyn.cli import (
+            _load_backlink_dists, _load_backlinks, _load_pathlen_dists, _load_series,
+        )
+        from conftest import reference_load_backlinks, reference_load_series
+
+        text, n_final = data.draw(_tables(reader))
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        load, reference = {
+            "series": (_load_series, reference_load_series),
+            "backlinks": (
+                lambda p: _load_backlinks(p, n_final),
+                lambda p: reference_load_backlinks(p, n_final),
+            ),
+            "backlink-dist": (_load_backlink_dists, reference_load_backlink_dists),
+            "pathlen-dist": (_load_pathlen_dists, reference_load_pathlen_dists),
+        }[reader]
+        try:
+            expected = reference(str(path))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                load(str(path))
+            assert str(raised.value) == str(exc)
+            return
+        found = load(str(path))
+        if reader in ("series", "backlinks"):
+            assert found == expected
+            return
+        records = [expected[n] for n in sorted(expected)]
+        assert found.ns == sorted(expected)
+        for row, record in enumerate(records):
+            lo, hi = found.bounds[row], found.bounds[row + 1]
+            values = found.counts if reader == "backlink-dist" else found.normalized
+            keys = found.links if reader == "backlink-dist" else found.lengths
+            entries = record.counts if reader == "backlink-dist" else record.normalized
+            assert dict(zip(keys[lo:hi].tolist(), values[lo:hi].tolist())) == entries
+        if reader == "backlink-dist":
+            params = ModelParams(q=0.05, m1=2.0)
+            assert repr(geometric_gof(found, params)) == repr(geometric_gof(records, params))
+            return
+        # Every sum over an n's rows, and so every fit, to the last bit.
+        assert repr(found) == repr(PathLengthTable.from_dists(records))
+        for family in PATHLENGTH_FAMILIES:
+            assert repr(pathlength_gof(found, family)) == repr(pathlength_gof(records, family))
+
+    def test_first_short_row_is_reported(self, tmp_path):
+        # Of two short rows, the later lacks more fields: the earlier is reported.
+        from cumuldyn.cli import _load_backlink_dists
+
+        path = tmp_path / "backlink_dist.csv"
+        path.write_text("n,m,count\n2,0,1\n2,1\n2\n")
+        with pytest.raises(ValueError) as raised:
+            reference_load_backlink_dists(str(path))
+        assert str(raised.value).endswith(":3: too few fields")
+        with pytest.raises(ValueError, match=":3: too few fields"):
+            _load_backlink_dists(str(path))
 
 
 class TestConfigFile:

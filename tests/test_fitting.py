@@ -32,9 +32,13 @@ from cumuldyn.measures import (
     cumulativeness_series,
     path_length_distribution,
 )
-from cumuldyn.predictions import binomial_path_dist
 
-from conftest import make_graph, reference_geometric_gof, reference_pathlength_gof
+from conftest import (
+    binomial_path_dist,
+    make_graph,
+    reference_geometric_gof,
+    reference_pathlength_gof,
+)
 
 
 def naive_ols(x, y):

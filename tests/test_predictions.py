@@ -12,8 +12,6 @@ from cumuldyn.growth import rho, simulate
 from cumuldyn.predictions import (
     analytic_ipl,
     analytic_path_counts,
-    binomial_path_dist,
-    binomial_path_dist_np,
     corrected_rate_a,
     corrected_rate_b,
     expected_id,
@@ -26,6 +24,8 @@ from cumuldyn.predictions import (
     rate_predictions,
     total_paths_closed,
 )
+
+from conftest import binomial_path_dist, binomial_path_dist_np
 
 class TestExpectedId:
     def test_evaluates_inverse_rho_minus_one(self):

@@ -1,10 +1,10 @@
 """Which modules the command line loads.
 
 Every CLI process pays for its imports before it does any work, so the
-commands that need no statistics (simulate, measure, sweep) must not load
-scipy at all, and fit/gof must load only ``scipy.special``.  Each check runs
-in a fresh interpreter, since this test process has scipy loaded already.
-The checks look at ``sys.modules``, never at a clock.
+commands that need no special functions (simulate, measure, sweep, fit)
+must not load scipy at all, and gof must load only ``scipy.special``.  Each
+check runs in a fresh interpreter, since this test process has scipy loaded
+already.  The checks look at ``sys.modules``, never at a clock.
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ SCRIPT = textwrap.dedent(
               "--out", f"{tmp}/sweep"]),
     ]
     loaded["simulate_measure_sweep"] = scipy_modules()
-    codes += [
-        main(["fit", "--series", f"{tmp}/measured/series.csv", "--out", f"{tmp}/fit"]),
-        main(["gof", "--backlink-dist", f"{tmp}/measured/backlink_dist.csv",
-              "--pathlen-dist", f"{tmp}/measured/pathlen_dist.csv",
-              "--fits", f"{tmp}/fit/fits.csv", "--families", "binomial-type,poisson,binomial",
-              "--out", f"{tmp}/gof"]),
-    ]
-    loaded["fit_gof"] = scipy_modules()
+    codes.append(main(["fit", "--series", f"{tmp}/measured/series.csv", "--out", f"{tmp}/fit"]))
+    loaded["fit"] = scipy_modules()
+    codes.append(main(["gof", "--backlink-dist", f"{tmp}/measured/backlink_dist.csv",
+                       "--pathlen-dist", f"{tmp}/measured/pathlen_dist.csv",
+                       "--fits", f"{tmp}/fit/fits.csv",
+                       "--families", "binomial-type,poisson,binomial", "--out", f"{tmp}/gof"]))
+    loaded["gof"] = scipy_modules()
     print(json.dumps({"codes": codes, "loaded": loaded}))
     """
 )
@@ -89,8 +88,15 @@ def test_commands_load_scipy_only_where_needed(tmp_path):
     loaded = report["loaded"]
     assert loaded["import"] == []
     assert loaded["simulate_measure_sweep"] == []
-    assert "scipy.special" in loaded["fit_gof"]
-    assert not any(m.startswith("scipy.stats") for m in loaded["fit_gof"])
+    assert loaded["fit"] == []
+    # gof loads what importing scipy.special alone loads, and no more.
+    special = subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy.special; print(json.dumps(sorted("
+         "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert special.returncode == 0, special.stderr
+    assert loaded["gof"] == json.loads(special.stdout)
 
 
 def test_measure_and_sweep_load_no_numpy_ma(tmp_path):
