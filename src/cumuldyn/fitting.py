@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# scipy.special is imported inside the functions that use it, so that
-# importing the package (and every CLI start-up) loads no scipy module;
-# tests/test_startup.py checks this.
+# The special functions here (log-factorials, the chi-square tail at integer
+# dof) are numpy and ``math`` alone; tests/test_startup.py checks what each
+# command loads.
 
 from .core import (
     BacklinkDistribution,
@@ -35,7 +35,7 @@ from .core import (
     PathLengthTable,
 )
 from .growth import rho
-from .predictions import binomial_path_pmf
+from .predictions import binomial_path_pmf, log_factorials
 
 __all__ = [
     "ols_fit",
@@ -179,6 +179,42 @@ def _plot_correlations(
     return correlations, warned
 
 
+def _chi_square_tail(statistics: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Upper tail P(X > x) of each statistic x >= 0, X chi-square at its integer dof >= 1.
+
+    At integer dof the tail Q(dof/2, h), h = x/2, is a finite series:
+    ``exp(-h) * sum(h**j / j!  for j < dof/2)`` for even dof, and
+    ``erfc(sqrt(h)) + exp(-h) * sum(h**(j+1/2) / Gamma(j+3/2)  for j < dof//2)``
+    for odd dof.  The series terms are built in log space, one row per
+    statistic, and each row is scaled by its largest term before it is
+    exponentiated, so a large statistic gives a tiny or subnormal p-value
+    rather than 0 * inf.  The rows are padded with zero terms and added by
+    ``np.cumsum``, left to right, so a row's value does not depend on the
+    rows beside it.
+    """
+    h = statistics / 2.0
+    odd = dofs % 2 == 1
+    counts = dofs // 2
+    width = max(int(counts.max()), 1)
+    js = np.arange(width)
+    halves = np.array([math.lgamma(j + 1.5) for j in range(width)])
+    log_gammas = np.where(odd[:, None], halves, log_factorials(width - 1))
+    positive = h > 0.0
+    log_h = np.log(np.where(positive, h, 1.0))
+    powers = js + np.where(odd, 0.5, 0.0)[:, None]
+    terms = np.where(
+        js < counts[:, None], powers * log_h[:, None] - h[:, None] - log_gammas, -np.inf
+    )
+    # A row without terms (dof 1) has its largest term at -inf: scale it by 1.
+    tops = terms.max(axis=1)
+    tops[tops == -np.inf] = 0.0
+    sums = np.cumsum(np.exp(terms - tops[:, None]), axis=1)[:, -1]
+    leads = np.zeros(len(h))
+    leads[odd] = [math.erfc(math.sqrt(v)) for v in h[odd].tolist()]
+    # Rounding in the log terms can carry a p-value near 1 a few ulps past it.
+    return np.where(positive, np.minimum(leads + np.exp(tops) * sums, 1.0), 1.0)
+
+
 def _chi_squares(
     observed: np.ndarray, expected: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> list[tuple[float, int, float]]:
@@ -224,9 +260,7 @@ def _chi_squares(
     nonpositive = np.concatenate(([0], np.cumsum(e <= 0.0)))
     positive = nonpositive[ends] == nonpositive[firsts]
     finite = positive & np.isfinite(statistics)
-    from scipy.special import chdtrc
-
-    p_values = chdtrc(bins[tested] - 1.0, np.where(finite, statistics, 0.0))
+    p_values = _chi_square_tail(np.where(finite, statistics, 0.0), bins[tested] - 1)
     for row, keep, ok, statistic, p_value in zip(
         tested.tolist(), positive.tolist(), finite.tolist(), statistics.tolist(), p_values.tolist()
     ):
@@ -300,8 +334,6 @@ def _pathlength_model(
     family: str, table: PathLengthTable, n_primes: list[int], lengths: np.ndarray, ks: np.ndarray,
 ) -> tuple[list[Mapping[str, float]], np.ndarray]:
     """Each row's parameters, and the family's pmf over every row's lengths ``ks``."""
-    from scipy.special import gammaln
-
     means = table.ipl
     mean = np.repeat(means, lengths)
     if family == "binomial-type":
@@ -312,7 +344,7 @@ def _pathlength_model(
         return [{"n_prime": float(m)} for m in n_primes], model
     if family == "poisson":
         log_means = np.repeat([math.log(m) if m > 0 else 0.0 for m in means], lengths)
-        logs = ks * log_means - mean - gammaln(ks + 1.0)
+        logs = ks * log_means - mean - log_factorials(int(ks.max()))[ks]
         model = np.where(mean > 0, np.exp(logs), (ks == 0).astype(float))
         return [{"rate": m} for m in means], model
     if family == "normal":
@@ -335,14 +367,18 @@ def _pathlength_model(
         probs = [min(max(m / size, 0.0), 1.0) for m, size in zip(means, sizes)]
         size = np.repeat(sizes, lengths)
         prob = np.repeat(probs, lengths)
+        # An n_prime past mipl + 1 asks for k > size, where the pmf is 0.
+        within = ks <= size
+        drawn = np.where(within, ks, 0)
+        table = log_factorials(max(sizes))
         logs = (
-            gammaln(size + 1.0)
-            - gammaln(ks + 1.0)
-            - gammaln(size - ks + 1.0)
+            table[size]
+            - table[drawn]
+            - table[size - drawn]
             + ks * np.log(prob)
             + (size - ks) * np.log1p(-prob)
         )
-        model = np.nan_to_num(np.where(ks <= size, np.exp(logs), 0.0), nan=0.0)
+        model = np.nan_to_num(np.where(within, np.exp(logs), 0.0), nan=0.0)
         return [{"n": float(s), "p": pr} for s, pr in zip(sizes, probs)], model
     raise ValueError(f"unknown path-length family {family!r}")
 

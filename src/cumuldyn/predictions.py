@@ -13,20 +13,21 @@ counts overflow floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
-# scipy.special is imported inside the functions that use it, so that
-# importing the package (and every CLI start-up) loads no scipy module;
-# tests/test_startup.py checks this.
+# The special functions here (log-factorials, digamma) are numpy and
+# ``math`` alone; tests/test_startup.py checks what each command loads.
 
 from .core import ModelParams, PathLengthDistribution, RatePredictions
 
 __all__ = [
     "harmonic_number",
     "harmonic_real",
+    "log_factorials",
     "expected_id",
     "analytic_path_counts",
     "total_paths_closed",
@@ -57,11 +58,34 @@ def harmonic_number(n: int) -> float:
     return math.log(n) + _EULER_GAMMA + 1.0 / (2 * n)
 
 
+# B_2k / 2k for k = 1 .. 10: the coefficients of digamma's asymptotic series.
+_DIGAMMA_SERIES = (
+    1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160,
+    43867 / 14364, -174611 / 6600,
+)
+
+
+def _digamma(y: float) -> float:
+    """Digamma of y, not 0 or a negative integer.
+
+    The recurrence digamma(y) = digamma(y + 1) - 1/y takes y to 6 or more,
+    where the asymptotic series' first omitted term is below 3e-15 of the
+    value.
+    """
+    shift = 0.0
+    while y < 6.0:
+        shift -= 1.0 / y
+        y += 1.0
+    inverse = 1.0 / (y * y)
+    series = 0.0
+    for coefficient in reversed(_DIGAMMA_SERIES):
+        series = series * inverse + coefficient
+    return shift + math.log(y) - 0.5 / y - series * inverse
+
+
 def harmonic_real(x: float) -> float:
     """Harmonic number extended to real arguments via the digamma function."""
-    from scipy.special import digamma
-
-    return float(digamma(x + 1.0)) + _EULER_GAMMA
+    return _digamma(x + 1.0) + _EULER_GAMMA
 
 
 def expected_id(n: int, params: ModelParams) -> float:
@@ -69,11 +93,42 @@ def expected_id(n: int, params: ModelParams) -> float:
     return params.q * n + params.m0
 
 
-def _log_binomial(n: float, k: np.ndarray) -> np.ndarray:
-    """log C(n, k) for real n and integer k with n - k > -1."""
-    from scipy.special import gammaln
+@functools.lru_cache(maxsize=8)
+def _log_factorial_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """log(k!) for k < size as two running sums, a coarse one and a fine one.
 
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    Each log(i) is split into its nearest multiple of 2^-20 and a remainder
+    below 2^-21.  The coarse sums are exact (they stay below 2^33 up to k of
+    about 4e8), and so are differences of them: a log binomial taken from
+    these parts keeps its own precision instead of that of the far larger
+    log(n!), which a table of rounded log-factorials limits to about 1e-12
+    at n = 3000.  ``np.cumsum`` adds in order, so each table is a prefix of
+    every longer one.
+    """
+    logs = np.log(np.arange(1.0, size))
+    coarse = np.rint(logs * 2.0**20) / 2.0**20
+    parts = (np.cumsum(np.append(0.0, coarse)), np.cumsum(np.append(0.0, logs - coarse)))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _log_factorial_parts(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of log(k!) for k = 0 .. top, cut from a cached power-of-two table."""
+    coarse, fine = _log_factorial_table(1 << int(top).bit_length())
+    return coarse[: top + 1], fine[: top + 1]
+
+
+def log_factorials(top: int) -> np.ndarray:
+    """log(k!) for k = 0 .. top, each within 2e-16 relative."""
+    coarse, fine = _log_factorial_parts(top)
+    return coarse + fine
+
+
+def _log_binomial(n: int, k: np.ndarray) -> np.ndarray:
+    """log C(n, k) for integers 0 <= k <= n."""
+    coarse, fine = _log_factorial_parts(n)
+    return (coarse[n] - coarse[k] - coarse[n - k]) + (fine[n] - fine[k] - fine[n - k])
 
 
 def _log_expm1(x: float) -> float:
@@ -101,7 +156,7 @@ def analytic_path_counts(n: int, params: ModelParams) -> PathLengthDistribution:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ks = np.arange(n)
-    logs = math.log(params.r) + ks * math.log(params.q) + _log_binomial(float(n), ks + 1.0)
+    logs = math.log(params.r) + ks * math.log(params.q) + _log_binomial(n, ks + 1)
     return PathLengthDistribution.from_logs(n, logs)
 
 
@@ -113,7 +168,7 @@ def normalized_path_dist(n: int, q: float) -> dict[int, float]:
         raise ValueError(f"q must be positive, got {q}")
     ks = np.arange(n)
     log_z = _log_expm1(n * math.log1p(q))
-    logs = _log_binomial(float(n), ks + 1.0) + (ks + 1.0) * math.log(q) - log_z
+    logs = _log_binomial(n, ks + 1) + (ks + 1.0) * math.log(q) - log_z
     return {int(k): float(v) for k, v in zip(ks, np.exp(logs))}
 
 
@@ -199,7 +254,7 @@ def binomial_path_pmf(n_prime: int) -> np.ndarray:
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     log_z = _log_expm1(n_prime * math.log(2.0))
-    return np.exp(_log_binomial(float(n_prime), np.arange(n_prime) + 1.0) - log_z)
+    return np.exp(_log_binomial(n_prime, np.arange(n_prime) + 1) - log_z)
 
 
 def expected_initial_count(n: int, params: ModelParams) -> tuple[float, float]:

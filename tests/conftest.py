@@ -6,6 +6,7 @@ import csv
 import math
 import warnings
 from collections import Counter, defaultdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from cumuldyn.core import (
 )
 from cumuldyn.growth import rho
 from cumuldyn.ingest import CitationRecord, CorpusError, CorpusNode, TechnologyQuery, open_csv
-from cumuldyn.predictions import binomial_path_pmf
+from cumuldyn.fitting import _chi_square_tail
+from cumuldyn.predictions import binomial_path_pmf, log_factorials
 
 
 def make_graph(
@@ -409,9 +411,43 @@ def _reference_plot_correlation(points, context: str) -> float:
     return float(np.corrcoef(emp, mod)[0, 1])
 
 
-def _reference_chi_square(observed, expected) -> tuple[float, int, float]:
-    from scipy.special import chdtrc
+class Special(NamedTuple):
+    """The special functions an oracle takes, from cumuldyn or from scipy."""
 
+    log_factorial: Callable[[np.ndarray], np.ndarray]  # log(k!) of integer ks
+    chi_square_tail: Callable[[float, int], float]  # P(X > statistic) at dof
+    binomial_pmf: Callable[[int], np.ndarray]  # binomial-type pmf over k < n'
+
+
+# cumuldyn's own primitives, so the oracles match the batched kernels bit for bit.
+PACKAGE_SPECIAL = Special(
+    lambda ks: log_factorials(int(np.max(ks)))[ks],
+    lambda statistic, dof: float(_chi_square_tail(np.array([statistic]), np.array([dof]))[0]),
+    binomial_path_pmf,
+)
+
+
+def scipy_special() -> Special:
+    """The same functions from scipy.special, to cross-check the package's."""
+    from scipy.special import chdtrc, gammaln
+
+    def binomial_pmf(n_prime: int) -> np.ndarray:
+        ks = np.arange(n_prime) + 1.0
+        log_z = n_prime * math.log(2.0) + math.log1p(-(2.0**-n_prime))
+        return np.exp(
+            gammaln(n_prime + 1.0) - gammaln(ks + 1.0) - gammaln(n_prime - ks + 1.0) - log_z
+        )
+
+    return Special(
+        lambda ks: gammaln(ks + 1.0),
+        lambda statistic, dof: float(chdtrc(dof, statistic)),
+        binomial_pmf,
+    )
+
+
+def _reference_chi_square(
+    observed, expected, special: Special = PACKAGE_SPECIAL
+) -> tuple[float, int, float]:
     obs_pooled: list[float] = []
     exp_pooled: list[float] = []
     acc_obs = acc_exp = 0.0
@@ -438,11 +474,11 @@ def _reference_chi_square(observed, expected) -> tuple[float, int, float]:
         statistic = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     if not math.isfinite(statistic):
         return math.inf, dof, 0.0
-    return statistic, dof, float(chdtrc(dof, statistic))
+    return statistic, dof, special.chi_square_tail(statistic, dof)
 
 
 def reference_geometric_gof(
-    hist: BacklinkDistribution, params: ModelParams, n: int
+    hist: BacklinkDistribution, params: ModelParams, n: int, special: Special = PACKAGE_SPECIAL
 ) -> DistributionFit:
     """Geometric fit one numpy scalar at a time, with ``np.corrcoef``.
 
@@ -460,21 +496,21 @@ def reference_geometric_gof(
     points = tuple((float(e), float(mo)) for e, mo in zip(empirical, model))
     correlation = _reference_plot_correlation(points, "geometric fit")
     tail = hist.n * math.exp((max_m + 1) * math.log1p(-p)) if p < 1.0 else 0.0
-    chi = _reference_chi_square(np.append(observed, 0.0), np.append(hist.n * model, tail))
+    chi = _reference_chi_square(
+        np.append(observed, 0.0), np.append(hist.n * model, tail), special
+    )
     return DistributionFit("geometric", {"rho": p}, points, correlation, chi)
 
 
-def _reference_pathlength_model(dist, n_prime, family, ks):
-    from scipy.special import gammaln
-
+def _reference_pathlength_model(dist, n_prime, family, ks, special: Special):
     mean = dist.ipl
     if family == "binomial-type":
-        pmf = binomial_path_dist(n_prime)
+        pmf = dict(enumerate(special.binomial_pmf(n_prime).tolist()))
         return {"n_prime": float(n_prime)}, np.array([pmf.get(int(k), 0.0) for k in ks])
     if family == "poisson":
         if mean <= 0:
             return {"rate": mean}, (ks == 0).astype(float)
-        return {"rate": mean}, np.exp(ks * math.log(mean) - mean - gammaln(ks + 1.0))
+        return {"rate": mean}, np.exp(ks * math.log(mean) - mean - special.log_factorial(ks))
     if family == "normal":
         var = sum(k * k * w for k, w in dist.normalized.items()) - mean * mean
         if var <= 0:
@@ -484,11 +520,13 @@ def _reference_pathlength_model(dist, n_prime, family, ks):
     if family == "binomial":
         size = max(dist.mipl, 1)
         prob = min(max(mean / size, 0.0), 1.0)
+        # Past the size the pmf is 0; those ks are clipped to stay off the pole.
+        drawn = np.minimum(ks, size)
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = (
-                gammaln(size + 1.0)
-                - gammaln(ks + 1.0)
-                - gammaln(size - ks + 1.0)
+                special.log_factorial(np.full(len(ks), size))
+                - special.log_factorial(drawn)
+                - special.log_factorial(size - drawn)
                 + ks * np.log(prob)
                 + (size - ks) * np.log1p(-prob)
             )
@@ -498,7 +536,8 @@ def _reference_pathlength_model(dist, n_prime, family, ks):
 
 
 def reference_pathlength_gof(
-    dist: PathLengthDistribution, n_prime: int | None = None, family: str = "binomial-type"
+    dist: PathLengthDistribution, n_prime: int | None = None, family: str = "binomial-type",
+    special: Special = PACKAGE_SPECIAL,
 ) -> DistributionFit:
     """Path-length fit one numpy scalar at a time, with ``np.corrcoef``.
 
@@ -515,14 +554,14 @@ def reference_pathlength_gof(
             "correlation reported as 1"
         )
         params, _ = _reference_pathlength_model(
-            dist, n_prime or max(dist.mipl, 1), family, np.arange(1)
+            dist, n_prime or max(dist.mipl, 1), family, np.arange(1), special
         )
         return DistributionFit(family, params, ((1.0, 1.0),), 1.0, (math.nan, 0, math.nan))
     if n_prime is None:
         n_prime = dist.mipl
     ks = np.arange(max(dist.mipl, n_prime - 1) + 1)
     empirical = np.array([dist.normalized.get(int(k), 0.0) for k in ks])
-    params, model = _reference_pathlength_model(dist, n_prime, family, ks)
+    params, model = _reference_pathlength_model(dist, n_prime, family, ks, special)
     points = tuple((float(e), float(mo)) for e, mo in zip(empirical, model))
     correlation = _reference_plot_correlation(points, f"{family} path-length fit")
     try:
@@ -530,7 +569,7 @@ def reference_pathlength_gof(
     except OverflowError:
         sample = math.inf
     if math.isfinite(sample):
-        chi = _reference_chi_square(sample * empirical, sample * model)
+        chi = _reference_chi_square(sample * empirical, sample * model, special)
     else:
         chi = (math.inf, len(ks) - 1, 0.0)
     return DistributionFit(family, params, points, correlation, chi)

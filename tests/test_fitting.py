@@ -18,6 +18,8 @@ from cumuldyn.core import (
 )
 from cumuldyn.fitting import (
     PATHLENGTH_FAMILIES,
+    _chi_square_tail,
+    _chi_squares,
     classify_relative_cumulativeness,
     fit_series,
     geometric_gof,
@@ -297,6 +299,21 @@ class TestPathlengthGof:
         assert -1.0 <= fits[0].plot_correlation <= 1.0
         assert fits.family == fits[0].family == family
 
+    def test_binomial_is_zero_past_its_size(self):
+        # n' past mipl + 1 asks for lengths k beyond the binomial's size,
+        # where log((size - k)!) has its poles.
+        dist = PathLengthDistribution(
+            n=40, counts={0: 10, 1: 20, 2: 10}, normalized={0: 0.25, 1: 0.5, 2: 0.25},
+            ipl=1.0, mipl=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = pathlength_gof([dist], family="binomial", n_prime=8)[0]
+        model = [m for _, m in fit.plot_points]
+        assert fit.params == {"n": 2.0, "p": 0.5}
+        assert model[:3] == pytest.approx([0.25, 0.5, 0.25], rel=1e-15)
+        assert model[3:] == [0.0] * 5
+
     def test_unknown_family_rejected(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 500, seed=1)
         dist = path_length_distribution(g, 500)
@@ -452,31 +469,107 @@ class TestGofKernelsMatchReference:
             assert sums[1, row] == np.sum(values[::-1][start:start + length])
 
 
+# dof 1 .. 40, then a spread up to 300.
+TAIL_DOFS = [*range(1, 41), 50, 64, 99, 100, 127, 128, 199, 200, 255, 256, 299, 300]
+
+
+def _tail_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Statistics 0, tiny, around each dof, and out in the far tail up to 1e5."""
+    xs, dofs = [], []
+    for dof in TAIL_DOFS:
+        spread = math.sqrt(2.0 * dof)
+        for x in (
+            0.0, 1e-300, 1e-12, 1e-3, 0.5 * dof, max(dof - spread, 0.1), float(dof),
+            dof + spread, dof + 5 * spread, 2.0 * dof, 10.0 * dof, 1e3, 1e4, 1e5,
+        ):
+            xs.append(x)
+            dofs.append(dof)
+    return np.array(xs), np.array(dofs)
+
+
+def _mpmath_tail(x: float, dof: int) -> float:
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, regularized=True))
+
+
+def _assert_close_to_mpmath(p_value: float, x: float, dof: int) -> None:
+    exact = _mpmath_tail(x, dof)
+    if exact >= 1e-290:
+        assert abs(p_value - exact) <= 1e-12 * exact, (x, dof, p_value, exact)
+    else:
+        assert abs(p_value - exact) <= 1e-300, (x, dof, p_value, exact)
+
+
+class TestChiSquareTail:
+    def test_matches_mpmath_at_50_digits(self):
+        xs, dofs = _tail_grid()
+        p_values = _chi_square_tail(xs, dofs)
+        for x, dof, p_value in zip(xs.tolist(), dofs.tolist(), p_values.tolist()):
+            _assert_close_to_mpmath(p_value, x, dof)
+
+    def test_a_row_does_not_depend_on_the_rows_beside_it(self):
+        xs, dofs = _tail_grid()
+        batched = _chi_square_tail(xs, dofs)
+        for x, dof, p_value in zip(xs, dofs, batched.tolist()):
+            assert _chi_square_tail(np.array([x]), np.array([dof]))[0] == p_value
+
+    def test_p_value_is_one_at_zero_and_tiny_in_the_far_tail(self):
+        dofs = np.array([1, 2, 3, 300])
+        assert _chi_square_tail(np.zeros(4), dofs).tolist() == [1.0] * 4
+        far = _chi_square_tail(np.full(4, 1e5), dofs)
+        assert np.all((far >= 0.0) & (far <= 1e-300))
+
+
 class TestChiSquareMonotonicity:
     def test_p_value_decreases_with_statistic(self):
-        from scipy.stats import chi2
-
-        stats = [0.5, 1.0, 2.0, 5.0, 10.0, 50.0]
+        stats = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 50.0])
         for dof in (1, 3, 10):
-            ps = [chi2.sf(s, dof) for s in stats]
+            ps = _chi_square_tail(stats, np.full(len(stats), dof)).tolist()
             assert ps == sorted(ps, reverse=True)
+
+    @pytest.mark.parametrize("dof", [1, 2, 5, 10, 99, 300])
+    def test_p_value_never_rises_past_its_rounding(self, dof):
+        # The log-space terms carry rounding of up to about 1e-13 relative at
+        # dof 300, so neighbouring p-values near 1 may step up by that much,
+        # never more, and never past 1.
+        stats = np.concatenate(([0.0], np.geomspace(1e-6, 2e3, 2000)))
+        ps = _chi_square_tail(stats, np.full(len(stats), dof))
+        assert np.all(np.diff(ps) <= 1e-13 * ps[1:])
+        assert np.all((ps >= 0.0) & (ps <= 1.0))
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 5, 10, 30, 100, 299])
+    def test_p_value_matches_mpmath(self, dof):
+        for statistic, p_value in _pooled_chi_squares(dof):
+            _assert_close_to_mpmath(p_value, statistic, dof)
 
     @pytest.mark.parametrize("dof", [1, 2, 3, 5, 10, 30, 100, 299])
     def test_p_value_equals_scipy_stats(self, dof):
+        # Within 1e-9 relative, not bit for bit: the two take the tail from
+        # different series, and p's condition number is about x/2.
         from scipy.stats import chi2
 
-        from cumuldyn.fitting import _chi_squares
+        for statistic, p_value in _pooled_chi_squares(dof):
+            assert p_value == pytest.approx(float(chi2.sf(statistic, dof)), rel=1e-9, abs=1e-300)
 
-        # dof + 1 bins of expected count 20; the observed counts are shifted
-        # by +d, -d alternately, so the statistic grows like d squared.
-        expected = np.full(dof + 1, 20.0)
-        signs = np.where(np.arange(dof + 1) % 2 == 0, 1.0, -1.0)
-        for d in (0.0, 0.5, 1.0, 3.0, 6.0, 12.0, 19.0):
-            [(statistic, got_dof, p_value)] = _chi_squares(
-                expected + d * signs, expected, np.array([0]), np.array([dof + 1])
-            )
-            assert got_dof == dof
-            assert p_value == float(chi2.sf(statistic, dof))
+
+def _pooled_chi_squares(dof: int) -> list[tuple[float, float]]:
+    """(statistic, p-value) of dof + 1 bins of expected count 20, pulled further apart.
+
+    The observed counts are shifted by +d, -d alternately, so the statistic
+    grows like d squared.
+    """
+    expected = np.full(dof + 1, 20.0)
+    signs = np.where(np.arange(dof + 1) % 2 == 0, 1.0, -1.0)
+    found = []
+    for d in (0.0, 0.5, 1.0, 3.0, 6.0, 12.0, 19.0):
+        [(statistic, got_dof, p_value)] = _chi_squares(
+            expected + d * signs, expected, np.array([0]), np.array([dof + 1])
+        )
+        assert got_dof == dof
+        found.append((statistic, p_value))
+    return found
 
 
 class TestPowerLawFit:

@@ -2,15 +2,31 @@
 
 The digests were recorded from the row-by-row table readers that the
 columnar ones replaced, so the tables ``fit`` and ``gof`` write from the
-CLI's own tables must stay byte for byte the same.
+CLI's own tables must stay byte for byte the same.  The ``gof`` digests
+were recorded once the very same tables matched scipy's special functions
+cell by cell (``test_gof_tables_match_scipy``).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import warnings
+from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 from cumuldyn.cli import main
+from cumuldyn.core import ModelParams
+
+from conftest import (
+    reference_geometric_gof,
+    reference_load_backlink_dists,
+    reference_load_pathlen_dists,
+    reference_pathlength_gof,
+    scipy_special,
+)
 
 FAMILIES = "binomial-type,poisson,normal,binomial"
 
@@ -21,8 +37,8 @@ FIT = {
     "rates.csv": "34ce3daa144cbd6659eaa3b4b3d1273c085ff63e192fe467b32d3084ae4288b0",
 }
 GOF = {
-    "gof_points.csv": "6fe65f28a6116669254c51cad1c5e5dbc7c5b97df33cd4e8569168d4428b5285",
-    "gof_summary.csv": "2e8884fc30c92e0d2f6050078ecb590370c8ddf344dfbb918444be0450fd7914",
+    "gof_points.csv": "4812fffab9d41fc127c05615cd409692dfdf7727363558c09b316bb34a43f383",
+    "gof_summary.csv": "28f0454b94b5cb6bf2cdf264b07f85c90dfe07dbc123758c10076fc55e05f9c2",
 }
 MEASURED = {
     "backlink_dist.csv": "00944ab2d07d67e88f45b13ac601325eb2c30d0cf30c931a623f4bdbad6aa670",
@@ -49,8 +65,8 @@ PIPELINE = {
 }
 
 HAND_WRITTEN = {
-    "gof_points.csv": "f0b9d18e0212af3dab0e58b2dc63bae443c75b3123f1c27b42608eaede366438",
-    "gof_summary.csv": "77d09bd6e2f24747d9281c83fbfb30f37d5b9d76b55cd3720ecf2912454f95e6",
+    "gof_points.csv": "ef57d72aed7a81e49bb3696ded49c0ede7e4a8b26c7e5367312dc56844e9066f",
+    "gof_summary.csv": "846b194aa844056578f7e8990b05796293439f5f8136e3f387b174d508ad5e74",
 }
 
 # Rows out of order, a gap in k (and m), a blank line and a byte-order mark.
@@ -82,32 +98,30 @@ def _digests(out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))}
 
 
-def test_pipeline_tables_are_pinned(tmp_path):
+def _simulate(tmp_path: Path) -> Path:
     sim = tmp_path / "sim"
     assert main([
         "simulate", "--q", "0.006", "--m1", "3", "--n", "300", "--seed", "1", "--out", str(sim),
     ]) == 0
-    found = {"sim": _digests(sim)}
-    for mode in ("exact", "float"):
-        measured, fitted, checked = (
-            tmp_path / f"{step}-{mode}" for step in ("measure", "fit", "gof")
-        )
-        assert main([
-            "measure", "--nodes", str(sim / "nodes.csv"), "--edges", str(sim / "edges.csv"),
-            "--prefix", "SIM", "--stride", "12", "--mode", mode, "--out", str(measured),
-        ]) == 0
-        assert main(["fit", "--series", str(measured / "series.csv"), "--out", str(fitted)]) == 0
-        assert main([
-            "gof", "--backlink-dist", str(measured / "backlink_dist.csv"),
-            "--pathlen-dist", str(measured / "pathlen_dist.csv"),
-            "--fits", str(fitted / "fits.csv"), "--families", FAMILIES, "--out", str(checked),
-        ]) == 0
-        for out in (measured, fitted, checked):
-            found[out.name] = _digests(out)
-    assert found == PIPELINE
+    return sim
 
 
-def test_hand_written_tables_are_pinned(tmp_path):
+def _measure_fit_gof(tmp_path: Path, sim: Path, mode: str) -> tuple[Path, Path, Path]:
+    measured, fitted, checked = (tmp_path / f"{step}-{mode}" for step in ("measure", "fit", "gof"))
+    assert main([
+        "measure", "--nodes", str(sim / "nodes.csv"), "--edges", str(sim / "edges.csv"),
+        "--prefix", "SIM", "--stride", "12", "--mode", mode, "--out", str(measured),
+    ]) == 0
+    assert main(["fit", "--series", str(measured / "series.csv"), "--out", str(fitted)]) == 0
+    assert main([
+        "gof", "--backlink-dist", str(measured / "backlink_dist.csv"),
+        "--pathlen-dist", str(measured / "pathlen_dist.csv"),
+        "--fits", str(fitted / "fits.csv"), "--families", FAMILIES, "--out", str(checked),
+    ]) == 0
+    return measured, fitted, checked
+
+
+def _hand_written_gof(tmp_path: Path) -> Path:
     (tmp_path / "pathlen_dist.csv").write_text(PATHLEN_DIST, encoding="utf-8")
     (tmp_path / "backlink_dist.csv").write_text(BACKLINK_DIST, encoding="utf-8")
     out = tmp_path / "gof"
@@ -116,4 +130,66 @@ def test_hand_written_tables_are_pinned(tmp_path):
         "--pathlen-dist", str(tmp_path / "pathlen_dist.csv"),
         "--q", "0.05", "--m0", "1.0", "--families", FAMILIES, "--out", str(out),
     ]) == 0
-    assert _digests(out) == HAND_WRITTEN
+    return out
+
+
+def test_pipeline_tables_are_pinned(tmp_path):
+    sim = _simulate(tmp_path)
+    found = {"sim": _digests(sim)}
+    for mode in ("exact", "float"):
+        for out in _measure_fit_gof(tmp_path, sim, mode):
+            found[out.name] = _digests(out)
+    assert found == PIPELINE
+
+
+def test_hand_written_tables_are_pinned(tmp_path):
+    assert _digests(_hand_written_gof(tmp_path)) == HAND_WRITTEN
+
+
+def _read_rows(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+def _assert_gof_matches_scipy(checked: Path, inputs: Path, params: ModelParams) -> None:
+    """Every cell of ``checked``'s tables against the per-row oracles run on scipy."""
+    special = scipy_special()
+    hists = reference_load_backlink_dists(str(inputs / "backlink_dist.csv"))
+    dists = reference_load_pathlen_dists(str(inputs / "pathlen_dist.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fits = {
+            (n, "backlinks", "geometric"): reference_geometric_gof(hist, params, n, special)
+            for n, hist in hists.items()
+        }
+        for family in FAMILIES.split(","):
+            for n, dist in dists.items():
+                fits[n, "pathlengths", family] = reference_pathlength_gof(
+                    dist, None, family, special
+                )
+    summary = _read_rows(checked / "gof_summary.csv")
+    assert len(summary) == len(fits)
+    for row in summary:
+        fit = fits[int(row["n"]), row["target"], row["family"]]
+        statistic, dof, p_value = fit.chi_square
+        assert int(row["dof"]) == dof
+        assert float(row["correlation"]) == pytest.approx(
+            fit.plot_correlation, rel=0.0, abs=1e-14, nan_ok=True
+        )
+        assert float(row["chi2"]) == pytest.approx(statistic, rel=1e-12, nan_ok=True)
+        assert float(row["p_value"]) == pytest.approx(p_value, rel=1e-9, abs=1e-300, nan_ok=True)
+    models = defaultdict(list)
+    for row in _read_rows(checked / "gof_points.csv"):
+        models[int(row["n"]), row["target"], row["family"]].append(float(row["model"]))
+    assert models.keys() == fits.keys()
+    for key, fit in fits.items():
+        assert models[key] == pytest.approx([m for _, m in fit.plot_points], rel=0.0, abs=1e-13)
+
+
+def test_gof_tables_match_scipy(tmp_path):
+    checked = _hand_written_gof(tmp_path)
+    _assert_gof_matches_scipy(checked, tmp_path, ModelParams(q=0.05, m1=2.0))
+    measured, fitted, checked = _measure_fit_gof(tmp_path, _simulate(tmp_path), "exact")
+    [fit_id] = [row for row in _read_rows(fitted / "fits.csv") if row["quantity"] == "id"]
+    params = ModelParams(q=float(fit_id["slope"]), m1=float(fit_id["intercept"]) + 1.0)
+    _assert_gof_matches_scipy(checked, measured, params)

@@ -10,6 +10,7 @@ from cumuldyn.core import ModelParams
 
 from cumuldyn.growth import rho, simulate
 from cumuldyn.predictions import (
+    _digamma,
     analytic_ipl,
     analytic_path_counts,
     corrected_rate_a,
@@ -19,6 +20,7 @@ from cumuldyn.predictions import (
     harmonic_number,
     harmonic_real,
     ipl_slope,
+    log_factorials,
     max_speed,
     normalized_path_dist,
     rate_predictions,
@@ -283,3 +285,25 @@ class TestHarmonics:
     def test_real_argument_matches_integer(self):
         for n in (1, 5, 50, 1234):
             assert harmonic_real(float(n)) == pytest.approx(harmonic_number(n), rel=1e-12)
+
+    def test_digamma_matches_scipy(self):
+        from scipy.special import digamma
+
+        ys = np.concatenate((np.geomspace(1e-3, 1e9, 400), np.linspace(0.5, 12.0, 1151)))
+        for y in ys.tolist():
+            # The absolute floor covers the root near 1.4616: there the
+            # recurrence's cancellation leaves about 5e-16, not 1e-14 relative.
+            assert _digamma(y) == pytest.approx(float(digamma(y)), rel=1e-14, abs=1e-15)
+
+
+class TestLogFactorials:
+    def test_matches_mpmath_at_50_digits(self):
+        import mpmath
+
+        ks = [*range(1001), *np.geomspace(1001, 10**6, 40).astype(int).tolist()]
+        table = log_factorials(max(ks))
+        assert table[:2].tolist() == [0.0, 0.0]
+        with mpmath.workdps(50):
+            for k in ks[2:]:
+                exact = mpmath.loggamma(k + 1)
+                assert abs((table[k] - exact) / exact) <= 1e-15, k

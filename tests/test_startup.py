@@ -1,10 +1,11 @@
 """Which modules the command line loads.
 
-Every CLI process pays for its imports before it does any work, so the
-commands that need no special functions (simulate, measure, sweep, fit)
-must not load scipy at all, and gof must load only ``scipy.special``.  Each
-check runs in a fresh interpreter, since this test process has scipy loaded
-already.  The checks look at ``sys.modules``, never at a clock.
+Every CLI process pays for its imports before it does any work, so no
+command may load scipy (gof's special functions are numpy and ``math``) or
+``numpy.ma`` (which ``np.unique`` imports on first use, about 15 ms of a
+one-shot run).  The check runs in a fresh interpreter, since this test
+process has both loaded already.  It looks at ``sys.modules``, never at a
+clock.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ SCRIPT = textwrap.dedent(
     """
     import json, sys
 
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    def unwanted_modules():
+        return sorted(
+            m for m in sys.modules if m in ("scipy", "numpy.ma") or m.startswith("scipy.")
+        )
 
     import cumuldyn.cli
     from cumuldyn.cli import main
 
-    loaded = {"import": scipy_modules()}
+    loaded = {"import": unwanted_modules()}
     tmp = sys.argv[1]
     codes = [
         main(["simulate", "--q", "0.01", "--m1", "2", "--n", "200",
@@ -41,14 +44,15 @@ SCRIPT = textwrap.dedent(
               "--tech-table", f"{tmp}/techs.csv", "--stride", "10",
               "--out", f"{tmp}/sweep"]),
     ]
-    loaded["simulate_measure_sweep"] = scipy_modules()
+    loaded["simulate_measure_sweep"] = unwanted_modules()
     codes.append(main(["fit", "--series", f"{tmp}/measured/series.csv", "--out", f"{tmp}/fit"]))
-    loaded["fit"] = scipy_modules()
+    loaded["fit"] = unwanted_modules()
     codes.append(main(["gof", "--backlink-dist", f"{tmp}/measured/backlink_dist.csv",
                        "--pathlen-dist", f"{tmp}/measured/pathlen_dist.csv",
                        "--fits", f"{tmp}/fit/fits.csv",
-                       "--families", "binomial-type,poisson,binomial", "--out", f"{tmp}/gof"]))
-    loaded["gof"] = scipy_modules()
+                       "--families", "binomial-type,poisson,normal,binomial",
+                       "--out", f"{tmp}/gof"]))
+    loaded["gof"] = unwanted_modules()
     print(json.dumps({"codes": codes, "loaded": loaded}))
     """
 )
@@ -69,7 +73,7 @@ def _write_corpus(tmp_path: Path) -> None:
     (tmp_path / "techs.csv").write_text("group_name,prefix\na,A01\nb,B02\nc,C03\n")
 
 
-def test_commands_load_scipy_only_where_needed(tmp_path):
+def test_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
     _write_corpus(tmp_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -85,44 +89,6 @@ def test_commands_load_scipy_only_where_needed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0, 0]
-    loaded = report["loaded"]
-    assert loaded["import"] == []
-    assert loaded["simulate_measure_sweep"] == []
-    assert loaded["fit"] == []
-    # gof loads what importing scipy.special alone loads, and no more.
-    special = subprocess.run(
-        [sys.executable, "-c", "import json, sys, scipy.special; print(json.dumps(sorted("
-         "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert special.returncode == 0, special.stderr
-    assert loaded["gof"] == json.loads(special.stdout)
-
-
-def test_measure_and_sweep_load_no_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on first use, about 15 ms of a one-shot run.
-    _write_corpus(tmp_path)
-    script = textwrap.dedent(
-        f"""
-        import sys
-        from cumuldyn.cli import main
-        tmp = {str(tmp_path)!r}
-        codes = [
-            main(["simulate", "--q", "0.01", "--m1", "2", "--n", "200",
-                  "--seed", "3", "--out", f"{{tmp}}/sim"]),
-            main(["measure", "--nodes", f"{{tmp}}/nodes.csv", "--edges", f"{{tmp}}/edges.csv",
-                  "--prefix", "A01", "--stride", "10", "--out", f"{{tmp}}/measured"]),
-            main(["sweep", "--nodes", f"{{tmp}}/nodes.csv", "--edges", f"{{tmp}}/edges.csv",
-                  "--tech-table", f"{{tmp}}/techs.csv", "--stride", "10",
-                  "--out", f"{{tmp}}/sweep"]),
-        ]
-        print(codes, "numpy.ma" in sys.modules)
-        """
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[-2] == "[0, 0, 0] False"
+    assert report["loaded"] == {
+        "import": [], "simulate_measure_sweep": [], "fit": [], "gof": [],
+    }
