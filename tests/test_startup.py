@@ -17,6 +17,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import cumuldyn
 
 SRC = str(Path(cumuldyn.__file__).resolve().parent.parent)
@@ -73,7 +75,10 @@ def _write_corpus(tmp_path: Path) -> None:
     (tmp_path / "techs.csv").write_text("group_name,prefix\na,A01\nb,B02\nc,C03\n")
 
 
-def test_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """Run every command once in a fresh interpreter; the unwanted modules after each step."""
+    tmp_path = tmp_path_factory.mktemp("startup")
     _write_corpus(tmp_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -89,6 +94,22 @@ def test_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0, 0]
-    assert report["loaded"] == {
+    assert list(report["loaded"]) == ["import", "simulate_measure_sweep", "fit", "gof"]
+    return report["loaded"]
+
+
+def test_commands_load_scipy_only_where_needed(loaded):
+    # No command needs scipy: gof's special functions are numpy and math.
+    assert {step: [m for m in mods if m != "numpy.ma"] for step, mods in loaded.items()} == {
         "import": [], "simulate_measure_sweep": [], "fit": [], "gof": [],
     }
+
+
+def test_measure_and_sweep_load_no_numpy_ma(loaded):
+    assert "numpy.ma" not in loaded["import"]
+    assert "numpy.ma" not in loaded["simulate_measure_sweep"]
+
+
+def test_fit_and_gof_load_no_numpy_ma(loaded):
+    assert "numpy.ma" not in loaded["fit"]
+    assert "numpy.ma" not in loaded["gof"]
