@@ -182,6 +182,23 @@ def _plot_correlations(
 def _chi_square_tail(statistics: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     """Upper tail P(X > x) of each statistic x >= 0, X chi-square at its integer dof >= 1.
 
+    Rows are grouped by the bit length of their series' term count, counts
+    below 64 together, and each group is padded to its longest row: the
+    padding stays below 64 terms per row plus the row's own count, so one
+    row of large dof does not widen all the others.
+    """
+    groups = np.maximum(np.frexp(dofs // 2)[1], 6)
+    p_values = np.empty(len(statistics))
+    # ``np.unique`` would load numpy.ma, which no command needs.
+    for group in sorted(set(groups.tolist())):
+        rows = np.flatnonzero(groups == group)
+        p_values[rows] = _chi_square_tail_padded(statistics[rows], dofs[rows])
+    return p_values
+
+
+def _chi_square_tail_padded(statistics: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """:func:`_chi_square_tail` of a non-empty batch, as one rows x terms array.
+
     At integer dof the tail Q(dof/2, h), h = x/2, is a finite series:
     ``exp(-h) * sum(h**j / j!  for j < dof/2)`` for even dof, and
     ``erfc(sqrt(h)) + exp(-h) * sum(h**(j+1/2) / Gamma(j+3/2)  for j < dof//2)``
@@ -370,11 +387,11 @@ def _pathlength_model(
         # An n_prime past mipl + 1 asks for k > size, where the pmf is 0.
         within = ks <= size
         drawn = np.where(within, ks, 0)
-        table = log_factorials(max(sizes))
+        log_fact = log_factorials(max(sizes))
         logs = (
-            table[size]
-            - table[drawn]
-            - table[size - drawn]
+            log_fact[size]
+            - log_fact[drawn]
+            - log_fact[size - drawn]
             + ks * np.log(prob)
             + (size - ks) * np.log1p(-prob)
         )

@@ -13,7 +13,6 @@ counts overflow floats.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
@@ -93,9 +92,8 @@ def expected_id(n: int, params: ModelParams) -> float:
     return params.q * n + params.m0
 
 
-@functools.lru_cache(maxsize=8)
-def _log_factorial_table(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """log(k!) for k < size as two running sums, a coarse one and a fine one.
+def _log_factorial_parts(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """log(k!) for k = 0 .. top as two running sums, a coarse one and a fine one.
 
     Each log(i) is split into its nearest multiple of 2^-20 and a remainder
     below 2^-21.  The coarse sums are exact (they stay below 2^33 up to k of
@@ -105,18 +103,9 @@ def _log_factorial_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     at n = 3000.  ``np.cumsum`` adds in order, so each table is a prefix of
     every longer one.
     """
-    logs = np.log(np.arange(1.0, size))
+    logs = np.log(np.arange(1.0, top + 1))
     coarse = np.rint(logs * 2.0**20) / 2.0**20
-    parts = (np.cumsum(np.append(0.0, coarse)), np.cumsum(np.append(0.0, logs - coarse)))
-    for part in parts:
-        part.flags.writeable = False
-    return parts
-
-
-def _log_factorial_parts(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two parts of log(k!) for k = 0 .. top, cut from a cached power-of-two table."""
-    coarse, fine = _log_factorial_table(1 << int(top).bit_length())
-    return coarse[: top + 1], fine[: top + 1]
+    return np.cumsum(np.append(0.0, coarse)), np.cumsum(np.append(0.0, logs - coarse))
 
 
 def log_factorials(top: int) -> np.ndarray:

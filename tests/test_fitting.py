@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -520,6 +521,21 @@ class TestChiSquareTail:
         assert _chi_square_tail(np.zeros(4), dofs).tolist() == [1.0] * 4
         far = _chi_square_tail(np.full(4, 1e5), dofs)
         assert np.all((far >= 0.0) & (far <= 1e-300))
+
+    def test_one_large_dof_does_not_widen_the_other_rows(self):
+        # Padding every row to the largest dof would take 1001 x 1000 terms,
+        # 8 MB an array; grouped, the small rows take 64 terms each.
+        xs = np.linspace(0.0, 50.0, 1001)
+        dofs = np.append(np.full(1000, 3), 2001)
+        tracemalloc.start()
+        try:
+            p_values = _chi_square_tail(xs, dofs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert p_values[-1] == _chi_square_tail(xs[-1:], dofs[-1:])[0]
+        assert p_values[:-1].tolist() == _chi_square_tail(xs[:-1], dofs[:-1]).tolist()
 
 
 class TestChiSquareMonotonicity:
