@@ -12,7 +12,6 @@ data.
 from .core import (
     BacklinkDistribution,
     BacklinkTable,
-    CumulativenessSeries,
     DistributionFit,
     DistributionFits,
     InventionNode,
@@ -51,7 +50,6 @@ from .measures import (
     initial_fraction,
     internal_dependence,
     measure_checkpoints,
-    node_path_vectors,
     path_length_distribution,
 )
 from .predictions import (

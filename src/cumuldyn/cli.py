@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .core import (
     BacklinkTable,
-    CumulativenessSeries,
     DistributionFits,
     KnowledgeGraph,
     LinearFit,
@@ -186,8 +185,9 @@ def _repeated(*keys: np.ndarray) -> np.ndarray:
     return repeated
 
 
-def _load_series(path: str) -> CumulativenessSeries:
-    """The checkpoints of a series table, whose n must start at 1 or more and rise."""
+def _load_series(path: str) -> tuple[SeriesPoint, ...]:
+    """The checkpoints of a series table, whose n must start at 1 or more and rise
+    and whose mipl must be a whole number in [0, n - 1]."""
     (n, *cells), errors = _read_table(path, _SERIES_COLUMNS)
     sizes, size = _column(errors, n, int, "n", 1)
     _flag(
@@ -198,11 +198,18 @@ def _load_series(path: str) -> CumulativenessSeries:
     for column, name in zip(cells, _SERIES_COLUMNS[1:]):
         floats.append(got := _convert(column, float, errors))
         _flag(errors, ~np.isfinite(got), lambda row: f"{name} must be finite, got {got[row]}")
+    ids, ipls, mipls, eds = floats
+    longest = np.array(mipls)
+    with np.errstate(invalid="ignore"):  # inf and nan are flagged above
+        whole = (longest % 1 == 0) & (0 <= longest) & (longest < size)
+    _flag(
+        errors, ~whole,
+        lambda row: f"mipl must be a whole number in [0, {sizes[row] - 1}], got {mipls[row]}",
+    )
     _raise_earliest(path, errors)
     if not sizes:
         raise ValueError(f"{path}: empty series")
-    ids, ipls, mipls, eds = floats
-    return CumulativenessSeries(tuple(map(SeriesPoint, sizes, ids, ipls, map(int, mipls), eds)))
+    return tuple(map(SeriesPoint, sizes, ids, ipls, map(int, mipls), eds))
 
 
 def _load_backlinks(path: str, n: int) -> list[int]:
@@ -418,7 +425,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         sibling = Path(args.series).parent / "backlinks.csv"
         if sibling.exists():
             backlinks_path = str(sibling)
-    n_final = series.checkpoints[-1].n
+    n_final = series[-1].n
     backlinks = _load_backlinks(backlinks_path, n_final) if backlinks_path else None
 
     fitted = {quantity: fit_series(series, quantity) for quantity in ("id", "ipl", "mipl")}
@@ -569,9 +576,8 @@ def _sweep_one(corpus, name, prefixes, args, warned):
     graph, diagnostics = build_graph(
         corpus, query, origin=args.origin, granted_only=args.granted_only
     )
-    checkpoints = measure_checkpoints(graph, args.stride, args.mode)
-    series = CumulativenessSeries(checkpoints=tuple(cp.point for cp in checkpoints))
-    last = series.checkpoints[-1]
+    series = tuple(cp.point for cp in measure_checkpoints(graph, args.stride, args.mode))
+    last = series[-1]
     q_hat = p_hat = math.nan
     if len(series) >= 3:
         q_hat = fit_series(series, "id").slope

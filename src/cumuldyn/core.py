@@ -5,7 +5,8 @@ plus the backward links between them.  :class:`KnowledgeGraph` holds them
 by column: node ids and years, the links that stay inside the technology as
 one sorted array of cited ordinals per citing node (CSR form), and one count
 per node of the links that leave it.  All types here are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  The records that check
+nothing are ``NamedTuple``s, with tuple equality and unpacking.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "PathLengthDistribution",
     "PathLengthTable",
     "SeriesPoint",
-    "CumulativenessSeries",
     "RatePredictions",
     "LinearFit",
     "DistributionFit",
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class InventionNode:
+class InventionNode(NamedTuple):
     """One invention: an opaque id, its chronological position and its year.
 
     ``ordinal`` is the 0-based position in the technology's chronological
@@ -65,7 +64,8 @@ class KnowledgeGraph:
     Neither constructor enforces the invariants: use :func:`validate_graph`
     to diagnose a graph of unknown provenance.  ``nodes``,
     ``internal_edges`` and ``backward_lists`` are views built on first
-    access, which the package's own code never reads.
+    access, which the package's own code never reads; they remain for the
+    benchmark's layer counters.
     """
 
     node_ids: tuple[str, ...]
@@ -193,8 +193,7 @@ class BacklinkDistribution:
         return max(self.counts) if self.counts else 0
 
 
-@dataclass(frozen=True)
-class PathLengthDistribution:
+class PathLengthDistribution(NamedTuple):
     """Counts of internal paths by length over a graph prefix of size ``n``.
 
     ``counts[k]`` is the number of paths of length ``k``: exact integers in
@@ -302,7 +301,7 @@ def _as_float(total: int | float) -> float:  # inf past the float range
 
 
 class SeriesPoint(NamedTuple):
-    """One checkpoint of a cumulativeness trajectory."""
+    """One checkpoint of a cumulativeness trajectory; a series is a tuple of them."""
 
     n: int
     id: float
@@ -311,30 +310,7 @@ class SeriesPoint(NamedTuple):
     ed: float
 
 
-@dataclass(frozen=True)
-class CumulativenessSeries:
-    """Cumulativeness indicators sampled at increasing prefix sizes."""
-
-    checkpoints: tuple[SeriesPoint, ...]
-
-    def __iter__(self) -> Iterator[SeriesPoint]:
-        return iter(self.checkpoints)
-
-    def __len__(self) -> int:
-        return len(self.checkpoints)
-
-    def ns(self) -> list[int]:
-        return [cp.n for cp in self.checkpoints]
-
-    def component(self, which: str) -> list[float]:
-        """Extract one indicator ('id', 'ipl', 'mipl' or 'ed') per checkpoint."""
-        if which not in ("id", "ipl", "mipl", "ed"):
-            raise ValueError(f"unknown series component {which!r}")
-        return [float(getattr(cp, which)) for cp in self.checkpoints]
-
-
-@dataclass(frozen=True, slots=True)
-class RatePredictions:
+class RatePredictions(NamedTuple):
     """Predicted growth rates of the path-length indicators.
 
     ``p = q/(q+1)`` is the large-n path-length growth rate; the primed pairs
@@ -353,8 +329,7 @@ class RatePredictions:
     delta_n: float
 
 
-@dataclass(frozen=True, slots=True)
-class LinearFit:
+class LinearFit(NamedTuple):
     """Ordinary least squares fit of y on x with the standard statistics."""
 
     slope: float
@@ -367,8 +342,7 @@ class LinearFit:
     intercept_se: float
 
 
-@dataclass(frozen=True)
-class DistributionFit:
+class DistributionFit(NamedTuple):
     """Goodness of fit of a model distribution to an empirical one.
 
     ``plot_points`` holds (empirical probability, model probability) pairs;

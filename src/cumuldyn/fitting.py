@@ -26,13 +26,13 @@ import numpy as np
 from .core import (
     BacklinkDistribution,
     BacklinkTable,
-    CumulativenessSeries,
     DistributionFits,
     KnowledgeGraph,
     LinearFit,
     ModelParams,
     PathLengthDistribution,
     PathLengthTable,
+    SeriesPoint,
 )
 from .growth import rho
 from .predictions import binomial_path_pmf, log_factorials
@@ -104,15 +104,15 @@ def ols_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     )
 
 
-def fit_series(series: CumulativenessSeries, which: str) -> LinearFit:
-    """OLS of one indicator ('id', 'ipl' or 'mipl') against the prefix size.
+def fit_series(points: Sequence[SeriesPoint], which: str) -> LinearFit:
+    """OLS of one indicator ('id', 'ipl' or 'mipl') of a series against the prefix size.
 
     The slope estimates the indicator's growth rate (the id rate q, the ipl
     rate p, or the mipl rate) and the intercept its starting level.
     """
     if which not in ("id", "ipl", "mipl"):
         raise ValueError(f"cannot fit series component {which!r}")
-    return ols_fit(series.ns(), series.component(which))
+    return ols_fit([p.n for p in points], [getattr(p, which) for p in points])
 
 
 # The batched kernels below fit one family to many distributions at once.

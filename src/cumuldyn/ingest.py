@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -80,16 +80,8 @@ class TechnologyQuery:
             raise ValueError("query needs at least one non-empty class prefix")
         object.__setattr__(self, "class_prefixes", cleaned)
 
-    def matches(self, class_labels: Iterable[str]) -> bool:
-        for label in class_labels:
-            stripped = _strip_spaces(label)
-            if any(stripped.startswith(p) for p in self.class_prefixes):
-                return True
-        return False
 
-
-@dataclass(frozen=True, slots=True)
-class CitationRecord:
+class CitationRecord(NamedTuple):
     """One directed citation between two distinct inventions."""
 
     citing_id: str
@@ -97,8 +89,7 @@ class CitationRecord:
     origin: str = "UNKNOWN"
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusNode:
+class CorpusNode(NamedTuple):
     """One invention as loaded from the nodes file."""
 
     node_id: str
@@ -117,7 +108,9 @@ class Corpus:
     then ``None`` for undated nodes), ``class_code`` indexes ``class_lists``
     and ``granted`` is the flag.  The citations, self-citations dropped, are
     the code arrays ``citing`` and ``cited`` and ``origin``, an index into
-    :data:`ORIGINS`.
+    :data:`ORIGINS`.  ``nodes`` and ``citations`` are record views built on
+    first access, which no command reads; they remain for the benchmark's
+    layer counters.
     """
 
     ids: tuple[str, ...]
@@ -191,8 +184,7 @@ class Corpus:
         return matched[self.class_code]
 
 
-@dataclass(frozen=True)
-class IngestDiagnostics:
+class IngestDiagnostics(NamedTuple):
     """What happened while carving a technology graph from a corpus."""
 
     matched_nodes: int
@@ -203,14 +195,7 @@ class IngestDiagnostics:
     ignored_citations: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "matched_nodes": self.matched_nodes,
-            "internal_edges": self.internal_edges,
-            "external_links": self.external_links,
-            "duplicates_collapsed": self.duplicates_collapsed,
-            "dropped_non_backward": self.dropped_non_backward,
-            "ignored_citations": self.ignored_citations,
-        }
+        return self._asdict()
 
 
 def _undecodable_line(path: str) -> int:

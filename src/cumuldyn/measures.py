@@ -22,15 +22,13 @@ level however widely one level's counts spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     BacklinkDistribution,
-    CumulativenessSeries,
     KnowledgeGraph,
     PathLengthDistribution,
     SeriesPoint,
@@ -38,13 +36,11 @@ from .core import (
 
 __all__ = [
     "EXACT_MODE_LIMIT",
-    "NodePathVector",
     "internal_dependence",
     "external_dependence",
     "initial_fraction",
     "backlink_distribution",
     "path_length_distribution",
-    "node_path_vectors",
     "cumulativeness_series",
     "measure_checkpoints",
     "resolve_mode",
@@ -104,27 +100,6 @@ def backlink_distribution(graph: KnowledgeGraph, n: int) -> BacklinkDistribution
     """Histogram of backward internal links per node over the first n nodes."""
     _check_prefix(graph, n)
     return BacklinkDistribution(n=n, counts=_histogram(np.bincount(graph.backlink_counts[:n])))
-
-
-class NodePathVector:
-    """Number of paths of each length ending at one node (exact integers).
-
-    Stored sparsely as a contiguous block of counts starting at ``offset``:
-    an initial node holds ``{0: 1}``; any other node holds, at length ``k``,
-    the sum over its cited nodes of their counts at ``k - 1``.
-    """
-
-    __slots__ = ("offset", "counts")
-
-    def __init__(self, offset: int, counts: list[int]):
-        self.offset = offset
-        self.counts = counts
-
-    def as_dict(self) -> dict[int, int]:
-        return {self.offset + i: c for i, c in enumerate(self.counts) if c}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NodePathVector({self.as_dict()})"
 
 
 def _log_segment_sum(logs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -270,23 +245,7 @@ def path_length_distribution(
     return _path_distributions(graph, [n], resolve_mode(mode, n))[0]
 
 
-def node_path_vectors(graph: KnowledgeGraph, n: int) -> list[NodePathVector]:
-    """Per-node path-length vectors for the first n nodes (exact integers)."""
-    _check_prefix(graph, n)
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for nodes, counts, escalated in _path_levels(graph, n, "exact"):
-        if not escalated:
-            counts = counts.astype(np.int64)
-        for i, c in zip(nodes.tolist(), counts.tolist()):
-            rows[i].append(c)
-    # A node is on every level up to its longest path; its vector starts at
-    # its shortest one.
-    offsets = [next(k for k, c in enumerate(row) if c) for row in rows]
-    return [NodePathVector(k, row[k:]) for k, row in zip(offsets, rows)]
-
-
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """All measurements of one prefix, produced by one sweep over the graph."""
 
     n: int
@@ -306,9 +265,9 @@ class Checkpoint:
         )
 
 
-def iter_checkpoints(
+def measure_checkpoints(
     graph: KnowledgeGraph, stride: int, mode: Mode = "auto"
-) -> Iterator[Checkpoint]:
+) -> list[Checkpoint]:
     """Measure every indicator at n = stride, 2*stride, ..., N in one sweep.
 
     Equivalent to measuring each prefix on its own (bit-exact in integer
@@ -325,28 +284,18 @@ def iter_checkpoints(
     edge_totals = graph.indptr.tolist()
     external_totals = np.cumsum(graph.external_backlink_counts).tolist()
     histogram = np.zeros(int(links.max()) + 1, np.int64)
+    checkpoints = []
     for start, n, path_dist in zip([0, *sizes], sizes, dists):
         histogram += np.bincount(links[start:n], minlength=len(histogram))
-        yield Checkpoint(
-            n=n,
-            id=edge_totals[n] / n,
-            ed=external_totals[n - 1] / n,
-            path_dist=path_dist,
-            backlink_dist=BacklinkDistribution(n=n, counts=_histogram(histogram)),
+        backlink_dist = BacklinkDistribution(n=n, counts=_histogram(histogram))
+        checkpoints.append(
+            Checkpoint(n, edge_totals[n] / n, external_totals[n - 1] / n, path_dist, backlink_dist)
         )
-
-
-def measure_checkpoints(
-    graph: KnowledgeGraph, stride: int, mode: Mode = "auto"
-) -> list[Checkpoint]:
-    """Materialized :func:`iter_checkpoints`."""
-    return list(iter_checkpoints(graph, stride, mode))
+    return checkpoints
 
 
 def cumulativeness_series(
     graph: KnowledgeGraph, stride: int, mode: Mode = "auto"
-) -> CumulativenessSeries:
+) -> tuple[SeriesPoint, ...]:
     """Trajectory of (n, id, ipl, mipl, ed) at n = stride, 2*stride, ..., N."""
-    return CumulativenessSeries(
-        checkpoints=tuple(cp.point for cp in iter_checkpoints(graph, stride, mode))
-    )
+    return tuple(cp.point for cp in measure_checkpoints(graph, stride, mode))

@@ -11,9 +11,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from cumuldyn import measures
 from cumuldyn.core import (
     BacklinkDistribution,
-    CumulativenessSeries,
     DistributionFit,
     KnowledgeGraph,
     ModelParams,
@@ -102,6 +102,24 @@ def brute_force_path_counts(graph: KnowledgeGraph, n: int) -> dict[int, int]:
     return dict(counts)
 
 
+def node_path_counts(graph: KnowledgeGraph, n: int) -> list[dict[int, int]]:
+    """Per node of the first n, its number of paths of each length that has any.
+
+    Read level by level from the exact-mode engine (``measures._path_levels``)
+    as Python ints: the float64 levels below 2^53 converted, the escalated
+    ones already ints.  The tests check these counts against the recurrence
+    and closed forms, not against another engine.
+    """
+    vectors: list[dict[int, int]] = [{} for _ in range(n)]
+    for k, (nodes, counts, escalated) in enumerate(measures._path_levels(graph, n, "exact")):
+        if not escalated:
+            counts = counts.astype(np.int64)
+        for i, c in zip(nodes.tolist(), counts.tolist()):
+            if c:
+                vectors[i][k] = c
+    return vectors
+
+
 def reference_load_corpus(
     node_file: str, edge_file: str
 ) -> tuple[tuple[CorpusNode, ...], tuple[CitationRecord, ...], int]:
@@ -160,6 +178,15 @@ def reference_load_corpus(
     return tuple(nodes), tuple(citations), self_dropped
 
 
+def reference_matches(query: TechnologyQuery, class_labels) -> bool:
+    """Whether any label, whitespace removed, starts with one of the query's prefixes."""
+    return any(
+        "".join(label.split()).startswith(prefix)
+        for label in class_labels
+        for prefix in query.class_prefixes
+    )
+
+
 def reference_build_graph(
     nodes: tuple[CorpusNode, ...],
     citations: tuple[CitationRecord, ...],
@@ -177,7 +204,7 @@ def reference_build_graph(
             node
             for node in nodes
             if (not granted_only or node.granted)
-            and query.matches(node.classes)
+            and reference_matches(query, node.classes)
             and (
                 query.year_cutoff is None
                 or (node.year is not None and node.year <= query.year_cutoff)
@@ -287,7 +314,7 @@ def _in_range(column: str, value, low: float = 0, high: float = math.inf):
     return value
 
 
-def reference_load_series(path: str) -> CumulativenessSeries:
+def reference_load_series(path: str) -> tuple[SeriesPoint, ...]:
     last = 0
 
     def point(n: str, id_: str, ipl: str, mipl: str, ed: str) -> SeriesPoint:
@@ -296,18 +323,18 @@ def reference_load_series(path: str) -> CumulativenessSeries:
         if size <= last:
             raise ValueError(f"n must rise from row to row, got {size} after {last}")
         last = size
-        return SeriesPoint(
-            n=size,
-            id=_finite("id", float(id_)),
-            ipl=_finite("ipl", float(ipl)),
-            mipl=int(_finite("mipl", float(mipl))),
-            ed=_finite("ed", float(ed)),
+        id_, ipl, mipl, ed = (
+            _finite(name, float(cell))
+            for name, cell in zip(("id", "ipl", "mipl", "ed"), (id_, ipl, mipl, ed))
         )
+        if mipl != int(mipl) or not 0 <= mipl <= size - 1:
+            raise ValueError(f"mipl must be a whole number in [0, {size - 1}], got {mipl}")
+        return SeriesPoint(size, id_, ipl, int(mipl), ed)
 
     points = _reference_read_table(path, ("n", "id", "ipl", "mipl", "ed"), point)
     if not points:
         raise ValueError(f"{path}: empty series")
-    return CumulativenessSeries(checkpoints=tuple(points))
+    return tuple(points)
 
 
 def reference_load_backlinks(path: str, n: int) -> list[int]:

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from cumuldyn.core import CumulativenessSeries, ModelParams, validate_graph
+from cumuldyn.core import ModelParams, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof, pathlength_gof, power_law_fit
 from cumuldyn.growth import simulate
 from cumuldyn.ingest import TechnologyQuery, build_graph, load_corpus
@@ -70,9 +70,7 @@ def slope_runs():
     for seed in range(SLOPE_SEEDS):
         graph = simulate(SLOPE_PARAMS, SLOPE_N, seed)
         series = cumulativeness_series(graph, stride=100)
-        half = CumulativenessSeries(
-            checkpoints=tuple(cp for cp in series.checkpoints if cp.n >= SLOPE_N // 2)
-        )
+        half = tuple(cp for cp in series if cp.n >= SLOPE_N // 2)
         runs.append((graph, half))
     return runs
 
@@ -372,7 +370,7 @@ class TestCriterion9Performance:
         series = cumulativeness_series(graph, stride=1000, mode="float")
         elapsed = time.perf_counter() - started
         mean_out_degree = sum(graph.backlink_counts) / graph.n_nodes
-        last = series.checkpoints[-1]
+        last = series[-1]
         ok = elapsed < 600.0 and mean_out_degree <= 5.0
         report(
             "9 (100k-node floating-mode series)",

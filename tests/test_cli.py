@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cumuldyn.cli import ReportBundle, _build_parser, main
 from cumuldyn.core import KnowledgeGraph, ModelParams, PathLengthTable
 from cumuldyn.fitting import PATHLENGTH_FAMILIES, geometric_gof, pathlength_gof
+from cumuldyn.ingest import Corpus
 
 from conftest import reference_load_backlink_dists, reference_load_pathlen_dists
 
@@ -795,11 +796,13 @@ class TestSweep:
         assert read_csv(out / "cross_fits.csv") == []
 
     def test_commands_read_only_the_graph_columns(self, tmp_path, multi_corpus, monkeypatch):
-        def forbidden(graph):
-            raise AssertionError("a command read a KnowledgeGraph record view")
+        def forbidden(columns):
+            raise AssertionError(f"a command read a {type(columns).__name__} record view")
 
         for view in ("nodes", "internal_edges", "backward_lists"):
             monkeypatch.setattr(KnowledgeGraph, view, property(forbidden))
+        for view in ("nodes", "citations"):
+            monkeypatch.setattr(Corpus, view, property(forbidden))
         nodes, edges, table = multi_corpus
         corpus = ("--nodes", str(nodes), "--edges", str(edges))
         assert run(
@@ -869,6 +872,12 @@ class TestTableReaders:
             ("series", SERIES.replace("30,", "20,"), ":4: n must rise from row to row, got 20 after 20"),
             ("series", SERIES.replace("10,", "-10,"), ":2: n must lie in [1, inf], got -10"),
             ("series", SERIES.replace("10,", "0,"), ":2: n must lie in [1, inf], got 0"),
+            ("series", SERIES.replace(",2,", ",2.5,").replace(",3,", ",3.7,"),
+             ":2: mipl must be a whole number in [0, 9], got 2.5"),
+            ("series", SERIES.replace(",3,", ",-1,"),
+             ":3: mipl must be a whole number in [0, 19], got -1.0"),
+            ("series", SERIES.replace(",5,", ",30,"),
+             ":4: mipl must be a whole number in [0, 29], got 30.0"),
             ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
             ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
@@ -925,6 +934,7 @@ class TestTableReaders:
         ids=[
             "series-missing", "series-bad", "series-inf-id", "series-nan-mipl",
             "series-n-falls", "series-n-repeats", "series-n-negative", "series-n-zero",
+            "series-fractional-mipl", "series-negative-mipl", "series-mipl-past-n",
             "fits-missing", "fits-bad",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
             "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",
@@ -1019,7 +1029,7 @@ def _tables(draw, reader):
     if reader == "series":
         header = "n,id,ipl,mipl,ed"
         steps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
-        mipl = st.sampled_from(["3", "3.0", "0"])
+        mipl = st.sampled_from(["3", "3.0", "0", "2.5", "-1"])
         rows = [
             [str(n), draw(finite), draw(finite), draw(mipl), draw(finite)]
             for n in np.cumsum(steps).tolist()

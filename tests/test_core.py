@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from cumuldyn.core import (
     BacklinkDistribution,
-    CumulativenessSeries,
     InventionNode,
     KnowledgeGraph,
     ModelParams,
-    SeriesPoint,
     validate_graph,
 )
 
@@ -203,6 +201,9 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(q=0.1, m1=2.0, r=1.5)
 
+    def test_nan_default_r_is_sentinel_only(self):
+        assert not math.isnan(ModelParams(q=1.0, m1=2.0).r)
+
 
 class TestBacklinkDistribution:
     def test_mean_matches_definition(self):
@@ -212,21 +213,3 @@ class TestBacklinkDistribution:
     def test_total_must_match_n(self):
         with pytest.raises(ValueError):
             BacklinkDistribution(n=5, counts={0: 2, 1: 2})
-
-
-class TestCumulativenessSeries:
-    def test_component_extraction(self):
-        series = CumulativenessSeries(
-            checkpoints=(
-                SeriesPoint(n=2, id=0.0, ipl=0.0, mipl=0, ed=0.5),
-                SeriesPoint(n=4, id=0.75, ipl=0.8, mipl=2, ed=0.25),
-            )
-        )
-        assert series.ns() == [2, 4]
-        assert series.component("id") == [0.0, 0.75]
-        assert series.component("mipl") == [0.0, 2.0]
-        with pytest.raises(ValueError):
-            series.component("nope")
-
-    def test_nan_default_r_is_sentinel_only(self):
-        assert not math.isnan(ModelParams(q=1.0, m1=2.0).r)

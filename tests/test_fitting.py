@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cumuldyn.core import (
     BacklinkDistribution,
-    CumulativenessSeries,
     ModelParams,
     PathLengthDistribution,
 )
@@ -139,9 +138,7 @@ class TestFitSeries:
         ratios = []
         for seed in range(10):
             series = cumulativeness_series(simulate(params, 5000, seed=seed), stride=100)
-            tail = CumulativenessSeries(
-                checkpoints=tuple(cp for cp in series.checkpoints if cp.n >= 2500)
-            )
+            tail = tuple(cp for cp in series if cp.n >= 2500)
             ratios.append(fit_series(tail, "mipl").slope / fit_series(tail, "ipl").slope)
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.25)
 

@@ -17,13 +17,11 @@ from cumuldyn.measures import (
     external_dependence,
     initial_fraction,
     internal_dependence,
-    iter_checkpoints,
     measure_checkpoints,
-    node_path_vectors,
     path_length_distribution,
 )
 
-from conftest import brute_force_path_counts, make_graph, random_dag
+from conftest import brute_force_path_counts, make_graph, node_path_counts, random_dag
 
 
 class TestInternalDependence:
@@ -141,54 +139,49 @@ class TestPathLengthDistribution:
 
 class TestNodePathVectors:
     def test_initial_node_vector(self, example_graph):
-        vectors = node_path_vectors(example_graph, 4)
-        assert vectors[0].as_dict() == {0: 1}
-        assert vectors[1].as_dict() == {0: 1}
+        vectors = node_path_counts(example_graph, 4)
+        assert vectors[0] == {0: 1}
+        assert vectors[1] == {0: 1}
 
     def test_recurrence_on_random_dags(self):
         # Entry k of a citing node equals the sum of cited entries at k-1.
         rng = np.random.default_rng(3)
         for _ in range(30):
             g = random_dag(rng)
-            vectors = node_path_vectors(g, g.n_nodes)
+            vectors = node_path_counts(g, g.n_nodes)
             for i, cited in enumerate(g.backward_lists):
-                vec = vectors[i].as_dict()
+                vec = vectors[i]
                 if not cited:
                     assert vec == {0: 1}
                     continue
-                ks = set(vec) | {
-                    k + 1 for j in cited for k in vectors[j].as_dict()
-                }
+                ks = set(vec) | {k + 1 for j in cited for k in vectors[j]}
                 for k in ks:
-                    expected = sum(
-                        vectors[j].as_dict().get(k - 1, 0) for j in cited
-                    )
-                    assert vec.get(k, 0) == expected
+                    assert vec.get(k, 0) == sum(vectors[j].get(k - 1, 0) for j in cited)
 
 
 class TestCumulativenessSeries:
     def test_worked_example_stride_2(self, example_graph):
         series = cumulativeness_series(example_graph, stride=2)
-        assert series.ns() == [2, 4]
-        first, last = series.checkpoints
+        assert [cp.n for cp in series] == [2, 4]
+        first, last = series
         assert (first.id, first.ipl) == (0.0, 0.0)
         assert last.id == 0.75
         assert last.ipl == pytest.approx(0.8)
 
     def test_stride_larger_than_graph_clamps(self, example_graph):
         series = cumulativeness_series(example_graph, stride=10)
-        assert series.ns() == [4]
+        assert [cp.n for cp in series] == [4]
 
     def test_no_edge_graph(self):
         series = cumulativeness_series(make_graph(9, []), stride=3)
-        assert all(cp.id == 0.0 and cp.ipl == 0.0 for cp in series.checkpoints)
+        assert all(cp.id == 0.0 and cp.ipl == 0.0 for cp in series)
 
     def test_incremental_equals_pointwise(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_dag(rng)
             series = cumulativeness_series(g, stride=2)
-            for cp in series.checkpoints:
+            for cp in series:
                 dist = path_length_distribution(g, cp.n)
                 assert cp.ipl == dist.ipl
                 assert cp.mipl == dist.mipl
@@ -271,7 +264,7 @@ class TestPathEngineProperties:
         graph=backward_dags(), stride=st.integers(1, 5), mode=st.sampled_from(["exact", "float"])
     )
     def test_every_checkpoint_equals_pointwise(self, graph, stride, mode):
-        for cp in iter_checkpoints(graph, stride, mode):
+        for cp in measure_checkpoints(graph, stride, mode):
             assert cp.path_dist == path_length_distribution(graph, cp.n, mode)
             assert cp.backlink_dist == backlink_distribution(graph, cp.n)
             assert cp.id == internal_dependence(graph, cp.n)
@@ -312,7 +305,7 @@ class TestArithmeticLadder:
     @pytest.mark.parametrize("stride", [1, 7, 40])
     def test_exact_equals_closed_form_across_the_switch(self, stride):
         graph = two_predecessor_dag(self.N)
-        for cp in iter_checkpoints(graph, stride, "exact"):
+        for cp in measure_checkpoints(graph, stride, "exact"):
             expected = {
                 k: sum(math.comb(k, i - k) for i in range(k, cp.n)) for k in range(cp.n)
             }
@@ -327,7 +320,7 @@ class TestArithmeticLadder:
             assert_float_matches_exact(f.path_dist, e.path_dist)
 
     def test_node_vectors_follow_the_recurrence_across_the_switch(self):
-        vectors = [v.as_dict() for v in node_path_vectors(two_predecessor_dag(self.N), self.N)]
+        vectors = node_path_counts(two_predecessor_dag(self.N), self.N)
         assert vectors[0] == {0: 1}
         assert vectors[1] == {1: 1}
         for i in range(2, self.N):
@@ -394,8 +387,8 @@ class TestPathEnginePropertiesEscalated:
         # A prefix's levels may escalate later on their own than within the
         # whole graph, so float checkpoints match within 1e-9, not bit for bit.
         with escalation_bounds(bound):
-            exact = list(iter_checkpoints(graph, stride, "exact"))
-            floating = list(iter_checkpoints(graph, stride, "float"))
+            exact = measure_checkpoints(graph, stride, "exact")
+            floating = measure_checkpoints(graph, stride, "float")
             for e, f in zip(exact, floating, strict=True):
                 pointwise = path_length_distribution(graph, e.n, "exact")
                 assert e.path_dist == pointwise
