@@ -186,8 +186,8 @@ def _repeated(*keys: np.ndarray) -> np.ndarray:
 
 
 def _load_series(path: str) -> tuple[SeriesPoint, ...]:
-    """The checkpoints of a series table, whose n must start at 1 or more and rise
-    and whose mipl must be a whole number in [0, n - 1]."""
+    """The checkpoints of a series table: n rising from 1 or more, mipl a whole
+    number in [0, n - 1], id and ed at least 0, ipl in [0, mipl]."""
     (n, *cells), errors = _read_table(path, _SERIES_COLUMNS)
     sizes, size = _column(errors, n, int, "n", 1)
     _flag(
@@ -199,13 +199,17 @@ def _load_series(path: str) -> tuple[SeriesPoint, ...]:
         floats.append(got := _convert(column, float, errors))
         _flag(errors, ~np.isfinite(got), lambda row: f"{name} must be finite, got {got[row]}")
     ids, ipls, mipls, eds = floats
-    longest = np.array(mipls)
+    longest, mean = np.array(mipls), np.array(ipls)
     with np.errstate(invalid="ignore"):  # inf and nan are flagged above
         whole = (longest % 1 == 0) & (0 <= longest) & (longest < size)
+        outside = ~((0 <= mean) & (mean <= longest))
     _flag(
         errors, ~whole,
         lambda row: f"mipl must be a whole number in [0, {sizes[row] - 1}], got {mipls[row]}",
     )
+    for got, name in ((ids, "id"), (eds, "ed")):
+        _flag(errors, np.array(got) < 0, lambda row: f"{name} must not be negative, got {got[row]}")
+    _flag(errors, outside, lambda row: f"ipl must lie in [0, {mipls[row]}], got {ipls[row]}")
     _raise_earliest(path, errors)
     if not sizes:
         raise ValueError(f"{path}: empty series")

@@ -9,20 +9,18 @@ length k ending at a node are the sum, over the nodes it cites, of their
 paths of length k-1.  Its results are exact integers (mode "exact", the
 default up to :data:`EXACT_MODE_LIMIT` nodes) or floats (mode "float").
 Both modes climb one arithmetic ladder: each level is summed in plain
-float64 first, and only a level whose total reaches a bound is summed again,
-from the previous level, on the next rung, where every later level stays.
-Exact mode's bound is 2^53, below which float64 sums of non-negative
-integers are exact, and its next rung is Python ints.  Float mode's bound is
-2^1000, well inside the float range, and its next rung is natural logs,
-where each node's cited counts are summed by a log-sum-exp shifted by their
-own maximum, so a count's relative error stays near machine precision per
-level however widely one level's counts spread.
+float64 until one's total reaches a bound.  Float mode's, 2^1000, leaves
+headroom under the float range; past it, each node's cited counts are summed
+in natural logs by a log-sum-exp shifted by their own maximum, so relative
+error stays near machine precision per level.  Exact mode's, 2^53, is where
+float64 sums of integers stop being exact; past it, each node's remaining
+levels are packed into one Python int, all summed in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count
+from itertools import count, islice
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -128,8 +126,8 @@ def _log_prefix_totals(logs: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 # A level leaves plain float64 once its total reaches the bound of its mode:
-# exact mode for Python ints, as float64 sums of non-negative integers are
-# exact below 2^53; float mode for natural logs, with headroom under the
+# exact mode for the packed tail, as float64 sums of non-negative integers
+# are exact below 2^53; float mode for natural logs, with headroom under the
 # float range.
 _INT_BOUND = 2.0**53
 _LOG_BOUND = 2.0**1000
@@ -137,17 +135,17 @@ _LOG_BOUND = 2.0**1000
 
 def _path_levels(
     graph: KnowledgeGraph, n: int, mode: str
-) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray | tuple, bool]]:
     """Yield ``(nodes, counts, escalated)`` per path length k = 0, 1, ... over the first n nodes.
 
     ``nodes`` (ascending) are the prefix nodes where a path of length k or
     more ends and ``counts`` their numbers of length-k paths.  Level k is one
     segmented sum of level k-1 over the edges whose cited node is still on
     level k-1; the generator stops after the longest path.  Levels are
-    summed in float64 until one's total reaches the bound of ``mode``; that
-    level is summed again from the previous one, in Python ints (exact
-    mode) or natural logs (float mode), and so is every level after it,
-    which ``escalated`` marks.
+    summed in float64 until one's total reaches the bound of ``mode``; float
+    mode sums that level, from the previous one, and every later one in
+    natural logs, which ``escalated`` marks.  Exact mode's last item is
+    ``(nodes, (bounds, cited, value), True)``, for :func:`_packed_tail`.
     """
     exact = mode == "exact"
     bound = _INT_BOUND if exact else _LOG_BOUND
@@ -176,14 +174,49 @@ def _path_levels(
                 continue
             escalated = True
             if exact:
-                value = value.astype(np.int64).astype(object)
-            else:
-                with np.errstate(divide="ignore"):
-                    value = np.log(value)
-        if exact:
-            counts = np.add.reduceat(value[cited], bounds[:-1])
-        else:
-            counts = _log_segment_sum(value[cited], bounds)
+                yield nodes, (bounds, cited, value), escalated
+                return
+            with np.errstate(divide="ignore"):
+                value = np.log(value)
+        counts = _log_segment_sum(value[cited], bounds)
+
+
+def _packed_tail(
+    nodes: np.ndarray, bounds: np.ndarray, cited: np.ndarray, value: np.ndarray, sizes: list
+) -> list[list[int]]:
+    """Each prefix's path totals of lengths k+1, k+2, ..., up to its longest.
+
+    Node ``nodes[i]`` cites ``cited[bounds[i]:bounds[i + 1]]``, on level k,
+    where ``value`` holds the length-k counts.  Node h's int is ``value[h] +
+    (p << W)``: ``p``, the sum of the ints h cites, packs its counts of
+    lengths k+1, ... W bits each.  The sum of each ``p`` is read at each
+    prefix size.  W, in whole bytes, spans the number of paths longer than k
+    (the same pass at W = 0), which bounds every field and sum, so no field
+    carries into the next.  Each int is dropped after its last citing node.
+    """
+    last = np.arange(len(value))  # the last node citing each node, or the node itself
+    targets = last.astype(object)[cited].tolist()  # one int object per node
+    np.maximum.at(last, cited, np.repeat(nodes, np.diff(bounds)))
+    order = np.argsort(last).tolist()
+    ends = [0, *last[order].searchsorted(nodes, side="right").tolist()]
+
+    def sums(width: int, steps_between: list[int]) -> list[int]:
+        packed, running, totals = value.astype(np.int64).tolist(), 0, []
+        steps = zip(nodes.tolist(), bounds.tolist(), bounds[1:].tolist(), ends, ends[1:])
+        for length in steps_between:
+            for h, start, end, first, stop in islice(steps, length):
+                p = sum([packed[j] for j in targets[start + 1 : end]], packed[targets[start]])
+                running += p
+                packed[h] = (p << width) + packed[h] if packed[h] else p << width
+                for j in order[first:stop]:
+                    packed[j] = 0
+            totals.append(running)
+        return totals
+
+    w = -(-sums(0, [len(nodes)])[0].bit_length() // 8)  # W, in bytes
+    totals = sums(8 * w, np.diff(nodes.searchsorted(sizes), prepend=0).tolist())
+    raws = [t.to_bytes(-(-t.bit_length() // (8 * w)) * w, "little") for t in totals]
+    return [[int.from_bytes(r[i : i + w], "little") for i in range(0, len(r), w)] for r in raws]
 
 
 def _count_distribution(n: int, totals: list, logs: bool) -> PathLengthDistribution:
@@ -207,25 +240,28 @@ def _path_distributions(
     columns = []  # per level: its total over each prefix size
     firsts = []  # per level: its lowest node, which never falls from level to level
     plain = 0  # the number of levels summed in float64
+    tails = [[]] * len(sizes)  # exact mode: each prefix's totals past those levels
     for nodes, counts, escalated in _path_levels(graph, sizes[-1], mode):
+        if escalated and exact:
+            tails = _packed_tail(nodes, *counts, sizes)
+            break
         ends = nodes.searchsorted(targets)
-        if escalated and not exact:
+        if escalated:
             columns.append(_log_prefix_totals(counts, ends).tolist())
         else:
+            plain += 1
             column = np.add.accumulate(counts)[ends - 1]
-            if not escalated:
-                plain += 1
-                if exact:  # to Python ints, before any sum across levels
-                    column = column.astype(np.int64)
+            if exact:  # to Python ints, before any sum across levels
+                column = column.astype(np.int64)
             columns.append(column.tolist())
         firsts.append(nodes[0])
     # A prefix reaches the levels whose lowest node lies inside it; the
     # columns of the levels it does not reach hold no total of its own.
     levels = np.searchsorted(firsts, targets).tolist()
     dists = []
-    for n, row, m in zip(sizes, zip(*columns), levels):
+    for n, row, m, tail in zip(sizes, zip(*columns), levels, tails):
         if exact or m <= plain:
-            dists.append(_count_distribution(n, row[:m], logs=not exact))
+            dists.append(_count_distribution(n, [*row[:m], *tail], logs=not exact))
         else:
             logs = np.concatenate((np.log(row[:plain]), row[plain:m]))
             dists.append(PathLengthDistribution.from_logs(n, logs))

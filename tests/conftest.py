@@ -11,7 +11,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from cumuldyn import measures
 from cumuldyn.core import (
     BacklinkDistribution,
     DistributionFit,
@@ -105,18 +104,19 @@ def brute_force_path_counts(graph: KnowledgeGraph, n: int) -> dict[int, int]:
 def node_path_counts(graph: KnowledgeGraph, n: int) -> list[dict[int, int]]:
     """Per node of the first n, its number of paths of each length that has any.
 
-    Read level by level from the exact-mode engine (``measures._path_levels``)
-    as Python ints: the float64 levels below 2^53 converted, the escalated
-    ones already ints.  The tests check these counts against the recurrence
-    and closed forms, not against another engine.
+    Deliberately independent of the production engine: one Python-int
+    recurrence per node, in ordinal order.  A node without internal backward
+    links ends one path, of length 0; any other node ends, for each k, the
+    sum over the nodes it cites of their paths of length k - 1.
     """
-    vectors: list[dict[int, int]] = [{} for _ in range(n)]
-    for k, (nodes, counts, escalated) in enumerate(measures._path_levels(graph, n, "exact")):
-        if not escalated:
-            counts = counts.astype(np.int64)
-        for i, c in zip(nodes.tolist(), counts.tolist()):
-            if c:
-                vectors[i][k] = c
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    vectors: list[dict[int, int]] = []
+    for i in range(n):
+        vector: Counter[int] = Counter()
+        for j in indices[indptr[i] : indptr[i + 1]]:
+            for k, c in vectors[j].items():
+                vector[k + 1] += c
+        vectors.append(dict(vector) if indptr[i + 1] > indptr[i] else {0: 1})
     return vectors
 
 
@@ -329,6 +329,11 @@ def reference_load_series(path: str) -> tuple[SeriesPoint, ...]:
         )
         if mipl != int(mipl) or not 0 <= mipl <= size - 1:
             raise ValueError(f"mipl must be a whole number in [0, {size - 1}], got {mipl}")
+        for name, value in (("id", id_), ("ed", ed)):
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
+        if not 0 <= ipl <= mipl:
+            raise ValueError(f"ipl must lie in [0, {mipl}], got {ipl}")
         return SeriesPoint(size, id_, ipl, int(mipl), ed)
 
     points = _reference_read_table(path, ("n", "id", "ipl", "mipl", "ed"), point)

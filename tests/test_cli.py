@@ -189,6 +189,8 @@ class TestMeasure:
             "--q", "0.5", "--m0", "1.0", "--out", str(gof_out),
         ) == 0
         assert len(read_csv(gof_out / "gof_summary.csv")) == 4
+        # Its series, whose ipl comes from the log counts, loads back too.
+        assert run("fit", "--series", str(out / "series.csv"), "--out", str(tmp_path / "fit")) == 0
         assert not recwarn.list
 
     def test_zero_match_query_exit_2(self, tmp_path, sim_dir, capsys):
@@ -878,6 +880,12 @@ class TestTableReaders:
              ":3: mipl must be a whole number in [0, 19], got -1.0"),
             ("series", SERIES.replace(",5,", ",30,"),
              ":4: mipl must be a whole number in [0, 29], got 30.0"),
+            ("series", SERIES.replace("20,1.5", "20,-1.5"), ":3: id must not be negative, got -1.5"),
+            ("series", SERIES.replace("5,0.0", "5,-0.5"), ":4: ed must not be negative, got -0.5"),
+            ("series", SERIES.replace("2.0,3,", "4.0,3,"),
+             ":3: ipl must lie in [0, 3.0], got 4.0"),
+            ("series", SERIES.replace("1.0,1.0,", "1.0,-4.0,"),
+             ":2: ipl must lie in [0, 2.0], got -4.0"),
             ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
             ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
@@ -935,6 +943,8 @@ class TestTableReaders:
             "series-missing", "series-bad", "series-inf-id", "series-nan-mipl",
             "series-n-falls", "series-n-repeats", "series-n-negative", "series-n-zero",
             "series-fractional-mipl", "series-negative-mipl", "series-mipl-past-n",
+            "series-negative-id", "series-negative-ed", "series-ipl-past-mipl",
+            "series-negative-ipl",
             "fits-missing", "fits-bad",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
             "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",
@@ -1030,8 +1040,10 @@ def _tables(draw, reader):
         header = "n,id,ipl,mipl,ed"
         steps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
         mipl = st.sampled_from(["3", "3.0", "0", "2.5", "-1"])
+        rate = st.floats(0, allow_infinity=False).map(repr)
+        mean = st.one_of(st.just("0.0"), st.floats(0, 3).map(repr), finite)
         rows = [
-            [str(n), draw(finite), draw(finite), draw(mipl), draw(finite)]
+            [str(n), draw(rate), draw(mean), draw(mipl), draw(rate)]
             for n in np.cumsum(steps).tolist()
         ]
     elif reader == "backlinks":

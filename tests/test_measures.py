@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cumuldyn import measures
@@ -297,9 +299,12 @@ class TestArithmeticLadder:
 
     def test_level_totals_cross_the_exact_float_range(self):
         graph = two_predecessor_dag(self.N)
-        escalated = [e for _, _, e in measures._path_levels(graph, self.N, "exact")]
-        assert escalated.index(True) == 53
-        assert all(escalated[53:])
+        levels = list(measures._path_levels(graph, self.N, "exact"))
+        # Levels 0..52 in float64, then the hand-over of the edges into level 53.
+        assert [e for _, _, e in levels] == [False] * 53 + [True]
+        nodes, (bounds, cited, value), _ = levels[-1]
+        assert (nodes[0], cited.min(), len(cited)) == (53, 52, bounds[-1])
+        assert value[52:].tolist() == [math.comb(52, i - 52) for i in range(52, self.N)]
         assert not any(e for _, _, e in measures._path_levels(graph, self.N, "float"))
 
     @pytest.mark.parametrize("stride", [1, 7, 40])
@@ -342,6 +347,78 @@ class TestArithmeticLadder:
         assert floating.counts == exact.counts
         assert floating.normalized == exact.normalized
         assert floating.ipl == exact.ipl
+
+
+def dense_dag(block: int, tail: list[list[int]]):
+    """A graph whose level totals pass 2^53 within a few nodes.
+
+    Each of the first ``block`` nodes cites all its predecessors, so level k
+    of the block totals C(block - 1, k).  Then node ``block`` cites the
+    block's last node (paths of lengths 2..block), node ``block + 1`` cites
+    none and node ``block + 2`` cites both: its path lengths skip level 2.
+    The nodes after them cite the lists of ``tail``, in order.
+    """
+    edges = [(i, j) for i in range(1, block) for j in range(i)]
+    edges += [(block, block - 1), (block + 2, block), (block + 2, block + 1)]
+    first = block + 3
+    edges += [(first + t, j) for t, cited in enumerate(tail) for j in cited]
+    return make_graph(first + len(tail), edges)
+
+
+@st.composite
+def dense_dags(draw):
+    block = draw(st.integers(56, 60))
+    tail = []
+    for i in range(block + 3, block + 3 + draw(st.integers(0, 10))):
+        low = draw(st.integers(0, i))
+        tail.append(sorted(set(range(low, i)) | draw(st.sets(st.integers(0, i - 1), max_size=3))))
+    return dense_dag(block, tail)
+
+
+def prefix_totals(graph, sizes):
+    """Each prefix's path counts by length, summed from the conftest recurrence."""
+    vectors = node_path_counts(graph, graph.n_nodes)
+    totals: Counter[int] = Counter()
+    found = []
+    for start, n in zip([0, *sizes], sizes):
+        for vector in vectors[start:n]:
+            totals.update(vector)
+        found.append(dict(totals))
+    return found
+
+
+# Ten nodes citing all their predecessors after the block double the paths
+# ten times: more than 2^64 paths lie past the hand-over, so each length
+# takes more than 8 bytes.
+WIDE_DAG = dense_dag(60, [list(range(i)) for i in range(63, 73)])
+
+
+class TestPackedTail:
+    """Exact mode past 2^53, where each node's remaining levels share one int."""
+
+    # At every stride the first prefix ends before the first packed level.
+    @PROPERTY
+    @example(graph=WIDE_DAG, stride=5)
+    @given(graph=dense_dags(), stride=st.integers(1, 5))
+    def test_exact_equals_the_recurrence_at_every_checkpoint(self, graph, stride):
+        checkpoints = measure_checkpoints(graph, stride, "exact")
+        expected = prefix_totals(graph, [cp.n for cp in checkpoints])
+        assert [cp.path_dist.counts for cp in checkpoints] == expected
+
+    def test_wide_example_passes_2_64_paths(self):
+        assert sum(prefix_totals(WIDE_DAG, [WIDE_DAG.n_nodes])[0].values()) > 2**65
+
+    def test_packed_ints_are_freed_after_their_last_use(self):
+        # Every node of the 1 600-node graph holds up to 1 547 lengths of
+        # ~1 100 bits; kept to the end, they take ~180 MB.
+        graph = two_predecessor_dag(1600)
+        tracemalloc.start()
+        try:
+            measure_checkpoints(graph, 100, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 @contextmanager
