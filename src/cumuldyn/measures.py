@@ -5,32 +5,28 @@ count.  The longitudinal indicators (internal path length ``ipl``, maximum
 path length ``mipl``) require the full distribution of path lengths, where a
 path starts at an invention without internal backward links and follows
 links forward in time.  One engine counts them level by level: the paths of
-length k ending at a node are the sum, over the nodes it cites, of their
-paths of length k-1.  Its results are exact integers (mode "exact", the
-default up to :data:`EXACT_MODE_LIMIT` nodes) or floats (mode "float").
-Both modes climb one arithmetic ladder: each level is summed in plain
-float64 until one's total reaches a bound.  Float mode's, 2^1000, leaves
-headroom under the float range; past it, each node's cited counts are summed
-in natural logs by a log-sum-exp shifted by their own maximum, so relative
-error stays near machine precision per level.  Exact mode's, 2^53, is where
-float64 sums of integers stop being exact; past it, each node's remaining
-levels are packed into one Python int, all summed in one pass.
+length k ending at a node sum, over the nodes it cites, their paths of
+length k-1, one ``bincount`` over the edges whose cited node's longest path
+reaches k-1.  Its results are exact integers (mode "exact", the default up
+to :data:`EXACT_MODE_LIMIT` nodes) or floats (mode "float").  Both modes
+climb one arithmetic ladder: each level is summed in float64 until one's
+total reaches a bound.  Float mode's, 2^1000, leaves headroom under the
+float range; past it, each node's cited counts are summed in natural logs,
+shifted by their maximum, so relative error stays near machine precision
+per level.  Exact mode's, 2^53, is where float64 sums of integers stop
+being exact; past it, each node's remaining levels are packed into one
+Python int, all summed in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count, islice
+from itertools import islice
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    BacklinkDistribution,
-    KnowledgeGraph,
-    PathLengthDistribution,
-    SeriesPoint,
-)
+from .core import BacklinkDistribution, KnowledgeGraph, PathLengthDistribution, SeriesPoint
 
 __all__ = [
     "EXACT_MODE_LIMIT",
@@ -105,8 +101,7 @@ def _log_segment_sum(logs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
     ``bounds`` must rise strictly.  Each segment is shifted by its own
     maximum, clipped at 0 (the least log of a positive count), so no segment
-    over- or underflows however widely the level's counts spread; an
-    all-zero segment sums to ``-inf``.
+    over- or underflows; an all-zero segment sums to ``-inf``.
     """
     starts = bounds[:-1]
     shift = np.maximum.reduceat(logs, starts)
@@ -116,69 +111,83 @@ def _log_segment_sum(logs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         return np.log(np.add.reduceat(terms, starts)) + shift
 
 
-def _log_prefix_totals(logs: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Log of the summed counts of ``logs[:e]`` for each e of ``ends`` (ascending)."""
-    bounds = np.concatenate(([0], ends))
-    filled = bounds[1:] > bounds[:-1]
-    sums = np.full(len(ends), -math.inf)
-    sums[filled] = _log_segment_sum(logs, bounds[np.concatenate(([True], filled))])
-    return np.logaddexp.accumulate(sums)
-
-
 # A level leaves plain float64 once its total reaches the bound of its mode:
-# exact mode for the packed tail, as float64 sums of non-negative integers
-# are exact below 2^53; float mode for natural logs, with headroom under the
-# float range.
+# exact mode's, as float64 sums of non-negative integers are exact below
+# 2^53; float mode's, with headroom under the float range.
 _INT_BOUND = 2.0**53
 _LOG_BOUND = 2.0**1000
 
 
-def _path_levels(
-    graph: KnowledgeGraph, n: int, mode: str
-) -> Iterator[tuple[np.ndarray, np.ndarray | tuple, bool]]:
-    """Yield ``(nodes, counts, escalated)`` per path length k = 0, 1, ... over the first n nodes.
+def _depths(graph: KnowledgeGraph, n: int) -> np.ndarray:
+    """The depth (longest path ending there) of each of the first n nodes, in node order.
 
-    ``nodes`` (ascending) are the prefix nodes where a path of length k or
-    more ends and ``counts`` their numbers of length-k paths.  Level k is one
-    segmented sum of level k-1 over the edges whose cited node is still on
-    level k-1; the generator stops after the longest path.  Levels are
-    summed in float64 until one's total reaches the bound of ``mode``; float
-    mode sums that level, from the previous one, and every later one in
-    natural logs, which ``escalated`` marks.  Exact mode's last item is
-    ``(nodes, (bounds, cited, value), True)``, for :func:`_packed_tail`.
+    A node's is one more than the deepest node it cites.  Per block of nodes,
+    edges into earlier blocks take one scatter-max, those inside a Python loop.
     """
-    exact = mode == "exact"
-    bound = _INT_BOUND if exact else _LOG_BOUND
+    ends = graph.indptr[: n + 1]
+    citing = np.repeat(np.arange(n), np.diff(ends))
+    depth = np.zeros(n, np.intp)
+    block = 64 + n // 64
+    for a in range(0, n, block):
+        edges = slice(ends[a], ends[min(a + block, n)])
+        into, out = citing[edges], graph.indices[edges]
+        earlier = out < a
+        np.maximum.at(depth, into[earlier], depth[out[earlier]] + 1)
+        local = depth[a : a + block].tolist()
+        for i, j in zip((into[~earlier] - a).tolist(), (out[~earlier] - a).tolist()):
+            if local[j] >= local[i]:
+                local[i] = local[j] + 1
+        depth[a : a + block] = local
+    return depth
+
+
+def _path_levels(graph: KnowledgeGraph, depth: np.ndarray, mode: str) -> Iterator[tuple]:
+    """Yield ``(counts, escalated)`` per path length k = 0, 1, ..., max(depth).
+
+    ``counts`` holds the number of length-k paths ending at each node of
+    ``depth`` (:func:`_depths`).  Level k+1 sums level k over the edges whose
+    cited node has depth k or more: a prefix of the edges sorted, stably, by
+    cited depth, descending.  Levels are summed in float64 until one's total
+    reaches the bound of ``mode``; float mode sums that level, from the
+    previous one, and every later one in natural logs (``escalated``).  Exact
+    mode's last item is ``((nodes, bounds, cited, value), True)`` for
+    :func:`_packed_tail`: the edges live at level k, in node order, and level k.
+    """
+    n = len(depth)
+    bound = _INT_BOUND if mode == "exact" else _LOG_BOUND
     degree = np.diff(graph.indptr[: n + 1])
     cited = graph.indices[: graph.indptr[n]]
-    citing = np.repeat(np.arange(n), degree)
-    nodes = np.arange(n)
+    top = int(depth.max())
+    # Keys rise as the cited depth falls; 16-bit keys take numpy's radix sort.
+    keys = (top - depth[cited]).astype(np.uint16 if top < 2**16 else np.intp)
+    order = np.argsort(keys, kind="stable")
+    lives = keys[order].searchsorted(top - np.arange(top), "right").tolist()
+    into, out = np.repeat(np.arange(n), degree)[order], cited[order]
+    del order
     counts = (degree == 0).astype(np.float64)
-    value = counts.copy()  # each node's count on the last level it is on
-    last = np.zeros(n, np.intp)  # the last level each node is on, so far
     escalated = False
-    for k in count():
-        yield nodes, counts, escalated
-        value[nodes] = counts
-        last[nodes] = k
-        keep = last[cited] == k
-        citing, cited = citing[keep], cited[keep]
-        if not citing.size:
-            return
-        # The edge positions where a citing node's run begins, then the end.
-        bounds = np.flatnonzero(np.concatenate(([True], citing[1:] != citing[:-1], [True])))
-        nodes = citing[bounds[:-1]]
+    for k, m in enumerate(lives):
+        yield counts, escalated
         if not escalated:
-            counts = np.add.reduceat(value[cited], bounds[:-1])
-            if counts.sum() < bound:
+            level = np.bincount(into[:m], counts[out[:m]], n)
+            if level.sum() < bound:
+                counts = level
                 continue
             escalated = True
-            if exact:
-                yield nodes, (bounds, cited, value), escalated
+            if mode == "exact":
+                live = keys <= top - k  # in node order
+                nodes = np.repeat(np.arange(n), degree)[live]
+                bounds = np.flatnonzero(np.concatenate(([True], nodes[1:] != nodes[:-1], [True])))
+                yield (nodes[bounds[:-1]], bounds, cited[live], counts), escalated
                 return
             with np.errstate(divide="ignore"):
-                value = np.log(value)
-        counts = _log_segment_sum(value[cited], bounds)
+                counts = np.log(counts)
+        logs = counts[out[:m]]
+        shift = np.zeros(n)  # each node's largest cited log, clipped at 0
+        np.maximum.at(shift, into[:m], logs)
+        with np.errstate(divide="ignore"):
+            counts = np.log(np.bincount(into[:m], np.exp(logs - shift[into[:m]]), n)) + shift
+    yield counts, escalated
 
 
 def _packed_tail(
@@ -236,28 +245,25 @@ def _path_distributions(
 ) -> list[PathLengthDistribution]:
     """Path-length distribution of each prefix in ``sizes`` (ascending)."""
     exact = mode == "exact"
-    targets = np.asarray(sizes)
+    depth = _depths(graph, sizes[-1])
+    bounds = np.array([0, *sizes])
+    last = bounds[1:] - 1  # each prefix's last node
+    levels = (np.maximum.accumulate(depth)[last] + 1).tolist()  # up to each longest path
     columns = []  # per level: its total over each prefix size
-    firsts = []  # per level: its lowest node, which never falls from level to level
     plain = 0  # the number of levels summed in float64
     tails = [[]] * len(sizes)  # exact mode: each prefix's totals past those levels
-    for nodes, counts, escalated in _path_levels(graph, sizes[-1], mode):
+    for counts, escalated in _path_levels(graph, depth, mode):
         if escalated and exact:
-            tails = _packed_tail(nodes, *counts, sizes)
-            break
-        ends = nodes.searchsorted(targets)
+            break  # leaving the loop frees the levels' edge arrays before the tail
         if escalated:
-            columns.append(_log_prefix_totals(counts, ends).tolist())
-        else:
-            plain += 1
-            column = np.add.accumulate(counts)[ends - 1]
-            if exact:  # to Python ints, before any sum across levels
-                column = column.astype(np.int64)
-            columns.append(column.tolist())
-        firsts.append(nodes[0])
-    # A prefix reaches the levels whose lowest node lies inside it; the
-    # columns of the levels it does not reach hold no total of its own.
-    levels = np.searchsorted(firsts, targets).tolist()
+            columns.append(np.logaddexp.accumulate(_log_segment_sum(counts, bounds)).tolist())
+            continue
+        plain += 1
+        column = counts.cumsum()[last]
+        # Exact mode's go to Python ints, before any sum across levels.
+        columns.append((column.astype(np.int64) if exact else column).tolist())
+    if escalated and exact:
+        tails = _packed_tail(*counts, sizes)
     dists = []
     for n, row, m, tail in zip(sizes, zip(*columns), levels, tails):
         if exact or m <= plain:
@@ -292,13 +298,7 @@ class Checkpoint(NamedTuple):
 
     @property
     def point(self) -> SeriesPoint:
-        return SeriesPoint(
-            n=self.n,
-            id=self.id,
-            ipl=self.path_dist.ipl,
-            mipl=self.path_dist.mipl,
-            ed=self.ed,
-        )
+        return SeriesPoint(self.n, self.id, self.path_dist.ipl, self.path_dist.mipl, self.ed)
 
 
 def measure_checkpoints(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -272,21 +272,97 @@ class TestPathEngineProperties:
             assert cp.id == internal_dependence(graph, cp.n)
             assert cp.ed == external_dependence(graph, cp.n)
 
+    @PROPERTY
+    @given(
+        graph=backward_dags(), stride=st.integers(1, 5), mode=st.sampled_from(["exact", "float"])
+    )
+    def test_mipl_is_the_longest_path_of_each_prefix(self, graph, stride, mode):
+        for cp in measure_checkpoints(graph, stride, mode):
+            assert cp.path_dist.mipl == max(brute_force_path_counts(graph, cp.n))
+
     def test_float_matches_exact_past_the_float_range(self):
-        # Up to node 1600, node i cites i-1 and i-2, so path counts grow like
-        # Fibonacci numbers and pass the float range.  The nodes after it
-        # form a chain that reaches those long levels but whose far end has
-        # no path of their length: zero counts beside overflowing ones.
-        n, fib = 1800, 1600
-        graph = make_graph(
-            n, [(i, i - d) for i in range(1, n) for d in (1, 2) if i >= d and (d == 1 or i < fib)]
-        )
+        graph = fibonacci_chain()
         floating = measure_checkpoints(graph, 100, mode="float")
         exact = measure_checkpoints(graph, 100, mode="exact")
         assert [cp.n for cp in floating] == [cp.n for cp in exact]
         for f, e in zip(floating, exact):
             assert_float_matches_exact(f.path_dist, e.path_dist)
         assert any(math.isinf(c) for c in floating[-1].path_dist.counts.values())
+
+
+def fibonacci_chain():
+    """Up to node 1600, node i cites i-1 and i-2, so path counts grow like
+    Fibonacci numbers and pass the float range.  The nodes after it form a
+    chain that reaches those long levels but whose far end has no path of
+    their length: zero counts beside overflowing ones.
+    """
+    n, fib = 1800, 1600
+    return make_graph(
+        n, [(i, i - d) for i in range(1, n) for d in (1, 2) if i >= d and (d == 1 or i < fib)]
+    )
+
+
+# i0 <- x1 <- ... <- x4 <- h is a chain; j cites i0 and h, so its paths have
+# lengths 1 and 6, and g cites j (lengths 2 and 7): no path of the lengths
+# between, although both nodes lie deeper.
+GAPPED = make_graph(8, [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 0), (6, 5), (7, 6)])
+
+
+def longest_paths(graph, n: int) -> list[int]:
+    """The longest path ending at each of the first n nodes, by the plain recurrence."""
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    depth: list[int] = []
+    for i in range(n):
+        depth.append(max((depth[j] + 1 for j in indices[indptr[i] : indptr[i + 1]]), default=0))
+    return depth
+
+
+@st.composite
+def long_dags(draw):
+    """Up to 1 000 nodes, each citing maybe its predecessor, a few random
+    earlier nodes and a few of the last 40, so longest paths run both inside
+    and across the blocks of :func:`measures._depths`.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 1000))
+    chain, recent = rng.uniform(0, 1, 2)
+    edges = set()
+    for i in range(1, n):
+        if rng.random() < chain:
+            edges.add((i, i - 1))
+        edges.update((i, int(j)) for j in rng.integers(0, i, rng.poisson(1.5)))
+        edges.update((i, int(j)) for j in rng.integers(max(0, i - 40), i, rng.poisson(recent)))
+    return make_graph(n, sorted(edges))
+
+
+class TestDepthOrder:
+    """The longest paths the level loop sorts its edges by."""
+
+    @PROPERTY
+    @given(graph=long_dags(), data=st.data())
+    def test_depths_follow_the_recurrence(self, graph, data):
+        n = data.draw(st.integers(1, graph.n_nodes))
+        assert measures._depths(graph, n).tolist() == longest_paths(graph, n)
+
+    def test_gapped_lengths(self):
+        assert node_path_counts(GAPPED, 8)[6:] == [{1: 1, 6: 1}, {2: 1, 7: 1}]
+        assert measures._depths(GAPPED, 8).tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+
+    # Level 1 totals 2 and no level more, so a bound of 2 escalates there.
+    @pytest.mark.parametrize("bound", [None, 2.0])
+    @pytest.mark.parametrize("stride", range(1, 9))
+    def test_gapped_lengths_at_every_stride(self, stride, bound):
+        with escalation_bounds(bound) if bound else nullcontext():
+            exact = measure_checkpoints(GAPPED, stride, "exact")
+            floating = measure_checkpoints(GAPPED, stride, "float")
+        for e, f in zip(exact, floating, strict=True):
+            assert e.path_dist.counts == brute_force_path_counts(GAPPED, e.n)
+            if bound:  # summed in logs
+                assert_float_matches_exact(f.path_dist, e.path_dist)
+            else:
+                assert f.path_dist.counts == e.path_dist.counts
+                assert f.path_dist.normalized == e.path_dist.normalized
+                assert (f.path_dist.ipl, f.path_dist.mipl) == (e.path_dist.ipl, e.path_dist.mipl)
 
 
 def two_predecessor_dag(n: int):
@@ -299,13 +375,19 @@ class TestArithmeticLadder:
 
     def test_level_totals_cross_the_exact_float_range(self):
         graph = two_predecessor_dag(self.N)
-        levels = list(measures._path_levels(graph, self.N, "exact"))
+        depth = measures._depths(graph, self.N)
+        assert depth.tolist() == list(range(self.N))
+        levels = list(measures._path_levels(graph, depth, "exact"))
         # Levels 0..52 in float64, then the hand-over of the edges into level 53.
-        assert [e for _, _, e in levels] == [False] * 53 + [True]
-        nodes, (bounds, cited, value), _ = levels[-1]
+        assert [e for _, e in levels] == [False] * 53 + [True]
+        (nodes, bounds, cited, value), _ = levels[-1]
         assert (nodes[0], cited.min(), len(cited)) == (53, 52, bounds[-1])
+        assert value is levels[52][0]
+        assert not value[:52].any()
         assert value[52:].tolist() == [math.comb(52, i - 52) for i in range(52, self.N)]
-        assert not any(e for _, _, e in measures._path_levels(graph, self.N, "float"))
+        floating = list(measures._path_levels(graph, depth, "float"))
+        assert len(floating) == self.N
+        assert not any(e for _, e in floating)
 
     @pytest.mark.parametrize("stride", [1, 7, 40])
     def test_exact_equals_closed_form_across_the_switch(self, stride):
@@ -419,6 +501,19 @@ class TestPackedTail:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_float_levels_stay_small_past_the_float_range(self):
+        # The float ladder holds a level and the edges sorted by depth.  The
+        # peak on this graph is about 5.8 MB, mostly the distributions
+        # returned; the bound is twice that.
+        graph = fibonacci_chain()
+        tracemalloc.start()
+        try:
+            measure_checkpoints(graph, 100, "float")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.6e6
 
 
 @contextmanager
