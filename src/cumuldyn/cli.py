@@ -376,13 +376,19 @@ def _measure_graph(
             for m, count in sorted(cp.backlink_dist.counts.items())
         ],
     )
+    # One string of finished lines per checkpoint, as csv would write them:
+    # counts and normalized both run over k = 0..mipl in key order.
     bundle.add_table(
         "pathlen_dist.csv",
         ("n", "k", "count", "normalized"),
         [
-            [cp.n, k, cp.path_dist.counts[k], cp.path_dist.normalized.get(k, 0.0)]
+            "".join(
+                f"{cp.n},{k},{paths},{w!r}\n"
+                for k, paths, w in zip(
+                    count(), cp.path_dist.counts.values(), cp.path_dist.normalized.values()
+                )
+            )
             for cp in checkpoints
-            for k in sorted(cp.path_dist.counts)
         ],
     )
     bundle.add_table(

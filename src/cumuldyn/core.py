@@ -221,11 +221,11 @@ class PathLengthDistribution(NamedTuple):
             raw = np.exp(logs)
         return cls(
             n=n,
-            counts={int(k): float(raw[k]) for k in ks},
-            normalized={int(k): float(norm[k]) for k in ks},
+            counts=dict(enumerate(raw.tolist())),
+            normalized=dict(enumerate(norm.tolist())),
             ipl=float(np.dot(ks, norm)),
             mipl=len(logs) - 1,
-            log_counts={int(k): float(logs[k]) for k in ks},
+            log_counts=dict(enumerate(logs.tolist())),
         )
 
     @property

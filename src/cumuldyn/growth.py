@@ -6,17 +6,16 @@ and otherwise picks up one backward link, so the number of backward links
 per new invention is geometric with mean ``q*n + m0``.  Link targets are
 drawn uniformly among existing inventions.
 
-All randomness comes from the PCG64 generator of
-``numpy.random.default_rng(seed)``, seeded with a single 64-bit integer.
-:func:`simulate` reads its 64-bit output words in blocks and replays, in
-Python integers, what ``Generator.random()`` and ``Generator.integers(0, i)``
-make of them: a uniform from the top 53 bits of one word, and an integer
-below ``i`` from 32-bit halves of words by Lemire's multiply-shift rejection
-(Lemire, *Fast Random Integer Generation in an Interval*, ACM TOMACS 2019).
-The geometric draw is the inversion of a single uniform.  Reproducibility
-therefore rests on the PCG64 output stream alone, not on numpy's sampler
-code, and a (params, N, seed) triple gives the same graph bit for bit on any
-platform.
+All randomness comes from the PCG64 word stream of
+``numpy.random.default_rng(seed)``, seeded with a single non-negative
+integer, which :mod:`cumuldyn.pcg64` makes without numpy.random.
+:func:`simulate` replays, in Python integers, what ``Generator.random()``
+and ``Generator.integers(0, i)`` make of those words: a uniform from the top
+53 bits of one word, and an integer below ``i`` from 32-bit halves of words
+by Lemire's multiply-shift rejection (Lemire, *Fast Random Integer
+Generation in an Interval*, ACM TOMACS 2019).  The geometric draw is the
+inversion of a single uniform.  A (params, N, seed) triple therefore gives
+the same graph bit for bit on any platform.
 
 Note on measured series: because the *latest* invention's expected link
 count is ``q*n + m0``, the running average over all inventions (the id of
@@ -26,7 +25,6 @@ the simulated technology at size n) grows at rate ``q/2``, not ``q``.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -38,9 +36,6 @@ __all__ = ["GENERATOR_NAME", "rho", "sample_backlink_count", "simulate"]
 # The documented random source; a seed fully determines the word stream.
 GENERATOR_NAME = "numpy.random PCG64"
 
-# Words drawn per call into the generator.  Words drawn past the last one
-# used are simply discarded: the generator belongs to one simulate call.
-_BLOCK = 1024
 _LOW32 = 0xFFFFFFFF
 _TWO_POW_32 = 1 << 32
 
@@ -83,13 +78,6 @@ def sample_backlink_count(n: int, params: ModelParams, rng: np.random.Generator)
             f"rho({n}) = {p!r} for q={params.q!r}, m1={params.m1!r}: no finite count"
         )
     return count
-
-
-def _words(seed: int) -> Iterator[int]:
-    """The output words of ``default_rng(seed)``'s PCG64, drawn in blocks."""
-    bitgen = np.random.default_rng(seed).bit_generator
-    # random_raw never returns None, so the block iterator never ends.
-    return chain.from_iterable(iter(lambda: bitgen.random_raw(_BLOCK).tolist(), None))
 
 
 def _uniform(word: int) -> float:
@@ -139,13 +127,18 @@ def simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:
     The draws are those of one ``Generator.random()`` per invention and
     ``Generator.integers(0, i)`` per target candidate, replayed from the raw
     word stream.  numpy makes a 64-bit draw for ranges beyond 2**32, which is
-    not replayed: ``n_nodes`` above 2**32 raises ValueError.
+    not replayed: ``n_nodes`` above 2**32 raises ValueError, as does a
+    negative or non-integer ``seed``.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     if n_nodes > _TWO_POW_32:
         raise ValueError(f"n_nodes must be <= 2**32, got {n_nodes}")
-    words = _words(seed)
+    # Imported here, not at the top, so that no other command compiles the
+    # stream's code or builds its jump-ahead table.
+    from .pcg64 import words as pcg64_words
+
+    words = pcg64_words(seed)  # words made past the last one used are discarded
     half = -1
     counts = [0] * n_nodes
     indices: list[int] = []

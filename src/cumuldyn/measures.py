@@ -21,7 +21,8 @@ Python int, all summed in one pass.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import count, islice, repeat
+from operator import mul, truediv
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -233,10 +234,10 @@ def _count_distribution(n: int, totals: list, logs: bool) -> PathLengthDistribut
     return PathLengthDistribution(
         n=n,
         counts=dict(enumerate(totals)),
-        normalized={k: c / total for k, c in enumerate(totals)},
-        ipl=sum(k * c for k, c in enumerate(totals)) / total,
+        normalized=dict(enumerate(map(truediv, totals, repeat(total)))),
+        ipl=sum(map(mul, count(), totals)) / total,
         mipl=len(totals) - 1,
-        log_counts={k: math.log(c) for k, c in enumerate(totals)} if logs else None,
+        log_counts=dict(enumerate(map(math.log, totals))) if logs else None,
     )
 
 

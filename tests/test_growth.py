@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cumuldyn import pcg64
 from cumuldyn.core import ModelParams, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof
-from cumuldyn.growth import (
-    _distinct_below,
-    _uniform,
-    _words,
-    rho,
-    sample_backlink_count,
-    simulate,
-)
+from cumuldyn.growth import _distinct_below, _uniform, rho, sample_backlink_count, simulate
 from cumuldyn.measures import (
     backlink_distribution,
     cumulativeness_series,
@@ -200,14 +196,14 @@ class TestWordStreamReplay:
     def test_bounded_draw_replays_integers_between_uniforms(self, i, seed):
         # A uniform every few integers, so a kept high half outlives random().
         rng = np.random.default_rng(seed)
-        words = _words(seed)
+        stream = pcg64.words(seed)
         half = -1
         pattern = np.random.default_rng(seed + 1).integers(0, 3, size=3000).tolist()
         for step in pattern:
             if step == 0:
-                assert _uniform(next(words)) == rng.random()
+                assert _uniform(next(stream)) == rng.random()
             else:
-                targets, half = _distinct_below(i, 1, words, half)
+                targets, half = _distinct_below(i, 1, stream, half)
                 assert targets == [int(rng.integers(0, i))]
 
     @pytest.mark.parametrize("i", [3, 7, 2**16 + 1, 2**31 + 3, 2**32 - 1])
@@ -244,6 +240,39 @@ class TestWordStreamReplay:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             simulate(ModelParams(q=0.1, m1=2.0), 2**32 + 1, seed=1)
 
-    def test_bad_seed_rejected_by_numpy(self):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            simulate(ModelParams(q=0.1, m1=2.0), 5, seed=-1)
+    def test_bad_seed_rejected(self):
+        for seed, message in [
+            (-1, "expected non-negative integer"),
+            (-(2**70), "expected non-negative integer"),
+            (1.5, "seed must be an integer"),
+            (None, "seed must be an integer"),
+            ("3", "seed must be an integer"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                pcg64.words(seed)
+            with pytest.raises(ValueError, match=message):
+                simulate(ModelParams(q=0.1, m1=2.0), 5, seed=seed)
+
+
+def _numpy_words(seed: int) -> list[int]:
+    """The first 3 000 words of ``default_rng(seed)``: three blocks of ``pcg64.words``."""
+    return np.random.default_rng(seed).bit_generator.random_raw(3000).tolist()
+
+
+class TestWordStream:
+    """pcg64.words replays numpy's SeedSequence seeding and PCG64 stream word for word."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2, 3, 12345, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 + 7, 2**200 + 3],
+    )
+    def test_words_equal_numpy_random_raw(self, seed):
+        assert list(islice(pcg64.words(seed), 3000)) == _numpy_words(seed)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**130))
+    def test_words_equal_numpy_random_raw_for_any_seed(self, seed):
+        assert list(islice(pcg64.words(seed), 3000)) == _numpy_words(seed)
+
+    def test_numpy_integer_seed_is_its_value(self):
+        assert list(islice(pcg64.words(np.uint64(2**64 - 1)), 3)) == _numpy_words(2**64 - 1)[:3]

@@ -1,11 +1,16 @@
 """Which modules the command line loads.
 
 Every CLI process pays for its imports before it does any work, so no
-command may load scipy (gof's special functions are numpy and ``math``) or
+command may load scipy (gof's special functions are numpy and ``math``),
 ``numpy.ma`` (which ``np.unique`` imports on first use, about 15 ms of a
-one-shot run).  The check runs in a fresh interpreter, since this test
-process has both loaded already.  It looks at ``sys.modules``, never at a
-clock.
+one-shot run) or ``numpy.random``.  ``simulate`` replays numpy's PCG64 word
+stream itself: ``default_rng`` would load numpy.random's extension modules
+and, through ``secrets``, ``hashlib`` and OpenSSL's ``_hashlib``, about
+11 ms and 5.6 MB of a one-shot run.  The stream's own module,
+``cumuldyn.pcg64``, is left to ``simulate`` as well, so other commands do
+not compile it.  The check runs in a fresh interpreter, since this test
+process has all of them loaded already.  It looks at ``sys.modules``, never
+at a clock.
 """
 
 from __future__ import annotations
@@ -27,15 +32,18 @@ SCRIPT = textwrap.dedent(
     """
     import json, sys
 
-    def unwanted_modules():
+    def watched_modules():
         return sorted(
-            m for m in sys.modules if m in ("scipy", "numpy.ma") or m.startswith("scipy.")
+            m for m in sys.modules
+            if m in ("scipy", "numpy.ma", "numpy.random", "hashlib", "_hashlib", "secrets",
+                     "cumuldyn.pcg64")
+            or m.startswith(("scipy.", "numpy.random."))
         )
 
     import cumuldyn.cli
     from cumuldyn.cli import main
 
-    loaded = {"import": unwanted_modules()}
+    loaded = {"import": watched_modules()}
     tmp = sys.argv[1]
     codes = [
         main(["simulate", "--q", "0.01", "--m1", "2", "--n", "200",
@@ -46,15 +54,15 @@ SCRIPT = textwrap.dedent(
               "--tech-table", f"{tmp}/techs.csv", "--stride", "10",
               "--out", f"{tmp}/sweep"]),
     ]
-    loaded["simulate_measure_sweep"] = unwanted_modules()
+    loaded["simulate_measure_sweep"] = watched_modules()
     codes.append(main(["fit", "--series", f"{tmp}/measured/series.csv", "--out", f"{tmp}/fit"]))
-    loaded["fit"] = unwanted_modules()
+    loaded["fit"] = watched_modules()
     codes.append(main(["gof", "--backlink-dist", f"{tmp}/measured/backlink_dist.csv",
                        "--pathlen-dist", f"{tmp}/measured/pathlen_dist.csv",
                        "--fits", f"{tmp}/fit/fits.csv",
                        "--families", "binomial-type,poisson,normal,binomial",
                        "--out", f"{tmp}/gof"]))
-    loaded["gof"] = unwanted_modules()
+    loaded["gof"] = watched_modules()
     print(json.dumps({"codes": codes, "loaded": loaded}))
     """
 )
@@ -77,7 +85,7 @@ def _write_corpus(tmp_path: Path) -> None:
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """Run every command once in a fresh interpreter; the unwanted modules after each step."""
+    """Run every command once in a fresh interpreter; the watched modules after each step."""
     tmp_path = tmp_path_factory.mktemp("startup")
     _write_corpus(tmp_path)
     env = dict(os.environ)
@@ -100,9 +108,17 @@ def loaded(tmp_path_factory):
 
 def test_commands_load_scipy_only_where_needed(loaded):
     # No command needs scipy: gof's special functions are numpy and math.
-    assert {step: [m for m in mods if m != "numpy.ma"] for step, mods in loaded.items()} == {
+    assert {step: [m for m in mods if "scipy" in m] for step, mods in loaded.items()} == {
         "import": [], "simulate_measure_sweep": [], "fit": [], "gof": [],
     }
+
+
+def test_no_command_loads_numpy_random_or_hashlib(loaded):
+    # simulate's words come from the package's own SeedSequence and PCG64.
+    random_or_hashes = ("numpy.random", "hashlib", "_hashlib", "secrets")
+    assert {
+        step: [m for m in mods if m.startswith(random_or_hashes)] for step, mods in loaded.items()
+    } == {"import": [], "simulate_measure_sweep": [], "fit": [], "gof": []}
 
 
 def test_measure_and_sweep_load_no_numpy_ma(loaded):
@@ -113,3 +129,8 @@ def test_measure_and_sweep_load_no_numpy_ma(loaded):
 def test_fit_and_gof_load_no_numpy_ma(loaded):
     assert "numpy.ma" not in loaded["fit"]
     assert "numpy.ma" not in loaded["gof"]
+
+
+def test_only_simulate_loads_the_word_stream(loaded):
+    assert "cumuldyn.pcg64" not in loaded["import"]
+    assert "cumuldyn.pcg64" in loaded["simulate_measure_sweep"]
