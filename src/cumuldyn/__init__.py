@@ -33,7 +33,7 @@ from .fitting import (
     pathlength_gof,
     power_law_fit,
 )
-from .growth import rho, sample_backlink_count, simulate
+from .growth import rho, simulate
 from .ingest import (
     CitationRecord,
     Corpus,

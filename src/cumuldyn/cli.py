@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, pairwise
 from operator import add
 from pathlib import Path
 from typing import Callable, Sequence
@@ -69,7 +69,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence | str]
     # float64 is the shortest repr that reads back to the same value.  A
     # table whose rows are str is already rendered: each row is finished
     # lines, built by its command the way csv would write them (see
-    # _add_gof_rows), and goes out as it is.
+    # cmd_simulate and _add_gof_rows), and goes out as it is.
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -145,6 +145,11 @@ def _read_table(path: str, columns: tuple[str, ...]) -> tuple[list[list[str]], l
 
 def _convert(cells: list[str], kind: Callable, errors: list) -> list:
     """``kind`` of each cell; from the first cell it rejects on, the values are 0."""
+    if kind is _count:
+        try:  # the common case, every count an integer, in one C-level pass
+            return list(map(int, cells))
+        except ValueError:
+            pass
     values: list = []
     try:
         values.extend(map(kind, cells))
@@ -340,19 +345,22 @@ def _fit_row(quantity: str, fit: LinearFit) -> list:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     params = ModelParams(q=args.q, m1=args.m1)
     graph = simulate(params, args.n, args.seed)
     bundle = ReportBundle(
         command="simulate",
         params={"q": args.q, "m1": args.m1, "n": args.n, "seed": args.seed, "rng": GENERATOR_NAME},
     )
+    # Finished lines, as csv writes them: an id is S and digits, which need no quoting.
     ids = graph.node_ids
     citing = np.repeat(np.arange(graph.n_nodes), graph.backlink_counts).tolist()
-    bundle.add_table("nodes.csv", ("node_id", "year", "classes"), [[i, "", "SIM"] for i in ids])
+    bundle.add_table("nodes.csv", ("node_id", "year", "classes"), [f"{i},,SIM\n" for i in ids])
     bundle.add_table(
         "edges.csv",
         ("citing_id", "cited_id", "origin"),
-        [[ids[i], ids[j], ""] for i, j in zip(citing, graph.indices.tolist())],
+        [f"{ids[i]},{ids[j]},\n" for i, j in zip(citing, graph.indices.tolist())],
     )
     bundle.write(Path(args.out))
     return 0
@@ -490,6 +498,22 @@ def _parse_families(raw: str) -> list[str]:
     return families
 
 
+def _model_reprs(fit: DistributionFits) -> list[str]:
+    """The repr of each model value, as csv writes it.  Binomial-type rows of one
+    n' hold the same values, so each distinct block, bit for bit, is formatted once."""
+    if fit.family != "binomial-type":
+        return list(map(repr, fit.model))
+    values = np.array(fit.model)
+    made: dict[bytes, list[str]] = {}
+    reprs: list[str] = []
+    for lo, hi in pairwise(fit.bounds):
+        key = values[lo:hi].tobytes()
+        if key not in made:
+            made[key] = list(map(repr, fit.model[lo:hi]))
+        reprs += made[key]
+    return reprs
+
+
 def _add_gof_rows(
     target: str, ns: list[int], fits: list[DistributionFits],
     summary_rows: list[tuple], point_rows: list[str], warned: list[str],
@@ -503,20 +527,21 @@ def _add_gof_rows(
     fit has the same layout and empirical column, so each checkpoint's
     ``value,empirical,`` cells are formatted once for all families; each
     line adds the block's ``n,target,family,`` prefix and the model float's
-    repr, which is what csv writes.  No cell needs csv's quoting: each is a
-    number, a target or a family name that ``_parse_families`` checked.
+    repr (see _model_reprs), which is what csv writes.  No cell needs csv's
+    quoting: each is a number, a target or a family name that
+    ``_parse_families`` checked.
     """
     bounds = fits[0].bounds
+    models = [_model_reprs(fit) for fit in fits]
     for row, n in enumerate(ns):
         lo, hi = bounds[row], bounds[row + 1]
         cells = [f"{k},{e}," for k, e in enumerate(fits[0].empirical[lo:hi])]
-        for fit in fits:
+        for fit, reprs in zip(fits, models):
             summary_rows.append(
                 (n, target, fit.family, fit.plot_correlation[row], *fit.chi_square[row])
             )
             prefix = f"{n},{target},{fit.family},"
-            lines = map(add, cells, map(repr, fit.model[lo:hi]))
-            point_rows.append(prefix + f"\n{prefix}".join(lines) + "\n")
+            point_rows.append(prefix + f"\n{prefix}".join(map(add, cells, reprs[lo:hi])) + "\n")
             for message in fit.warnings[row]:
                 _warn(warned, f"n={n} {target} {fit.family}: {message}")
 
@@ -723,7 +748,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--q", type=float, required=True, help="knowledge-need growth rate")
     sim.add_argument("--m1", type=float, required=True, help="initial knowledge need (> 1)")
     sim.add_argument("--n", type=int, required=True, help="number of inventions")
-    sim.add_argument("--seed", type=int, default=0, help="64-bit random seed")
+    sim.add_argument("--seed", type=int, default=0, help="random seed: any non-negative integer")
 
     mea = sub.add_parser(
         "measure", help="measure indicators of one technology", allow_abbrev=False

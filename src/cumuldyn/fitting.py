@@ -35,7 +35,7 @@ from .core import (
     SeriesPoint,
 )
 from .growth import rho
-from .predictions import binomial_path_pmf, log_factorials
+from .predictions import _log_factorial_parts, binomial_path_pmf, log_factorials
 
 __all__ = [
     "ols_fit",
@@ -239,37 +239,62 @@ def _chi_squares(
 
     Bins are pooled from the row's last one down until their expected count
     reaches the floor; a remainder short of it joins the last pooled bin.
+    The rows are reversed, so that pooling runs forward.  A bin whose
+    expected count reaches the floor on its own, met with nothing pooled,
+    is a pooled bin as it stands; only the runs from a bin below the floor
+    until the pool empties again are walked in Python.
     """
-    obs = observed.tolist()
-    exp = expected.tolist()
-    obs_pooled: list[float] = []
-    exp_pooled: list[float] = []
-    counts = []
-    for lo, hi in zip(starts.tolist(), (starts + lengths).tolist()):
-        first = len(obs_pooled)
+    spans, offsets = _segments(lengths)
+    flipped = np.repeat(starts + lengths - 1, lengths) - offsets
+    obs_arr = observed[flipped]
+    exp_arr = expected[flipped]
+    kept = exp_arr >= _MIN_EXPECTED  # the pooled bins, once the walks are done
+    row_ends = np.repeat(spans + lengths, lengths)
+    opens = np.flatnonzero(~kept & ((offsets == 0) | np.concatenate(([True], kept[:-1]))))
+    obs, exp, big = obs_arr.tolist(), exp_arr.tolist(), kept.tolist()
+    pooled: list[int] = []  # bins that a walk emitted a pool at or added a remainder to
+    absorbed: list[int] = []  # bins at the floor that a walk took in without emitting
+    reached = 0
+    walks = zip(opens.tolist(), row_ends[opens].tolist(), (opens - offsets[opens]).tolist())
+    for j, end, first in walks:
+        if j < reached:  # an earlier walk went on past this run
+            continue
+        # The bin before a walk, if in the row, is a pooled bin as it stands.
+        last = j - 1 if j > first else -1
         acc_obs = acc_exp = 0.0
-        for o, e in zip(reversed(obs[lo:hi]), reversed(exp[lo:hi])):
-            acc_obs += o
-            acc_exp += e
+        # A pool whose sums are both 0.0 adds as an empty one does.
+        while j < end and (acc_obs or acc_exp or not big[j]):
+            acc_obs += obs[j]
+            acc_exp += exp[j]
             if acc_exp >= _MIN_EXPECTED:
-                obs_pooled.append(acc_obs)
-                exp_pooled.append(acc_exp)
+                obs[j], exp[j] = acc_obs, acc_exp
+                pooled.append(j)
+                last = j
                 acc_obs = acc_exp = 0.0
-        if acc_exp > 0.0 or acc_obs > 0.0:
-            if len(obs_pooled) > first:
-                obs_pooled[-1] += acc_obs
-                exp_pooled[-1] += acc_exp
-            else:
-                obs_pooled.append(acc_obs)
-                exp_pooled.append(acc_exp)
-        counts.append(len(obs_pooled) - first)
+            elif big[j]:
+                absorbed.append(j)
+            j += 1
+        reached = j
+        if j == end and (acc_exp > 0.0 or acc_obs > 0.0):
+            if last < 0:  # the row pooled nothing: the remainder is its one bin
+                last = end - 1
+                obs[last] = exp[last] = 0.0
+            obs[last] += acc_obs
+            exp[last] += acc_exp
+            pooled.append(last)
+    kept[absorbed] = False
+    kept[pooled] = True
+    obs_arr[pooled] = [obs[j] for j in pooled]
+    exp_arr[pooled] = [exp[j] for j in pooled]
+    ranks = np.concatenate(([0], np.cumsum(kept)))
+    counts = (ranks[spans + lengths] - ranks[spans]).tolist()
     results = [(math.nan, max(c - 1, 0), math.nan) for c in counts]
     bins = np.array(counts)
     tested = np.flatnonzero(bins >= 2)
     if not len(tested):
         return results
-    o = np.array(obs_pooled)
-    e = np.array(exp_pooled)
+    o = obs_arr[kept]
+    e = exp_arr[kept]
     ends = np.cumsum(bins)[tested]
     firsts = ends - bins[tested]
     # Counts past 1e154 overflow to inf, and a nan sum reads as not finite.
@@ -354,7 +379,8 @@ def _pathlength_model(
     means = table.ipl
     mean = np.repeat(means, lengths)
     if family == "binomial-type":
-        pmfs = {n_prime: binomial_path_pmf(n_prime) for n_prime in set(n_primes)}
+        parts = _log_factorial_parts(max(n_primes))
+        pmfs = {n_prime: binomial_path_pmf(n_prime, parts) for n_prime in set(n_primes)}
         model = np.zeros(len(ks))
         # Every row's lengths reach n_prime - 1: the pmf fills its first n_prime.
         model[ks < np.repeat(n_primes, lengths)] = np.concatenate([pmfs[m] for m in n_primes])

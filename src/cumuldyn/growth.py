@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import KnowledgeGraph, ModelParams
 
-__all__ = ["GENERATOR_NAME", "rho", "sample_backlink_count", "simulate"]
+__all__ = ["GENERATOR_NAME", "rho", "simulate"]
 
 # The documented random source; a seed fully determines the word stream.
 GENERATOR_NAME = "numpy.random PCG64"
@@ -52,37 +52,16 @@ def rho(n: int, params: ModelParams) -> float:
 def _inverse_count(p: float, u: float) -> int | None:
     """``floor(log(u) / log(1 - p))`` for u in (0, 1], or None if that is infinite.
 
-    It is infinite for a zero ``p`` (a search that never ends) and for a
-    quotient too large for a float.
+    It is 0 for ``p >= 1`` (a search that always ends at once), and infinite
+    for a zero ``p`` (a search that never ends) and for a quotient too large
+    for a float.
     """
     if p == 0.0:
         return None
-    count = math.log(u) / math.log1p(-p)
-    return int(count) if count < math.inf else None
-
-
-def sample_backlink_count(n: int, params: ModelParams, rng: np.random.Generator) -> int:
-    """Draw a backward-link count m with P(m) = (1 - rho(n))^m * rho(n).
-
-    Sampled by inversion, ``floor(log(u) / log(1 - rho))`` with u uniform in
-    (0, 1], so reproducibility depends only on the generator's uniform
-    stream and not on any library's geometric sampler.  Raises ValueError
-    when rho(n) is 0, or so close to 0 that the count overflows a float.
-    """
-    p = rho(n, params)
     if p >= 1.0:
         return 0
-    count = _inverse_count(p, 1.0 - rng.random())
-    if count is None:
-        raise ValueError(
-            f"rho({n}) = {p!r} for q={params.q!r}, m1={params.m1!r}: no finite count"
-        )
-    return count
-
-
-def _uniform(word: int) -> float:
-    """``Generator.random()`` from the word it consumes: its top 53 bits over 2**53."""
-    return (word >> 11) * 2.0**-53
+    count = math.log(u) / math.log1p(-p)
+    return int(count) if count < math.inf else None
 
 
 def _distinct_below(
@@ -140,10 +119,12 @@ def simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:
 
     words = pcg64_words(seed)  # words made past the last one used are discarded
     half = -1
+    q, m1 = params.q, params.m1
     counts = [0] * n_nodes
     indices: list[int] = []
     for i in range(n_nodes):
-        count = _inverse_count(rho(i, params), 1.0 - _uniform(next(words)))
+        # rho(i, params), and Generator.random() from the top 53 bits of a word.
+        count = _inverse_count(1.0 / (q * i + m1), 1.0 - (next(words) >> 11) * 2.0**-53)
         m = i if count is None else min(count, i)
         if m:
             counts[i] = m

@@ -114,9 +114,10 @@ def log_factorials(top: int) -> np.ndarray:
     return coarse + fine
 
 
-def _log_binomial(n: int, k: np.ndarray) -> np.ndarray:
-    """log C(n, k) for integers 0 <= k <= n."""
-    coarse, fine = _log_factorial_parts(n)
+def _log_binomial(n: int, k: np.ndarray, parts: tuple | None = None) -> np.ndarray:
+    """log C(n, k) for integers 0 <= k <= n, from ``parts`` if given: a table of
+    :func:`_log_factorial_parts` that reaches n."""
+    coarse, fine = _log_factorial_parts(n) if parts is None else parts
     return (coarse[n] - coarse[k] - coarse[n - k]) + (fine[n] - fine[k] - fine[n - k])
 
 
@@ -238,12 +239,15 @@ def rate_predictions(
     )
 
 
-def binomial_path_pmf(n_prime: int) -> np.ndarray:
-    """Binomial-type path-length pmf over k = 0 .. n'-1: C(n', k+1) / (2^n' - 1)."""
+def binomial_path_pmf(n_prime: int, parts: tuple | None = None) -> np.ndarray:
+    """Binomial-type path-length pmf over k = 0 .. n'-1: C(n', k+1) / (2^n' - 1).
+
+    Pmfs of many n' can share ``parts``, a :func:`_log_factorial_parts` table reaching n'.
+    """
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     log_z = _log_expm1(n_prime * math.log(2.0))
-    return np.exp(_log_binomial(n_prime, np.arange(n_prime) + 1) - log_z)
+    return np.exp(_log_binomial(n_prime, np.arange(n_prime) + 1, parts) - log_z)
 
 
 def expected_initial_count(n: int, params: ModelParams) -> tuple[float, float]:

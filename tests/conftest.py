@@ -509,6 +509,16 @@ def _reference_chi_square(
     return statistic, dof, special.chi_square_tail(statistic, dof)
 
 
+def reference_chi_squares(
+    observed: np.ndarray, expected: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> list[tuple[float, int, float]]:
+    """``fitting._chi_squares``, one row at a time with the sequential pooling above."""
+    return [
+        _reference_chi_square(observed[lo:lo + size], expected[lo:lo + size])
+        for lo, size in zip(starts.tolist(), lengths.tolist())
+    ]
+
+
 def reference_geometric_gof(
     hist: BacklinkDistribution, params: ModelParams, n: int, special: Special = PACKAGE_SPECIAL
 ) -> DistributionFit:

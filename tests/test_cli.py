@@ -86,8 +86,12 @@ class TestSimulate:
             (("--q", "inf", "--m1", "2"), "q must be positive"),
             (("--q", "nan", "--m1", "2"), "q must be positive"),
             (("--q", "0.1", "--m1", "inf"), "m1 must exceed 1"),
-            (("--q", "0.1", "--m1", "2", "--seed", "-1"), "expected non-negative integer"),
+            (
+                ("--q", "0.1", "--m1", "2", "--seed", "-1"),
+                "--seed must be a non-negative integer, got -1",
+            ),
             (("--q", "0.1", "--m1", "2", "--n", str(2**32 + 1)), "n_nodes must be <= 2**32"),
+            (("--q", "0.1", "--m1", "2", "--seed", "1.5"), "argument --seed: invalid int value: '1.5'"),
         ],
     )
     def test_non_finite_or_out_of_range_params_exit_2(self, tmp_path, capsys, flags, message):
@@ -310,6 +314,37 @@ class TestGof:
         summary = read_csv(out / "gof_summary.csv")
         assert float(summary[0]["correlation"]) >= 0.9999
 
+    def test_a_family_fits_alike_whatever_families_run_beside_it(self, tmp_path):
+        # The fine_pipeline benchmark's tables: simulate, measure at stride 12, fit.
+        sim, mea, fit = tmp_path / "sim", tmp_path / "mea", tmp_path / "fit"
+        assert run(
+            "simulate", "--q", "0.006", "--m1", "3", "--n", "600", "--seed", "1", "--out", str(sim)
+        ) == 0
+        assert run(
+            "measure", "--nodes", str(sim / "nodes.csv"), "--edges", str(sim / "edges.csv"),
+            "--name", "sim", "--prefix", "SIM", "--stride", "12", "--out", str(mea),
+        ) == 0
+        assert run("fit", "--series", str(mea / "series.csv"), "--out", str(fit)) == 0
+
+        def lines(families: str) -> dict[str, list[str]]:
+            out = tmp_path / families
+            assert run(
+                "gof", "--backlink-dist", str(mea / "backlink_dist.csv"),
+                "--pathlen-dist", str(mea / "pathlen_dist.csv"), "--fits", str(fit / "fits.csv"),
+                "--families", families, "--out", str(out),
+            ) == 0
+            return {
+                name: (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+                for name in ("gof_summary.csv", "gof_points.csv")
+            }
+
+        every = lines("binomial-type,normal,poisson,binomial")
+        for family in PATHLENGTH_FAMILIES:
+            alone = lines(family)
+            for name, (header, *rows) in every.items():
+                kept = [row for row in rows if row.split(",")[2] in ("geometric", family)]
+                assert alone[name] == [header, *kept], (family, name)
+
     def test_missing_params_exit_2(self, tmp_path, measured_dir, capsys):
         code = run(
             "gof", "--backlink-dist", str(measured_dir / "backlink_dist.csv"),
@@ -419,7 +454,17 @@ class TestGof:
         rows = range(len(sizes))
 
         def fit(family, empirical):
-            model = data.draw(st.lists(cells, min_size=total, max_size=total))
+            # Rows of one size often repeat a block of model values, as
+            # binomial-type rows of one n' do; 0.0 and -0.0 blocks differ.
+            blocks = {
+                size: [
+                    *data.draw(st.lists(st.lists(cells, min_size=size, max_size=size),
+                                        min_size=1, max_size=2)),
+                    [0.0] * size, [-0.0] * size,
+                ]
+                for size in set(sizes)
+            }
+            model = [value for size in sizes for value in data.draw(st.sampled_from(blocks[size]))]
             return DistributionFits(
                 family=family,
                 params=tuple({} for _ in rows),

@@ -38,6 +38,7 @@ from cumuldyn.measures import (
 from conftest import (
     binomial_path_dist,
     make_graph,
+    reference_chi_squares,
     reference_geometric_gof,
     reference_pathlength_gof,
 )
@@ -583,6 +584,61 @@ def _pooled_chi_squares(dof: int) -> list[tuple[float, float]]:
         assert got_dof == dof
         found.append((statistic, p_value))
     return found
+
+
+# Bin values below the floor of 5, at or past it, zero, and past 1e154, where
+# a squared deviation overflows; and rarely negative or nan, where a bin at
+# the floor can join a pool without closing it.
+_bin_values = st.one_of(
+    st.floats(0.0, 4.99),
+    st.floats(5.0, 1e3),
+    st.sampled_from([0.0, 5.0, 4.999999999999999, 2.5]),
+    st.floats(1e154, 1e300),
+    st.sampled_from([-1.0, -7.5, math.nan, math.inf]),
+)
+_chi_rows = st.lists(
+    st.lists(st.tuples(_bin_values, _bin_values), min_size=1, max_size=25), min_size=1, max_size=6
+)
+
+
+def _same_chi_squares(rows: list[list[tuple[float, float]]]) -> None:
+    """``_chi_squares`` of the rows laid end to end equals the per-row reference, repr for repr."""
+    lengths = np.array([len(row) for row in rows])
+    starts = np.cumsum(lengths) - lengths
+    observed = np.array([o for row in rows for o, _ in row])
+    expected = np.array([e for row in rows for _, e in row])
+    with np.errstate(all="ignore"):
+        got = _chi_squares(observed, expected, starts, lengths)
+        want = reference_chi_squares(observed, expected, starts, lengths)
+    assert repr(got) == repr(want)
+
+
+class TestChiSquarePooling:
+    """The pooling kernel equals the sequential per-row pooling bit for bit."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [(1.0, 1.0), (2.0, 0.5), (0.0, 3.0)],  # every bin below the floor
+            [(3.0, 6.0), (0.0, 0.0), (8.0, 7.0), (4.0, 5.0)],  # a zero expected bin
+            [(1e160, 6.0), (2.0, 9.0), (3e200, 1e170)],  # counts past 1e154
+            [(4.0, 9.0)],  # a single bin
+            [(7.0, 8.0), (1.0, 2.0), (0.5, 1.5), (9.0, 6.0), (2.0, 12.0)],  # a small run between big bins
+            [(1.0, 1.0), (2.0, 2.0), (9.0, 6.0), (1.0, 3.0), (4.0, 4.0)],  # a remainder joins the last pool
+            [(1.0, 4.0), (6.0, 6.0), (8.0, 7.0)],  # a remainder joins a bin that stood alone
+            [(2.0, 1.0), (0.0, 4.0), (3.0, 2.0), (5.0, 9.0)],  # the walk empties on the bin at the floor
+            [(1.0, 9.0), (6.0, 6.0), (2.0, math.nan), (8.0, 7.0), (3.0, 5.0)],  # nan: bins at the floor join it
+            [(1.0, 9.0), (6.0, 6.0), (2.0, -4.0), (8.0, 7.0), (3.0, 5.0)],  # a negative pool
+        ],
+    )
+    def test_named_rows(self, row):
+        _same_chi_squares([row])
+        _same_chi_squares([row, row[::-1], [(1.0, 2.0)], row])
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(rows=_chi_rows)
+    def test_rows_equal_the_sequential_pooling(self, rows):
+        _same_chi_squares(rows)
 
 
 class TestPowerLawFit:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cumuldyn import pcg64
 from cumuldyn.core import ModelParams, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof
-from cumuldyn.growth import _distinct_below, _uniform, rho, sample_backlink_count, simulate
+from cumuldyn.growth import _distinct_below, _inverse_count, rho, simulate
 from cumuldyn.measures import (
     backlink_distribution,
     cumulativeness_series,
@@ -38,56 +38,42 @@ class TestRho:
         assert all(0 < rho(n, params) <= 1 / 1.5 for n in range(0, 5000, 97))
 
 
-class TestSampleBacklinkCount:
-    def test_degenerate_certain_success_always_zero(self):
-        # rho = 1 cannot arise from valid ModelParams (m1 > 1), but the
-        # sampler guards the inversion formula against it.
-        from types import SimpleNamespace
+# Uniforms (j - 0.5) / 2**16 for j = 1 .. 2**16: each is in (0, 1), and an
+# interval of length L inside (0, 1] holds L * 2**16 of them, give or take one.
+_GRID = 2**16
+_UNIFORMS = [(j - 0.5) / _GRID for j in range(1, _GRID + 1)]
 
-        stub = SimpleNamespace(q=0.5, m1=1.0)  # rho(0) = 1
-        rng = np.random.default_rng(0)
-        assert all(sample_backlink_count(0, stub, rng) == 0 for _ in range(100))
 
-    def test_reproducible_across_generators_with_same_seed(self):
-        params = ModelParams(q=0.5, m1=2.0)  # rho(1) = 0.4
-        draws_a = [
-            sample_backlink_count(1, params, np.random.default_rng(123))
-            for _ in range(1)
-        ]
-        rng_b = np.random.default_rng(123)
-        draws_b = [sample_backlink_count(1, params, rng_b)]
-        assert draws_a == draws_b
-        rng_1 = np.random.default_rng(7)
-        rng_2 = np.random.default_rng(7)
-        seq_1 = [sample_backlink_count(5, params, rng_1) for _ in range(50)]
-        seq_2 = [sample_backlink_count(5, params, rng_2) for _ in range(50)]
-        assert seq_1 == seq_2
+class TestInverseCount:
+    """The inversion that turns simulate's uniform into a backward-link count."""
 
-    def test_monte_carlo_mean_matches_geometric(self):
-        # rho = 1/3 gives mean (1 - rho)/rho = 2.
-        params = ModelParams(q=0.001, m1=2.0)  # rho(1000) = 1/3
-        rng = np.random.default_rng(42)
-        draws = np.fromiter(
-            (sample_backlink_count(1000, params, rng) for _ in range(1_000_000)),
-            dtype=np.int64,
-        )
-        assert draws.mean() == pytest.approx(2.0, abs=0.01)
+    def test_certain_success_counts_zero(self):
+        # rho >= 1 cannot arise from valid ModelParams (m1 > 1), but the
+        # inversion gives 0 there for every uniform, 1 included.
+        for p in (1.0, 1.5):
+            assert {_inverse_count(p, u) for u in [*_UNIFORMS[::97], 1.0]} == {0}
 
-    def test_zero_rho_raises(self):
+    def test_zero_rho_has_no_finite_count(self):
         params = ModelParams(q=1e308, m1=2.0)  # q * 2 overflows, so rho(2) = 0
         assert rho(2, params) == 0.0
-        with pytest.raises(ValueError, match="no finite count"):
-            sample_backlink_count(2, params, np.random.default_rng(0))
+        assert _inverse_count(0.0, 0.5) is None
+        # A quotient past the float range has no count either.
+        assert _inverse_count(5e-324, 0.5) is None
 
-    def test_distribution_is_geometric(self):
-        params = ModelParams(q=0.001, m1=2.0)
-        rng = np.random.default_rng(5)
-        draws = [sample_backlink_count(1000, params, rng) for _ in range(200_000)]
-        counts = np.bincount(draws)
-        p = 1 / 3
-        for m in range(5):
-            expected = (1 - p) ** m * p
-            assert counts[m] / len(draws) == pytest.approx(expected, rel=0.03)
+    def test_uniform_grid_follows_the_geometric_law(self):
+        # Count m takes u in ((1 - p)**(m + 1), (1 - p)**m], whose length is
+        # the geometric pmf (1 - p)**m * p.
+        p = 1 / 3  # rho(1000) at q = 0.001, m1 = 2
+        counts = np.bincount([_inverse_count(p, u) for u in _UNIFORMS])
+        for m, count in enumerate(counts.tolist()):
+            assert abs(count - (1 - p) ** m * p * _GRID) <= 1.0
+        assert _inverse_count(p, 1.0) == 0
+
+    def test_mean_on_a_uniform_grid_is_geometric(self):
+        # rho = 1/3 gives mean (1 - rho)/rho = 2.
+        draws = [_inverse_count(1 / 3, u) for u in _UNIFORMS]
+        assert np.mean(draws) == pytest.approx(2.0, abs=1e-3)
+        assert draws == sorted(draws, reverse=True)
 
 
 class TestSimulate:
@@ -201,7 +187,7 @@ class TestWordStreamReplay:
         pattern = np.random.default_rng(seed + 1).integers(0, 3, size=3000).tolist()
         for step in pattern:
             if step == 0:
-                assert _uniform(next(stream)) == rng.random()
+                assert (next(stream) >> 11) * 2.0**-53 == rng.random()
             else:
                 targets, half = _distinct_below(i, 1, stream, half)
                 assert targets == [int(rng.integers(0, i))]
