@@ -38,23 +38,17 @@ from .ingest import (
     CitationRecord,
     Corpus,
     CorpusError,
+    CorpusNode,
+    IngestDiagnostics,
     TechnologyQuery,
     build_graph,
-    class_grouping,
     load_corpus,
 )
-from .measures import (
-    backlink_distribution,
-    cumulativeness_series,
-    external_dependence,
-    initial_fraction,
-    internal_dependence,
-    measure_checkpoints,
-    path_length_distribution,
-)
+from .measures import Checkpoint, measure_checkpoints
 from .predictions import (
     analytic_ipl,
     analytic_path_counts,
+    binomial_path_pmf,
     corrected_rate_a,
     corrected_rate_b,
     expected_id,
@@ -62,6 +56,7 @@ from .predictions import (
     harmonic_number,
     harmonic_real,
     ipl_slope,
+    log_factorials,
     max_speed,
     normalized_path_dist,
     rate_predictions,

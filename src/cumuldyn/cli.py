@@ -466,9 +466,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _read_fitted_params(path: str) -> tuple[float, float]:
+    """The slope q and intercept m0 of the one ``id`` row, both positive and finite."""
     (quantities, slope, intercept), errors = _read_table(path, ("quantity", "slope", "intercept"))
     slopes = _convert(slope, float, errors)
     intercepts = _convert(intercept, float, errors)
+    is_id = np.array([quantity == "id" for quantity in quantities], dtype=bool)
+    _flag(errors, is_id & (is_id.cumsum() > 1), lambda row: "repeated row for quantity id")
+    for got, name in ((slopes, "id slope q"), (intercepts, "id intercept m0")):
+        bad = is_id & ~(np.isfinite(got) & np.greater(got, 0))
+        _flag(errors, bad, lambda row: f"{name} must be positive and finite, got {got[row]}")
     _raise_earliest(path, errors)
     if "id" in quantities:
         row = quantities.index("id")
@@ -552,6 +558,9 @@ def cmd_gof(args: argparse.Namespace) -> int:
         q_hat, m0_hat = _read_fitted_params(args.fits)
     elif args.q is not None and args.m0 is not None:
         q_hat, m0_hat = args.q, args.m0
+        for flag, value in (("--q", q_hat), ("--m0", m0_hat)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{flag} must be positive and finite, got {value}")
     else:
         raise ValueError("either --fits or both --q and --m0 are required")
     params = ModelParams(q=q_hat, m1=m0_hat + 1.0)

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "open_csv",
     "load_corpus",
     "build_graph",
-    "class_grouping",
 ]
 
 ORIGINS = ("APP", "EXA", "UNKNOWN")
@@ -450,24 +449,3 @@ def build_graph(
         ignored_citations=len(inside) - int(inside.sum()),
     )
     return graph, diagnostics
-
-
-def class_grouping(
-    corpus: Corpus, grouping: Mapping[str, Iterable[str]]
-) -> dict[str, set[str]]:
-    """Node-id sets per named group of class prefixes.
-
-    Each group's set is the union over its prefixes, so a node matching two
-    prefixes of one group is counted once there; a node matching prefixes of
-    two groups appears in both.
-    """
-    queries = {}
-    for name, prefixes in grouping.items():
-        prefix_set = frozenset(prefixes)
-        if not prefix_set:
-            raise ValueError(f"group {name!r} has no class prefixes")
-        queries[name] = TechnologyQuery(name=name, class_prefixes=prefix_set)
-    return {
-        name: {corpus.ids[i] for i in np.flatnonzero(corpus.class_mask(query)).tolist()}
-        for name, query in queries.items()
-    }

@@ -1,21 +1,24 @@
 """Cumulativeness indicators on knowledge-graph prefixes.
 
-The transversal indicator (internal dependence, ``id``) is a simple edge
-count.  The longitudinal indicators (internal path length ``ipl``, maximum
-path length ``mipl``) require the full distribution of path lengths, where a
-path starts at an invention without internal backward links and follows
-links forward in time.  One engine counts them level by level: the paths of
-length k ending at a node sum, over the nodes it cites, their paths of
-length k-1, one ``bincount`` over the edges whose cited node's longest path
-reaches k-1.  Its results are exact integers (mode "exact", the default up
-to :data:`EXACT_MODE_LIMIT` nodes) or floats (mode "float").  Both modes
-climb one arithmetic ladder: each level is summed in float64 until one's
-total reaches a bound.  Float mode's, 2^1000, leaves headroom under the
-float range; past it, each node's cited counts are summed in natural logs,
-shifted by their maximum, so relative error stays near machine precision
-per level.  Exact mode's, 2^53, is where float64 sums of integers stop
-being exact; past it, each node's remaining levels are packed into one
-Python int, all summed in one pass.
+:func:`measure_checkpoints` is the one entry point: one sweep measures every
+indicator at n = stride, 2*stride, ..., N, one :class:`Checkpoint` per
+prefix size.  The transversal indicators (internal dependence ``id``,
+external dependence ``ed``, the backlink histogram) are running counts.  The
+longitudinal indicators (internal path length ``ipl``, maximum path length
+``mipl``) require the full distribution of path lengths, where a path starts
+at an invention without internal backward links and follows links forward in
+time.  One engine counts them level by level: the paths of length k ending
+at a node sum, over the nodes it cites, their paths of length k-1, one
+``bincount`` over the edges whose cited node's longest path reaches k-1.
+Its results are exact integers (mode "exact", the default up to
+:data:`EXACT_MODE_LIMIT` nodes) or floats (mode "float").  Both modes climb
+one arithmetic ladder: each level is summed in float64 until one's total
+reaches a bound.  Float mode's, 2^1000, leaves headroom under the float
+range; past it, each node's cited counts are summed in natural logs, shifted
+by their maximum, so relative error stays near machine precision per level.
+Exact mode's, 2^53, is where float64 sums of integers stop being exact; past
+it, each node's remaining levels are packed into one Python int, all summed
+in one pass.
 """
 
 from __future__ import annotations
@@ -31,12 +34,6 @@ from .core import BacklinkDistribution, KnowledgeGraph, PathLengthDistribution, 
 
 __all__ = [
     "EXACT_MODE_LIMIT",
-    "internal_dependence",
-    "external_dependence",
-    "initial_fraction",
-    "backlink_distribution",
-    "path_length_distribution",
-    "cumulativeness_series",
     "measure_checkpoints",
     "resolve_mode",
     "Checkpoint",
@@ -50,11 +47,6 @@ EXACT_MODE_LIMIT = 50_000
 Mode = Literal["auto", "exact", "float"]
 
 
-def _check_prefix(graph: KnowledgeGraph, n: int) -> None:
-    if not 1 <= n <= graph.n_nodes:
-        raise ValueError(f"prefix size {n} out of range 1..{graph.n_nodes}")
-
-
 def resolve_mode(mode: Mode, n: int) -> str:
     """The arithmetic ``mode`` runs in on an ``n``-node graph: 'exact' or 'float'."""
     if mode == "auto":
@@ -62,39 +54,6 @@ def resolve_mode(mode: Mode, n: int) -> str:
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     return mode
-
-
-def internal_dependence(graph: KnowledgeGraph, n: int) -> float:
-    """Average number of backward internal links per node over the first n nodes."""
-    _check_prefix(graph, n)
-    return int(graph.indptr[n]) / n
-
-
-def external_dependence(graph: KnowledgeGraph, n: int) -> float:
-    """Average number of backward external links per node over the first n nodes."""
-    _check_prefix(graph, n)
-    return int(graph.external_backlink_counts[:n].sum()) / n
-
-
-def initial_fraction(graph: KnowledgeGraph, n: int) -> float:
-    """Fraction of the first n nodes with no internal backward link.
-
-    A node's backward links always point to earlier nodes, so restricting to
-    a prefix never re-classifies a node as initial.
-    """
-    _check_prefix(graph, n)
-    return int(np.count_nonzero(graph.backlink_counts[:n] == 0)) / n
-
-
-def _histogram(counts: np.ndarray) -> dict[int, int]:
-    """``{m: counts[m]}`` over the m with a positive count."""
-    return {m: c for m, c in enumerate(counts.tolist()) if c}
-
-
-def backlink_distribution(graph: KnowledgeGraph, n: int) -> BacklinkDistribution:
-    """Histogram of backward internal links per node over the first n nodes."""
-    _check_prefix(graph, n)
-    return BacklinkDistribution(n=n, counts=_histogram(np.bincount(graph.backlink_counts[:n])))
 
 
 def _log_segment_sum(logs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -275,19 +234,6 @@ def _path_distributions(
     return dists
 
 
-def path_length_distribution(
-    graph: KnowledgeGraph, n: int, mode: Mode = "auto"
-) -> PathLengthDistribution:
-    """Exact distribution of internal path lengths over the first n nodes.
-
-    Counts every sequence i0..ik of prefix nodes where i0 has no internal
-    backward link and each node cites its predecessor; sub-paths that
-    themselves start at an initial node are counted in their own right.
-    """
-    _check_prefix(graph, n)
-    return _path_distributions(graph, [n], resolve_mode(mode, n))[0]
-
-
 class Checkpoint(NamedTuple):
     """All measurements of one prefix, produced by one sweep over the graph."""
 
@@ -307,9 +253,12 @@ def measure_checkpoints(
 ) -> list[Checkpoint]:
     """Measure every indicator at n = stride, 2*stride, ..., N in one sweep.
 
-    Equivalent to measuring each prefix on its own (bit-exact in integer
-    mode): earlier nodes never gain backward links, so each prefix total is
-    a running sum over the nodes below it.
+    Each checkpoint equals ``measure_checkpoints(g, n)[0]`` for ``g``, the
+    graph truncated to its first n nodes, in the same mode: earlier nodes
+    never gain backward links, so each prefix total is a running sum over
+    the nodes below it.  The match is bit-exact in exact mode, and in float
+    mode unless a level passes the float bound over the whole graph but not
+    over the prefix; its logs then agree within 1e-9.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -324,15 +273,9 @@ def measure_checkpoints(
     checkpoints = []
     for start, n, path_dist in zip([0, *sizes], sizes, dists):
         histogram += np.bincount(links[start:n], minlength=len(histogram))
-        backlink_dist = BacklinkDistribution(n=n, counts=_histogram(histogram))
+        counts = {m: c for m, c in enumerate(histogram.tolist()) if c}
+        backlink_dist = BacklinkDistribution(n=n, counts=counts)
         checkpoints.append(
             Checkpoint(n, edge_totals[n] / n, external_totals[n - 1] / n, path_dist, backlink_dist)
         )
     return checkpoints
-
-
-def cumulativeness_series(
-    graph: KnowledgeGraph, stride: int, mode: Mode = "auto"
-) -> tuple[SeriesPoint, ...]:
-    """Trajectory of (n, id, ipl, mipl, ed) at n = stride, 2*stride, ..., N."""
-    return tuple(cp.point for cp in measure_checkpoints(graph, stride, mode))

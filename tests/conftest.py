@@ -35,6 +35,17 @@ def make_graph(
     return KnowledgeGraph.from_edges([f"n{i}" for i in range(n_nodes)], edges, external, years)
 
 
+def truncated(graph: KnowledgeGraph, n: int) -> KnowledgeGraph:
+    """The first n nodes of ``graph`` alone: its CSR columns sliced at node n."""
+    return KnowledgeGraph(
+        node_ids=graph.node_ids[:n],
+        years=graph.years[:n],
+        indptr=graph.indptr[: n + 1],
+        indices=graph.indices[: graph.indptr[n]],
+        external_backlink_counts=graph.external_backlink_counts[:n],
+    )
+
+
 def reference_validate_graph(
     n: int,
     edges: list[tuple[int, int]],

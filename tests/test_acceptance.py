@@ -30,13 +30,7 @@ from cumuldyn.core import ModelParams, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof, pathlength_gof, power_law_fit
 from cumuldyn.growth import simulate
 from cumuldyn.ingest import TechnologyQuery, build_graph, load_corpus
-from cumuldyn.measures import (
-    backlink_distribution,
-    cumulativeness_series,
-    initial_fraction,
-    internal_dependence,
-    path_length_distribution,
-)
+from cumuldyn.measures import measure_checkpoints
 from cumuldyn.predictions import (
     analytic_path_counts,
     corrected_rate_a,
@@ -69,8 +63,8 @@ def slope_runs():
     runs = []
     for seed in range(SLOPE_SEEDS):
         graph = simulate(SLOPE_PARAMS, SLOPE_N, seed)
-        series = cumulativeness_series(graph, stride=100)
-        half = tuple(cp for cp in series if cp.n >= SLOPE_N // 2)
+        checkpoints = measure_checkpoints(graph, stride=100)
+        half = tuple(cp.point for cp in checkpoints if cp.n >= SLOPE_N // 2)
         runs.append((graph, half))
     return runs
 
@@ -80,10 +74,10 @@ def shape_runs():
     params = ModelParams(q=0.002, m1=3.0)
     runs = []
     for seed in range(10):
-        graph = simulate(params, 3000, seed)
-        fit = fit_series(cumulativeness_series(graph, stride=100), "id")
+        checkpoints = measure_checkpoints(simulate(params, 3000, seed), stride=100)
+        fit = fit_series([cp.point for cp in checkpoints], "id")
         fitted = ModelParams(q=fit.slope, m1=fit.intercept + 1.0)
-        runs.append((graph, fitted))
+        runs.append((checkpoints[9::10], fitted))  # n = 1000, 2000, 3000
     return runs
 
 
@@ -115,7 +109,7 @@ class TestCriterion2ExactPathOracle:
         checked = 0
         for _ in range(500):
             graph = random_dag(rng, n_max=12, density=0.5)
-            dist = path_length_distribution(graph, graph.n_nodes)
+            dist = measure_checkpoints(graph, graph.n_nodes)[0].path_dist
             oracle = brute_force_path_counts(graph, graph.n_nodes)
             assert dist.counts == oracle
             checked += 1
@@ -249,8 +243,8 @@ class TestCriterion4AnalyticIdentities:
 class TestCriterion5DistributionShape:
     def test_5a_geometric_plot_correlation(self, shape_runs):
         correlations = []
-        for graph, fitted in shape_runs:
-            hists = [backlink_distribution(graph, n) for n in (1000, 2000, 3000)]
+        for thousands, fitted in shape_runs:
+            hists = [cp.backlink_dist for cp in thousands]
             correlations.extend(geometric_gof(hists, fitted).plot_correlation)
         mean_corr = float(np.mean(correlations))
         ok = mean_corr >= 0.99
@@ -272,8 +266,8 @@ class TestCriterion5DistributionShape:
     )
     def test_5b_binomial_type_plot_correlation(self, shape_runs):
         correlations = []
-        for graph, _ in shape_runs:
-            dists = [path_length_distribution(graph, n) for n in (1000, 2000, 3000)]
+        for thousands, _ in shape_runs:
+            dists = [cp.path_dist for cp in thousands]
             correlations.extend(pathlength_gof(dists).plot_correlation)
         mean_corr = float(np.mean(correlations))
         ok = mean_corr >= 0.98
@@ -288,9 +282,11 @@ class TestCriterion5DistributionShape:
 class TestCriterion6InitialFraction:
     def test_small_q_limit(self):
         params = ModelParams(q=1e-5, m1=2.0)
-        fractions = [
-            initial_fraction(simulate(params, 1000, seed), 1000) for seed in range(20)
+        hists = [
+            measure_checkpoints(simulate(params, 1000, seed), 1000)[0].backlink_dist
+            for seed in range(20)
         ]
+        fractions = [hist.counts.get(0, 0) / 1000 for hist in hists]
         mean_fraction = float(np.mean(fractions))
         ok = abs(mean_fraction - 0.5) <= 0.05
         report(
@@ -350,7 +346,8 @@ class TestCriterion8IngestionInvariants:
             assert validate_graph(full) == []
             assert validate_graph(app) == []
             n = full.n_nodes
-            assert internal_dependence(app, app.n_nodes) <= internal_dependence(full, n)
+            app_id = measure_checkpoints(app, app.n_nodes)[0].id
+            assert app_id <= measure_checkpoints(full, n)[0].id
             # Dedup: repeated pairs collapse to one edge.
             assert len(set(full.internal_edges)) == len(full.internal_edges)
             checked += 1
@@ -367,7 +364,7 @@ class TestCriterion9Performance:
         params = ModelParams(q=6e-5, m1=2.0)
         started = time.perf_counter()
         graph = simulate(params, 100_000, seed=42)
-        series = cumulativeness_series(graph, stride=1000, mode="float")
+        series = [cp.point for cp in measure_checkpoints(graph, stride=1000, mode="float")]
         elapsed = time.perf_counter() - started
         mean_out_degree = sum(graph.backlink_counts) / graph.n_nodes
         last = series[-1]

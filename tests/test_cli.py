@@ -374,6 +374,24 @@ class TestGof:
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize(
+        "q, m0, message",
+        [
+            ("nan", "1", "--q must be positive and finite, got nan"),
+            ("-0.5", "1", "--q must be positive and finite, got -0.5"),
+            ("0.01", "-5", "--m0 must be positive and finite, got -5.0"),
+            ("0.01", "inf", "--m0 must be positive and finite, got inf"),
+        ],
+    )
+    def test_bad_param_flag_exit_2_naming_it(self, tmp_path, measured_dir, capsys, q, m0, message):
+        code = run(
+            "gof", "--pathlen-dist", str(measured_dir / "pathlen_dist.csv"),
+            "--q", q, "--m0", m0, "--out", str(tmp_path / "g"),
+        )
+        assert code == 2
+        assert f"cumuldyn: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
         "families,message",
         [
             ("nosuch", "unknown family 'nosuch'"),
@@ -933,6 +951,14 @@ class TestTableReaders:
              ":2: ipl must lie in [0, 2.0], got -4.0"),
             ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
             ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
+            ("fits", "quantity,slope,intercept\nid,nan,1.0\n",
+             ":2: id slope q must be positive and finite, got nan"),
+            ("fits", "quantity,slope,intercept\nipl,-1,-1\nid,-0.5,1.0\n",
+             ":3: id slope q must be positive and finite, got -0.5"),
+            ("fits", "quantity,slope,intercept\nid,0.1,-5\n",
+             ":2: id intercept m0 must be positive and finite, got -5.0"),
+            ("fits", "quantity,slope,intercept\nid,0.1,1.0\nipl,0.2,1.0\nid,0.2,2.0\n",
+             ":4: repeated row for quantity id"),
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
             ("backlinks", "ordinal,node_id,m\n0,a,1\n1,b,x\n", ":3: invalid literal"),
             ("backlinks", "ordinal,node_id,m\n0,a\n", ":2: too few fields"),
@@ -990,7 +1016,8 @@ class TestTableReaders:
             "series-fractional-mipl", "series-negative-mipl", "series-mipl-past-n",
             "series-negative-id", "series-negative-ed", "series-ipl-past-mipl",
             "series-negative-ipl",
-            "fits-missing", "fits-bad",
+            "fits-missing", "fits-bad", "fits-nan-slope", "fits-negative-slope",
+            "fits-negative-intercept", "fits-repeated-id",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
             "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",
             "backlinks-missing-ordinal",

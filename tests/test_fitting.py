@@ -29,11 +29,7 @@ from cumuldyn.fitting import (
     power_law_fit,
 )
 from cumuldyn.growth import rho, simulate
-from cumuldyn.measures import (
-    backlink_distribution,
-    cumulativeness_series,
-    path_length_distribution,
-)
+from cumuldyn.measures import measure_checkpoints
 
 from conftest import (
     binomial_path_dist,
@@ -109,7 +105,8 @@ class TestOlsFit:
         params = ModelParams(q=0.0006, m1=1.65)
         slopes = []
         for seed in range(10):
-            series = cumulativeness_series(simulate(params, 3600, seed=seed), stride=100)
+            checkpoints = measure_checkpoints(simulate(params, 3600, seed=seed), stride=100)
+            series = [cp.point for cp in checkpoints]
             slopes.append(fit_series(series, "id").slope)
         assert np.mean(slopes) == pytest.approx(params.q / 2, rel=0.10)
 
@@ -118,19 +115,19 @@ class TestFitSeries:
     def test_chain_series_ipl_slope(self):
         n = 30
         g = make_graph(n, [(i, i - 1) for i in range(1, n)])
-        series = cumulativeness_series(g, stride=5)
+        series = [cp.point for cp in measure_checkpoints(g, stride=5)]
         fit = fit_series(series, "ipl")
         # ipl(n) = (n-1)/2 exactly on a chain.
         assert fit.slope == pytest.approx(0.5)
         assert fit.intercept == pytest.approx(-0.5)
 
     def test_no_edges_all_slopes_zero(self):
-        series = cumulativeness_series(make_graph(40, []), stride=10)
+        series = [cp.point for cp in measure_checkpoints(make_graph(40, []), stride=10)]
         for which in ("id", "ipl", "mipl"):
             assert fit_series(series, which).slope == pytest.approx(0.0)
 
     def test_unknown_component_rejected(self):
-        series = cumulativeness_series(make_graph(40, []), stride=10)
+        series = [cp.point for cp in measure_checkpoints(make_graph(40, []), stride=10)]
         with pytest.raises(ValueError):
             fit_series(series, "ed2")
 
@@ -138,8 +135,8 @@ class TestFitSeries:
         params = ModelParams(q=0.002, m1=3.0)
         ratios = []
         for seed in range(10):
-            series = cumulativeness_series(simulate(params, 5000, seed=seed), stride=100)
-            tail = tuple(cp for cp in series if cp.n >= 2500)
+            checkpoints = measure_checkpoints(simulate(params, 5000, seed=seed), stride=100)
+            tail = [cp.point for cp in checkpoints if cp.n >= 2500]
             ratios.append(fit_series(tail, "mipl").slope / fit_series(tail, "ipl").slope)
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.25)
 
@@ -179,9 +176,11 @@ class TestGeometricGof:
         # series, which describe the whole-prefix histogram.
         params = ModelParams(q=0.002, m1=3.0)
         g = simulate(params, 3000, seed=0)
-        fit = fit_series(cumulativeness_series(g, stride=100), "id")
+        checkpoints = measure_checkpoints(g, stride=100)
+        fit = fit_series([cp.point for cp in checkpoints], "id")
         fitted = ModelParams(q=fit.slope, m1=fit.intercept + 1.0)
-        gof = geometric_gof([backlink_distribution(g, 3000)], fitted)[0]
+        assert checkpoints[-1].n == 3000
+        gof = geometric_gof([checkpoints[-1].backlink_dist], fitted)[0]
         assert gof.plot_correlation >= 0.99
         statistic, dof, p_value = gof.chi_square
         assert statistic >= 0
@@ -280,13 +279,14 @@ class TestPathlengthGof:
 
     def test_default_n_prime_is_mipl(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 1500, seed=3)
-        dists = [path_length_distribution(g, n) for n in (500, 1500)]
+        dists = [cp.path_dist for cp in measure_checkpoints(g, 500)]
         fits = pathlength_gof(dists)
         assert [fit.params["n_prime"] for fit in fits] == [dist.mipl for dist in dists]
 
     def test_binomial_type_fits_simulated_data_reasonably(self):
         dists = [
-            path_length_distribution(simulate(ModelParams(q=0.002, m1=3.0), 3000, seed=seed), 3000)
+            measure_checkpoints(simulate(ModelParams(q=0.002, m1=3.0), 3000, seed=seed), 3000)[0]
+            .path_dist
             for seed in range(5)
         ]
         assert np.mean(pathlength_gof(dists).plot_correlation) > 0.90
@@ -294,7 +294,7 @@ class TestPathlengthGof:
     @pytest.mark.parametrize("family", ["poisson", "normal", "binomial"])
     def test_alternative_families(self, family):
         g = simulate(ModelParams(q=0.002, m1=3.0), 2000, seed=1)
-        fits = pathlength_gof([path_length_distribution(g, 2000)], family=family)
+        fits = pathlength_gof([measure_checkpoints(g, 2000)[0].path_dist], family=family)
         assert -1.0 <= fits[0].plot_correlation <= 1.0
         assert fits.family == fits[0].family == family
 
@@ -315,7 +315,7 @@ class TestPathlengthGof:
 
     def test_unknown_family_rejected(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 500, seed=1)
-        dist = path_length_distribution(g, 500)
+        dist = measure_checkpoints(g, 500)[0].path_dist
         with pytest.raises(ValueError):
             pathlength_gof([dist], family="teacup")
 

@@ -13,11 +13,7 @@ from cumuldyn import pcg64
 from cumuldyn.core import ModelParams, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof
 from cumuldyn.growth import _distinct_below, _inverse_count, rho, simulate
-from cumuldyn.measures import (
-    backlink_distribution,
-    cumulativeness_series,
-    initial_fraction,
-)
+from cumuldyn.measures import measure_checkpoints
 
 from conftest import reference_simulate
 
@@ -122,9 +118,11 @@ class TestSimulate:
 
     def test_initial_fraction_small_q_limit(self):
         params = ModelParams(q=1e-5, m1=2.0)
-        fracs = [
-            initial_fraction(simulate(params, 1000, seed=s), 1000) for s in range(20)
+        hists = [
+            measure_checkpoints(simulate(params, 1000, seed=s), 1000)[0].backlink_dist
+            for s in range(20)
         ]
+        fracs = [hist.counts.get(0, 0) / 1000 for hist in hists]
         assert np.mean(fracs) == pytest.approx(0.5, rel=0.10)
 
     def test_measured_id_slope_is_half_q(self):
@@ -133,8 +131,8 @@ class TestSimulate:
         params = ModelParams(q=0.002, m1=3.0)
         slopes = []
         for seed in range(10):
-            series = cumulativeness_series(simulate(params, 5000, seed=seed), stride=100)
-            slopes.append(fit_series(series, "id").slope)
+            checkpoints = measure_checkpoints(simulate(params, 5000, seed=seed), stride=100)
+            slopes.append(fit_series([cp.point for cp in checkpoints], "id").slope)
         assert np.mean(slopes) == pytest.approx(params.q / 2, rel=0.10)
 
     def test_backlink_histogram_fits_geometric_prediction(self):
@@ -144,9 +142,10 @@ class TestSimulate:
         correlations = []
         for seed in range(5):
             g = simulate(params, 3000, seed=seed)
-            fit = fit_series(cumulativeness_series(g, stride=100), "id")
+            checkpoints = measure_checkpoints(g, stride=100)
+            fit = fit_series([cp.point for cp in checkpoints], "id")
             fitted = ModelParams(q=fit.slope, m1=fit.intercept + 1.0)
-            hists = [backlink_distribution(g, n) for n in (1000, 2000, 3000)]
+            hists = [cp.backlink_dist for cp in checkpoints if cp.n % 1000 == 0]
             correlations.extend(geometric_gof(hists, fitted).plot_correlation)
         assert np.mean(correlations) >= 0.99
 

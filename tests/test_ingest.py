@@ -16,10 +16,9 @@ from cumuldyn.ingest import (
     CorpusError,
     TechnologyQuery,
     build_graph,
-    class_grouping,
     load_corpus,
 )
-from cumuldyn.measures import internal_dependence, path_length_distribution
+from cumuldyn.measures import measure_checkpoints
 
 from conftest import reference_build_graph, reference_load_corpus, reference_matches
 
@@ -214,7 +213,7 @@ class TestBuildGraph:
         assert validate_graph(full) == []
         assert validate_graph(app_only) == []
         assert set(app_only.internal_edges) <= set(full.internal_edges)
-        assert internal_dependence(app_only, n) <= internal_dependence(full, n)
+        assert measure_checkpoints(app_only, n)[0].id <= measure_checkpoints(full, n)[0].id
 
     def test_chronology_violation_dropped_and_counted(self, tmp_path):
         nodes = write(
@@ -294,11 +293,10 @@ class TestBuildGraph:
         )
         for probe in (m // 2, m):
             if probe >= 1:
-                assert internal_dependence(cut, probe) == internal_dependence(full, probe)
-                assert (
-                    path_length_distribution(cut, probe).ipl
-                    == path_length_distribution(full, probe).ipl
-                )
+                cut_cp = measure_checkpoints(cut, probe)[0]
+                full_cp = measure_checkpoints(full, probe)[0]
+                assert cut_cp.id == full_cp.id
+                assert cut_cp.path_dist.ipl == full_cp.path_dist.ipl
 
     def test_deterministic(self, small_corpus):
         query = TechnologyQuery(name="x", class_prefixes=frozenset({"X1"}))
@@ -344,6 +342,12 @@ class TestBuildGraph:
             assert validate_graph(graph) == []
 
 
+def class_match(corpus, *prefixes) -> set[str]:
+    """The ids of the nodes whose class matches any of ``prefixes``."""
+    mask = corpus.class_mask(TechnologyQuery(name="g", class_prefixes=frozenset(prefixes)))
+    return {corpus.ids[i] for i in np.flatnonzero(mask)}
+
+
 class TestClassGrouping:
     def test_union_counts_each_node_once(self, tmp_path):
         nodes = write(
@@ -352,23 +356,23 @@ class TestClassGrouping:
         )
         edges = write(tmp_path / "e.csv", "citing_id,cited_id,origin\n")
         corpus = load_corpus(nodes, edges)
-        groups = class_grouping(corpus, {"g": {"X01", "X02"}})
-        assert groups == {"g": {"A", "B"}}
+        query = TechnologyQuery(name="g", class_prefixes=frozenset({"X01", "X02"}))
+        assert corpus.class_mask(query).tolist() == [True, True]
+        assert class_match(corpus, "X01", "X02") == {"A", "B"}
 
     def test_node_in_two_groups_appears_in_both(self, small_corpus):
-        groups = class_grouping(small_corpus, {"x": {"X12"}, "z": {"Z09"}})
-        assert groups["x"] == {"A", "B"}
-        assert groups["z"] == {"B", "C"}
+        assert class_match(small_corpus, "X12") == {"A", "B"}
+        assert class_match(small_corpus, "Z09") == {"B", "C"}
 
     def test_empty_corpus(self, tmp_path):
         nodes = write(tmp_path / "n.csv", "node_id,year,classes\n")
         edges = write(tmp_path / "e.csv", "citing_id,cited_id,origin\n")
         corpus = load_corpus(nodes, edges)
-        assert class_grouping(corpus, {"g": {"X"}}) == {"g": set()}
+        assert class_match(corpus, "X") == set()
 
     def test_empty_group_rejected(self, small_corpus):
-        with pytest.raises(ValueError, match="no class prefixes"):
-            class_grouping(small_corpus, {"g": set()})
+        with pytest.raises(ValueError, match="at least one non-empty class prefix"):
+            TechnologyQuery(name="g", class_prefixes=frozenset())
 
 
 NODE_IDS = ["P1", "P2", "P3", " P4", "P5 ", "Q6", "Q7"]
@@ -470,10 +474,10 @@ class TestIngestProperties:
             corpus = load_corpus(nodes, edges)
         assert (corpus.nodes, corpus.citations, corpus.self_citations_dropped) == records
         for prefixes in ({"X1"}, {"Y2", "X9"}):
-            groups = class_grouping(corpus, {"g": prefixes})
+            matched = class_match(corpus, *prefixes)
             for year_cutoff in (None, 2000):
                 query = TechnologyQuery("t", frozenset(prefixes), year_cutoff)
-                assert groups["g"] == {
+                assert matched == {
                     n.node_id for n in records[0] if reference_matches(query, n.classes)
                 }
                 for origin in ("all", "app"):

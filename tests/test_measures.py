@@ -1,4 +1,4 @@
-"""Path engine: pointwise indicators, exact DP, and the incremental sweep."""
+"""Path engine: the indicators of one sweep, the exact DP, and their oracles."""
 
 from __future__ import annotations
 
@@ -13,69 +13,74 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cumuldyn import measures
-from cumuldyn.measures import (
-    backlink_distribution,
-    cumulativeness_series,
-    external_dependence,
-    initial_fraction,
-    internal_dependence,
-    measure_checkpoints,
-    path_length_distribution,
+from cumuldyn.measures import measure_checkpoints
+
+from conftest import (
+    brute_force_path_counts,
+    make_graph,
+    node_path_counts,
+    random_dag,
+    truncated,
 )
 
-from conftest import brute_force_path_counts, make_graph, node_path_counts, random_dag
+
+def measure_alone(graph, n, mode="auto"):
+    """The one checkpoint of the first n nodes of ``graph``, measured alone."""
+    (checkpoint,) = measure_checkpoints(truncated(graph, n), n, mode)
+    return checkpoint
 
 
 class TestInternalDependence:
     def test_worked_example(self, example_graph):
-        assert internal_dependence(example_graph, 4) == 0.75
+        assert measure_checkpoints(example_graph, 4)[0].id == 0.75
 
     def test_no_edges(self):
-        assert internal_dependence(make_graph(5, []), 5) == 0.0
+        assert measure_checkpoints(make_graph(5, []), 5)[0].id == 0.0
 
     def test_single_node(self):
-        assert internal_dependence(make_graph(1, []), 1) == 0.0
+        assert measure_checkpoints(make_graph(1, []), 1)[0].id == 0.0
 
     def test_prefix_counts_only_prefix_edges(self, example_graph):
-        assert internal_dependence(example_graph, 2) == 0.0
-        assert internal_dependence(example_graph, 3) == pytest.approx(1 / 3)
-
-    @pytest.mark.parametrize("n", [0, 5])
-    def test_out_of_range(self, example_graph, n):
-        with pytest.raises(ValueError):
-            internal_dependence(example_graph, n)
+        ids = [cp.id for cp in measure_checkpoints(example_graph, 1)]
+        assert ids[1] == 0.0
+        assert ids[2] == pytest.approx(1 / 3)
 
 
 class TestExternalDependence:
     def test_mean_of_counts(self):
         g = make_graph(3, [], external=[2, 0, 1])
-        assert external_dependence(g, 3) == 1.0
+        assert measure_checkpoints(g, 3)[0].ed == 1.0
 
     def test_all_zero(self):
-        assert external_dependence(make_graph(3, []), 3) == 0.0
+        assert measure_checkpoints(make_graph(3, []), 3)[0].ed == 0.0
 
     def test_single_node(self):
         g = make_graph(1, [], external=[5])
-        assert external_dependence(g, 1) == 5.0
+        assert measure_checkpoints(g, 1)[0].ed == 5.0
+
+
+def initial_fraction(checkpoint) -> float:
+    """The share of the checkpoint's nodes with no internal backward link."""
+    return checkpoint.backlink_dist.counts.get(0, 0) / checkpoint.n
 
 
 class TestInitialFraction:
     def test_worked_example(self, example_graph):
-        assert initial_fraction(example_graph, 4) == 0.5
+        assert initial_fraction(measure_checkpoints(example_graph, 4)[0]) == 0.5
 
     def test_no_edges(self):
-        assert initial_fraction(make_graph(7, []), 7) == 1.0
+        assert initial_fraction(measure_checkpoints(make_graph(7, []), 7)[0]) == 1.0
 
     def test_complete_chain(self):
         n = 6
         g = make_graph(n, [(i, i - 1) for i in range(1, n)])
-        assert initial_fraction(g, n) == 1 / n
+        assert initial_fraction(measure_checkpoints(g, n)[0]) == 1 / n
 
 
 class TestPathLengthDistribution:
     def test_worked_example(self, example_graph):
         # Paths: (a), (b), (a,c), (a,d), (a,c,d)
-        dist = path_length_distribution(example_graph, 4)
+        dist = measure_checkpoints(example_graph, 4)[0].path_dist
         assert dist.counts == {0: 2, 1: 2, 2: 1}
         assert dist.ipl == pytest.approx(0.8)
         assert dist.mipl == 2
@@ -83,7 +88,7 @@ class TestPathLengthDistribution:
         assert dist.counts == oracle
 
     def test_no_edges_all_initial(self):
-        dist = path_length_distribution(make_graph(6, []), 6)
+        dist = measure_checkpoints(make_graph(6, []), 6)[0].path_dist
         assert dist.counts == {0: 6}
         assert dist.ipl == 0.0
         assert dist.mipl == 0
@@ -91,13 +96,13 @@ class TestPathLengthDistribution:
     def test_chain(self):
         n = 8
         g = make_graph(n, [(i, i - 1) for i in range(1, n)])
-        dist = path_length_distribution(g, n)
+        dist = measure_checkpoints(g, n)[0].path_dist
         assert dist.counts == {k: 1 for k in range(n)}
         assert dist.ipl == pytest.approx((n - 1) / 2)
         assert dist.mipl == n - 1
 
     def test_normalization_and_mean_invariants(self, example_graph):
-        dist = path_length_distribution(example_graph, 4)
+        dist = measure_checkpoints(example_graph, 4)[0].path_dist
         assert sum(dist.normalized.values()) == pytest.approx(1.0, abs=1e-9)
         assert dist.ipl == pytest.approx(
             sum(k * w for k, w in dist.normalized.items())
@@ -109,7 +114,7 @@ class TestPathLengthDistribution:
         for _ in range(200):
             g = random_dag(rng)
             n = g.n_nodes
-            dist = path_length_distribution(g, n)
+            dist = measure_checkpoints(g, n)[0].path_dist
             oracle = brute_force_path_counts(g, n)
             assert dist.counts == oracle
 
@@ -117,16 +122,16 @@ class TestPathLengthDistribution:
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = random_dag(rng)
-            for n in range(1, g.n_nodes + 1):
-                assert path_length_distribution(g, n).counts == brute_force_path_counts(g, n)
+            for cp in measure_checkpoints(g, 1):
+                assert cp.path_dist.counts == brute_force_path_counts(g, cp.n)
 
     def test_float_mode_matches_exact(self):
         rng = np.random.default_rng(99)
         for _ in range(40):
             g = random_dag(rng)
             n = g.n_nodes
-            exact = path_length_distribution(g, n, mode="exact")
-            floating = path_length_distribution(g, n, mode="float")
+            exact = measure_checkpoints(g, n, mode="exact")[0].path_dist
+            floating = measure_checkpoints(g, n, mode="float")[0].path_dist
             assert floating.mipl == exact.mipl
             assert floating.ipl == pytest.approx(exact.ipl, rel=1e-9)
             for k, w in exact.normalized.items():
@@ -136,7 +141,7 @@ class TestPathLengthDistribution:
 
     def test_unknown_mode_rejected(self, example_graph):
         with pytest.raises(ValueError):
-            path_length_distribution(example_graph, 4, mode="noisy")
+            measure_checkpoints(example_graph, 4, mode="noisy")
 
 
 class TestNodePathVectors:
@@ -161,76 +166,84 @@ class TestNodePathVectors:
                     assert vec.get(k, 0) == sum(vectors[j].get(k - 1, 0) for j in cited)
 
 
+def series(graph, stride, mode="auto"):
+    return [cp.point for cp in measure_checkpoints(graph, stride, mode)]
+
+
 class TestCumulativenessSeries:
     def test_worked_example_stride_2(self, example_graph):
-        series = cumulativeness_series(example_graph, stride=2)
-        assert [cp.n for cp in series] == [2, 4]
-        first, last = series
+        points = series(example_graph, stride=2)
+        assert [cp.n for cp in points] == [2, 4]
+        first, last = points
         assert (first.id, first.ipl) == (0.0, 0.0)
         assert last.id == 0.75
         assert last.ipl == pytest.approx(0.8)
 
     def test_stride_larger_than_graph_clamps(self, example_graph):
-        series = cumulativeness_series(example_graph, stride=10)
-        assert [cp.n for cp in series] == [4]
+        assert [cp.n for cp in series(example_graph, stride=10)] == [4]
 
     def test_no_edge_graph(self):
-        series = cumulativeness_series(make_graph(9, []), stride=3)
-        assert all(cp.id == 0.0 and cp.ipl == 0.0 for cp in series)
+        points = series(make_graph(9, []), stride=3)
+        assert all(cp.id == 0.0 and cp.ipl == 0.0 for cp in points)
 
     def test_incremental_equals_pointwise(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_dag(rng)
-            series = cumulativeness_series(g, stride=2)
-            for cp in series:
-                dist = path_length_distribution(g, cp.n)
-                assert cp.ipl == dist.ipl
-                assert cp.mipl == dist.mipl
-                assert cp.id == internal_dependence(g, cp.n)
-                assert cp.ed == external_dependence(g, cp.n)
+            for point in series(g, stride=2):
+                assert point == measure_alone(g, point.n).point
 
     def test_monotone_mipl_and_total(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             g = random_dag(rng)
-            series = measure_checkpoints(g, stride=1)
-            mipls = [cp.path_dist.mipl for cp in series]
-            totals = [cp.path_dist.total_paths for cp in series]
+            checkpoints = measure_checkpoints(g, stride=1)
+            mipls = [cp.path_dist.mipl for cp in checkpoints]
+            totals = [cp.path_dist.total_paths for cp in checkpoints]
             assert mipls == sorted(mipls)
             assert totals == sorted(totals)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            cumulativeness_series(make_graph(0, []), stride=1)
+            measure_checkpoints(make_graph(0, []), stride=1)
 
     def test_bad_stride_rejected(self, example_graph):
         with pytest.raises(ValueError):
-            cumulativeness_series(example_graph, stride=0)
+            measure_checkpoints(example_graph, stride=0)
 
 
 class TestBacklinkDistribution:
     def test_histogram_of_prefix(self, example_graph):
-        hist = backlink_distribution(example_graph, 4)
-        assert hist.counts == {0: 2, 1: 1, 2: 1}
-        assert hist.mean == internal_dependence(example_graph, 4)
+        (cp,) = measure_checkpoints(example_graph, 4)
+        assert cp.backlink_dist.counts == {0: 2, 1: 1, 2: 1}
+        assert cp.backlink_dist.mean == cp.id
 
     def test_prefix_histogram(self, example_graph):
-        assert backlink_distribution(example_graph, 2).counts == {0: 2}
+        assert measure_checkpoints(example_graph, 2)[0].backlink_dist.counts == {0: 2}
 
 
 @st.composite
 def backward_dags(draw, max_nodes: int = 13):
-    """A graph whose node i cites any subset of the nodes before it."""
+    """A graph whose node i cites any subset of the nodes before it, and a few
+    external links."""
     n = draw(st.integers(1, max_nodes))
     edges = [
         (i, j) for i in range(1, n) for j in sorted(draw(st.sets(st.integers(0, i - 1))))
     ]
-    return make_graph(n, edges)
+    return make_graph(n, edges, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
 
 
 # Derandomized and bounded, so every run checks the same few hundred graphs.
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def assert_prefix_sums(checkpoint, graph):
+    """``checkpoint``'s id, ed and backlink histogram, against plain numpy sums
+    over the first ``checkpoint.n`` nodes of ``graph``."""
+    n, prefix = checkpoint.n, truncated(graph, checkpoint.n)
+    assert checkpoint.id == prefix.indices.size / n
+    assert checkpoint.ed == int(prefix.external_backlink_counts.sum()) / n
+    assert checkpoint.backlink_dist.counts == Counter(np.diff(prefix.indptr).tolist())
 
 
 def assert_float_matches_exact(floating, exact):
@@ -248,7 +261,7 @@ class TestPathEngineProperties:
     @given(graph=backward_dags(), data=st.data())
     def test_exact_equals_brute_force(self, graph, data):
         n = data.draw(st.integers(1, graph.n_nodes))
-        assert path_length_distribution(graph, n, mode="exact").counts == (
+        assert measure_checkpoints(graph, n, mode="exact")[0].path_dist.counts == (
             brute_force_path_counts(graph, n)
         )
 
@@ -257,8 +270,8 @@ class TestPathEngineProperties:
     def test_float_within_1e9_of_exact(self, graph):
         n = graph.n_nodes
         assert_float_matches_exact(
-            path_length_distribution(graph, n, mode="float"),
-            path_length_distribution(graph, n, mode="exact"),
+            measure_checkpoints(graph, n, mode="float")[0].path_dist,
+            measure_checkpoints(graph, n, mode="exact")[0].path_dist,
         )
 
     @PROPERTY
@@ -267,10 +280,10 @@ class TestPathEngineProperties:
     )
     def test_every_checkpoint_equals_pointwise(self, graph, stride, mode):
         for cp in measure_checkpoints(graph, stride, mode):
-            assert cp.path_dist == path_length_distribution(graph, cp.n, mode)
-            assert cp.backlink_dist == backlink_distribution(graph, cp.n)
-            assert cp.id == internal_dependence(graph, cp.n)
-            assert cp.ed == external_dependence(graph, cp.n)
+            assert cp == measure_alone(graph, cp.n, mode)
+            assert_prefix_sums(cp, graph)
+            if mode == "exact":
+                assert cp.path_dist.counts == brute_force_path_counts(graph, cp.n)
 
     @PROPERTY
     @given(
@@ -423,9 +436,9 @@ class TestArithmeticLadder:
     @given(graph=backward_dags())
     def test_float_equals_exact_bit_for_bit_below_2_53(self, graph):
         n = graph.n_nodes
-        exact = path_length_distribution(graph, n, mode="exact")
+        exact = measure_checkpoints(graph, n, mode="exact")[0].path_dist
         assume(sum(k * c for k, c in exact.counts.items()) < 2**53)
-        floating = path_length_distribution(graph, n, mode="float")
+        floating = measure_checkpoints(graph, n, mode="float")[0].path_dist
         assert floating.counts == exact.counts
         assert floating.normalized == exact.normalized
         assert floating.ipl == exact.ipl
@@ -539,7 +552,7 @@ class TestPathEnginePropertiesEscalated:
     def test_exact_equals_brute_force(self, graph, bound, data):
         n = data.draw(st.integers(1, graph.n_nodes))
         with escalation_bounds(bound):
-            counts = path_length_distribution(graph, n, mode="exact").counts
+            counts = measure_checkpoints(graph, n, mode="exact")[0].path_dist.counts
         assert counts == brute_force_path_counts(graph, n)
         assert all(type(c) is int for c in counts.values())
 
@@ -549,8 +562,8 @@ class TestPathEnginePropertiesEscalated:
         n = graph.n_nodes
         with escalation_bounds(bound):
             assert_float_matches_exact(
-                path_length_distribution(graph, n, mode="float"),
-                path_length_distribution(graph, n, mode="exact"),
+                measure_checkpoints(graph, n, mode="float")[0].path_dist,
+                measure_checkpoints(graph, n, mode="exact")[0].path_dist,
             )
 
     @PROPERTY
@@ -562,7 +575,9 @@ class TestPathEnginePropertiesEscalated:
             exact = measure_checkpoints(graph, stride, "exact")
             floating = measure_checkpoints(graph, stride, "float")
             for e, f in zip(exact, floating, strict=True):
-                pointwise = path_length_distribution(graph, e.n, "exact")
-                assert e.path_dist == pointwise
-                assert_float_matches_exact(f.path_dist, pointwise)
-                assert e.backlink_dist == f.backlink_dist == backlink_distribution(graph, e.n)
+                alone = measure_alone(graph, e.n, "exact")
+                assert e == alone
+                assert e.path_dist.counts == brute_force_path_counts(graph, e.n)
+                assert_float_matches_exact(f.path_dist, alone.path_dist)
+                assert f.backlink_dist == e.backlink_dist
+                assert_prefix_sums(e, graph)
