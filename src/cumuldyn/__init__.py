@@ -12,7 +12,6 @@ data.
 from .core import (
     BacklinkDistribution,
     BacklinkTable,
-    DistributionFit,
     DistributionFits,
     InventionNode,
     KnowledgeGraph,

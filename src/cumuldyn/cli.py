@@ -17,11 +17,10 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import count, pairwise
 from operator import add
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +61,8 @@ __all__ = ["main", "entry_point"]
 
 _SERIES_COLUMNS = ("n", "id", "ipl", "mipl", "ed")
 _FIT_COLUMNS = ("quantity", "slope", "intercept", "r2", "se", "f", "n_obs")
+# ModelParams takes m1 = m0 + 1, which a positive m0 below about 1.1e-16 leaves at 1.
+_M0_TOO_SMALL = "must be large enough that m0 + 1 > 1"
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence | str]) -> None:
@@ -79,26 +80,23 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence | str]
             writer.writerows(rows)
 
 
-@dataclass
-class ReportBundle:
-    """Run metadata plus the tables a command is about to write.
+class ReportBundle(NamedTuple):
+    """Run metadata plus the tables a command returns for ``main`` to write.
 
     The metadata (command, resolved parameters, seed, package version)
     suffices to reproduce the run; tables map file names to (header, rows).
-    ``warnings``, when not None, is written to ``meta.json`` as the list of
-    warnings the run raised, and ``engine``, when not None, as what the path
-    engine resolved (its arithmetic ``mode``).
+    ``diagnostics`` is written to ``meta.json`` as given, ``{}`` when None.
+    ``warnings``, when not None, is written as the list of warnings the run
+    raised, and ``engine``, when not None, as what the path engine resolved
+    (its arithmetic ``mode``).
     """
 
     command: str
     params: dict
-    diagnostics: dict = field(default_factory=dict)
-    tables: dict[str, tuple[Sequence[str], list]] = field(default_factory=dict)
+    tables: dict[str, tuple[Sequence[str], list]]
+    diagnostics: dict | None = None
     warnings: list[str] | None = None
     engine: dict | None = None
-
-    def add_table(self, name: str, header: Sequence[str], rows: list) -> None:
-        self.tables[name] = (header, rows)
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -109,7 +107,7 @@ class ReportBundle:
             "package": "cumuldyn",
             "version": __version__,
             "params": self.params,
-            "diagnostics": self.diagnostics,
+            "diagnostics": self.diagnostics or {},
             "tables": sorted(self.tables),
         }
         if self.warnings is not None:
@@ -216,8 +214,8 @@ def _load_series(path: str) -> tuple[SeriesPoint, ...]:
         _flag(errors, np.array(got) < 0, lambda row: f"{name} must not be negative, got {got[row]}")
     _flag(errors, outside, lambda row: f"ipl must lie in [0, {mipls[row]}], got {ipls[row]}")
     _raise_earliest(path, errors)
-    if not sizes:
-        raise ValueError(f"{path}: empty series")
+    if len(sizes) < 3:  # what fit_series needs
+        raise ValueError(f"{path}: need at least 3 rows to fit, got {len(sizes)}")
     return tuple(map(SeriesPoint, sizes, ids, ipls, map(int, mipls), eds))
 
 
@@ -271,6 +269,8 @@ def _read_distributions(path: str, columns: tuple[str, ...], parse_count: Callab
     if value:
         arrays.append(_column(errors, value[0], float, columns[3], 0, 1)[1])
     _raise_earliest(path, errors)
+    if not sizes:
+        raise ValueError(f"{path}: no rows")
     order = np.argsort(size, kind="stable")
     ranked = size[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))[: len(order)]
@@ -344,75 +344,70 @@ def _fit_row(quantity: str, fit: LinearFit) -> list:
 # --------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> ReportBundle:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     params = ModelParams(q=args.q, m1=args.m1)
     graph = simulate(params, args.n, args.seed)
-    bundle = ReportBundle(
-        command="simulate",
-        params={"q": args.q, "m1": args.m1, "n": args.n, "seed": args.seed, "rng": GENERATOR_NAME},
-    )
     # Finished lines, as csv writes them: an id is S and digits, which need no quoting.
     ids = graph.node_ids
     citing = np.repeat(np.arange(graph.n_nodes), graph.backlink_counts).tolist()
-    bundle.add_table("nodes.csv", ("node_id", "year", "classes"), [f"{i},,SIM\n" for i in ids])
-    bundle.add_table(
-        "edges.csv",
-        ("citing_id", "cited_id", "origin"),
-        [f"{ids[i]},{ids[j]},\n" for i, j in zip(citing, graph.indices.tolist())],
+    return ReportBundle(
+        command="simulate",
+        params={"q": args.q, "m1": args.m1, "n": args.n, "seed": args.seed, "rng": GENERATOR_NAME},
+        tables={
+            "nodes.csv": (("node_id", "year", "classes"), [f"{i},,SIM\n" for i in ids]),
+            "edges.csv": (
+                ("citing_id", "cited_id", "origin"),
+                [f"{ids[i]},{ids[j]},\n" for i, j in zip(citing, graph.indices.tolist())],
+            ),
+        },
     )
-    bundle.write(Path(args.out))
-    return 0
 
 
-def _measure_graph(
-    graph: KnowledgeGraph, stride: int, mode: str, bundle: ReportBundle
-) -> None:
+def _measure_graph(graph: KnowledgeGraph, stride: int, mode: str) -> dict:
     checkpoints = measure_checkpoints(graph, stride, mode)
-    bundle.add_table(
-        "series.csv",
-        _SERIES_COLUMNS,
-        [[cp.n, cp.id, cp.path_dist.ipl, cp.path_dist.mipl, cp.ed] for cp in checkpoints],
-    )
-    bundle.add_table(
-        "backlink_dist.csv",
-        ("n", "m", "count"),
-        [
-            [cp.n, m, count]
-            for cp in checkpoints
-            for m, count in sorted(cp.backlink_dist.counts.items())
-        ],
-    )
-    # One string of finished lines per checkpoint, as csv would write them:
-    # counts and normalized both run over k = 0..mipl in key order.
-    bundle.add_table(
-        "pathlen_dist.csv",
-        ("n", "k", "count", "normalized"),
-        [
-            "".join(
-                f"{cp.n},{k},{paths},{w!r}\n"
-                for k, paths, w in zip(
-                    count(), cp.path_dist.counts.values(), cp.path_dist.normalized.values()
+    return {
+        "series.csv": (
+            _SERIES_COLUMNS,
+            [[cp.n, cp.id, cp.path_dist.ipl, cp.path_dist.mipl, cp.ed] for cp in checkpoints],
+        ),
+        "backlink_dist.csv": (
+            ("n", "m", "count"),
+            [
+                [cp.n, m, count]
+                for cp in checkpoints
+                for m, count in sorted(cp.backlink_dist.counts.items())
+            ],
+        ),
+        # One string of finished lines per checkpoint, as csv would write them:
+        # counts and normalized both run over k = 0..mipl in key order.
+        "pathlen_dist.csv": (
+            ("n", "k", "count", "normalized"),
+            [
+                "".join(
+                    f"{cp.n},{k},{paths},{w!r}\n"
+                    for k, paths, w in zip(
+                        count(), cp.path_dist.counts.values(), cp.path_dist.normalized.values()
+                    )
                 )
-            )
-            for cp in checkpoints
-        ],
-    )
-    bundle.add_table(
-        "backlinks.csv",
-        ("ordinal", "node_id", "m"),
-        list(zip(count(), graph.node_ids, graph.backlink_counts.tolist())),
-    )
+                for cp in checkpoints
+            ],
+        ),
+        "backlinks.csv": (
+            ("ordinal", "node_id", "m"),
+            list(zip(count(), graph.node_ids, graph.backlink_counts.tolist())),
+        ),
+    }
 
 
-def cmd_measure(args: argparse.Namespace) -> int:
+def cmd_measure(args: argparse.Namespace) -> ReportBundle:
     query = _query_from_args(args)
     corpus = load_corpus(args.nodes, args.edges)
     graph, diagnostics = build_graph(
         corpus, query, origin=args.origin, granted_only=args.granted_only
     )
-    bundle = ReportBundle(
+    return ReportBundle(
         command="measure",
         params={
             "nodes": args.nodes,
@@ -425,18 +420,16 @@ def cmd_measure(args: argparse.Namespace) -> int:
             "stride": args.stride,
             "mode": args.mode,
         },
+        tables=_measure_graph(graph, args.stride, args.mode),
         diagnostics={
             **diagnostics.as_dict(),
             "self_citations_dropped": corpus.self_citations_dropped,
         },
         engine={"mode": resolve_mode(args.mode, graph.n_nodes)},
     )
-    _measure_graph(graph, args.stride, args.mode, bundle)
-    bundle.write(Path(args.out))
-    return 0
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> ReportBundle:
     series = _load_series(args.series)
     backlinks_path = args.backlinks
     if backlinks_path is None:
@@ -454,15 +447,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "are undefined for this series"
         )
     rates = rate_predictions(q_hat, m0_hat, n_final, backlinks=backlinks)
-    bundle = ReportBundle(
+    columns = ("p", "q_prime_a", "p_prime_a", "q_prime_b", "p_prime_b", "v", "delta_n")
+    return ReportBundle(
         command="fit",
         params={"series": args.series, "backlinks": backlinks_path, "n_final": n_final},
+        tables={
+            "fits.csv": (_FIT_COLUMNS, [_fit_row(q, fit) for q, fit in fitted.items()]),
+            "rates.csv": (columns, [[getattr(rates, c) for c in columns]]),
+        },
     )
-    bundle.add_table("fits.csv", _FIT_COLUMNS, [_fit_row(q, fit) for q, fit in fitted.items()])
-    columns = ("p", "q_prime_a", "p_prime_a", "q_prime_b", "p_prime_b", "v", "delta_n")
-    bundle.add_table("rates.csv", columns, [[getattr(rates, c) for c in columns]])
-    bundle.write(Path(args.out))
-    return 0
 
 
 def _read_fitted_params(path: str) -> tuple[float, float]:
@@ -475,6 +468,10 @@ def _read_fitted_params(path: str) -> tuple[float, float]:
     for got, name in ((slopes, "id slope q"), (intercepts, "id intercept m0")):
         bad = is_id & ~(np.isfinite(got) & np.greater(got, 0))
         _flag(errors, bad, lambda row: f"{name} must be positive and finite, got {got[row]}")
+    _flag(
+        errors, is_id & (np.add(intercepts, 1.0) == 1.0),
+        lambda row: f"id intercept m0 {_M0_TOO_SMALL}, got {intercepts[row]}",
+    )
     _raise_earliest(path, errors)
     if "id" in quantities:
         row = quantities.index("id")
@@ -552,7 +549,7 @@ def _add_gof_rows(
                 _warn(warned, f"n={n} {target} {fit.family}: {message}")
 
 
-def cmd_gof(args: argparse.Namespace) -> int:
+def cmd_gof(args: argparse.Namespace) -> ReportBundle:
     families = _parse_families(args.families)
     if args.fits is not None:
         q_hat, m0_hat = _read_fitted_params(args.fits)
@@ -561,6 +558,8 @@ def cmd_gof(args: argparse.Namespace) -> int:
         for flag, value in (("--q", q_hat), ("--m0", m0_hat)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{flag} must be positive and finite, got {value}")
+        if m0_hat + 1.0 == 1.0:
+            raise ValueError(f"--m0 {_M0_TOO_SMALL}, got {m0_hat}")
     else:
         raise ValueError("either --fits or both --q and --m0 are required")
     params = ModelParams(q=q_hat, m1=m0_hat + 1.0)
@@ -583,20 +582,20 @@ def cmd_gof(args: argparse.Namespace) -> int:
     if not summary_rows:
         raise ValueError("nothing to check: pass --backlink-dist and/or --pathlen-dist")
 
-    bundle = ReportBundle(
+    summary = ("n", "target", "family", "correlation", "chi2", "dof", "p_value")
+    points = ("n", "target", "family", "value", "empirical", "model")
+    return ReportBundle(
         command="gof",
         params={
             "q": q_hat, "m0": m0_hat, "backlink_dist": args.backlink_dist,
             "pathlen_dist": args.pathlen_dist, "families": families,
         },
+        tables={
+            "gof_summary.csv": (summary, summary_rows),
+            "gof_points.csv": (points, point_rows),
+        },
         warnings=warned,
     )
-    summary = ("n", "target", "family", "correlation", "chi2", "dof", "p_value")
-    bundle.add_table("gof_summary.csv", summary, summary_rows)
-    points = ("n", "target", "family", "value", "empirical", "model")
-    bundle.add_table("gof_points.csv", points, point_rows)
-    bundle.write(Path(args.out))
-    return 0
 
 
 def _read_tech_table(path: str) -> dict[str, set[str]]:
@@ -646,7 +645,7 @@ def _sweep_one(corpus, name, prefixes, args, warned):
     }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
     techs = _read_tech_table(args.tech_table)
     corpus = load_corpus(args.nodes, args.edges)
     names = sorted(techs)
@@ -664,7 +663,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if math.isfinite(r["rate"]) and math.isfinite(r["q"]) and r["q"] > 0 and r["rate"] > 0
     ]
 
-    def pairwise():
+    def id_ipl():
         return [
             _fit_row("id_on_ipl", ols_fit(ipls, ids)) + ["", ""],
             _fit_row("ipl_on_id", ols_fit(ids, ipls)) + ["", ""],
@@ -683,7 +682,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # Each cross fit: what it is, which technologies it needs 3 of, the fit.
     cross_fits = [
-        ("pairwise id/ipl fit", "", results, pairwise),
+        ("pairwise id/ipl fit", "", results, id_ipl),
         ("relative-cumulativeness labels", " with positive id", classifiable, relative),
         ("power-law fit", " with positive rate and q", rated, power_law),
     ]
@@ -699,7 +698,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             _warn(warned, f"{what} skipped: {exc}")
 
-    bundle = ReportBundle(
+    return ReportBundle(
         command="sweep",
         params={
             "nodes": args.nodes,
@@ -712,27 +711,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "technologies": names,
         },
+        tables={
+            "sweep.csv": (
+                ("tech", "n", "id", "ipl", "q", "p", "rate", "cumulativeness"),
+                [
+                    [r["tech"], r["n"], r["id"], r["ipl"], r["q"], r["p"], r["rate"], label]
+                    for r, label in zip(results, labels)
+                ],
+            ),
+            "cross_fits.csv": (
+                ("relation",) + _FIT_COLUMNS[1:] + ("exponent", "prefactor"), cross_rows
+            ),
+        },
         diagnostics={
             "self_citations_dropped": corpus.self_citations_dropped,
             "technologies": {r["tech"]: r["diagnostics"] for r in results},
         },
         warnings=warned,
     )
-    bundle.add_table(
-        "sweep.csv",
-        ("tech", "n", "id", "ipl", "q", "p", "rate", "cumulativeness"),
-        [
-            [r["tech"], r["n"], r["id"], r["ipl"], r["q"], r["p"], r["rate"], label]
-            for r, label in zip(results, labels)
-        ],
-    )
-    bundle.add_table(
-        "cross_fits.csv",
-        ("relation",) + _FIT_COLUMNS[1:] + ("exponent", "prefactor"),
-        cross_rows,
-    )
-    bundle.write(Path(args.out))
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -895,13 +891,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args).write(Path(args.out))
     except ValueError as exc:  # CorpusError included
         print(f"cumuldyn: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"cumuldyn: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def entry_point() -> None:  # pragma: no cover - thin wrapper

@@ -30,7 +30,6 @@ __all__ = [
     "SeriesPoint",
     "RatePredictions",
     "LinearFit",
-    "DistributionFit",
     "DistributionFits",
     "validate_graph",
 ]
@@ -183,15 +182,6 @@ class BacklinkDistribution:
         if total != self.n:
             raise ValueError(f"histogram total {total} != prefix size {self.n}")
 
-    @property
-    def mean(self) -> float:
-        """Average backward internal links per node (the prefix id)."""
-        return sum(m * c for m, c in self.counts.items()) / self.n
-
-    @property
-    def max_links(self) -> int:
-        return max(self.counts) if self.counts else 0
-
 
 class PathLengthDistribution(NamedTuple):
     """Counts of internal paths by length over a graph prefix of size ``n``.
@@ -342,32 +332,17 @@ class LinearFit(NamedTuple):
     intercept_se: float
 
 
-class DistributionFit(NamedTuple):
-    """Goodness of fit of a model distribution to an empirical one.
-
-    ``plot_points`` holds (empirical probability, model probability) pairs;
-    the closer they lie to the x=y line, the better the fit, summarized by
-    their Pearson correlation.  ``chi_square`` is (statistic, dof, p-value)
-    with bins pooled so every expected count is at least 5.
-    """
-
-    family: str
-    params: Mapping[str, float]
-    plot_points: tuple[tuple[float, float], ...]
-    plot_correlation: float
-    chi_square: tuple[float, int, float]
-
-
-@dataclass(frozen=True)
-class DistributionFits:
+class DistributionFits(NamedTuple):
     """One model family fitted to a sequence of distributions, held by column.
 
     Row ``i`` is the fit to the ``i``-th distribution: its parameters
     ``params[i]``, its plot points ``plot_points[bounds[i]:bounds[i + 1]]``
-    (the pairs of ``empirical`` and ``model``), ``plot_correlation[i]``,
-    ``chi_square[i]`` and ``warnings[i]``, the messages explaining a
-    correlation that could not be computed (a single support point, a
-    constant axis).  Indexing gives row ``i`` as a :class:`DistributionFit`.
+    (the pairs of ``empirical`` and ``model``; the closer they lie to the
+    x=y line, the better the fit), their Pearson correlation
+    ``plot_correlation[i]``, ``chi_square[i]`` as (statistic, dof, p-value)
+    with bins pooled so every expected count is at least 5, and
+    ``warnings[i]``, the messages explaining a correlation that could not be
+    computed (a single support point, a constant axis).
     """
 
     family: str
@@ -383,20 +358,6 @@ class DistributionFits:
     def plot_points(self) -> tuple[tuple[float, float], ...]:
         """Every row's (empirical, model) pairs, row after row."""
         return tuple(zip(self.empirical, self.model))
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-    def __getitem__(self, row: int) -> DistributionFit:
-        row = range(len(self.params))[row]
-        lo, hi = self.bounds[row], self.bounds[row + 1]
-        return DistributionFit(
-            family=self.family,
-            params=self.params[row],
-            plot_points=tuple(zip(self.empirical[lo:hi], self.model[lo:hi])),
-            plot_correlation=self.plot_correlation[row],
-            chi_square=self.chi_square[row],
-        )
 
 
 def validate_graph(graph: KnowledgeGraph) -> list[str]:

@@ -24,13 +24,11 @@ import numpy as np
 # command loads.
 
 from .core import (
-    BacklinkDistribution,
     BacklinkTable,
     DistributionFits,
     KnowledgeGraph,
     LinearFit,
     ModelParams,
-    PathLengthDistribution,
     PathLengthTable,
     SeriesPoint,
 )
@@ -329,18 +327,15 @@ def _fits(
     )
 
 
-def geometric_gof(
-    hists: Sequence[BacklinkDistribution] | BacklinkTable, params: ModelParams
-) -> DistributionFits:
+def geometric_gof(table: BacklinkTable, params: ModelParams) -> DistributionFits:
     """Fit of the geometric backward-link prediction to each observed histogram.
 
-    Histogram ``h`` (a record, or a row of a :class:`BacklinkTable`) is
-    compared with the geometric pmf of success probability ``rho(h.n)``
-    from the supplied (typically fitted) parameters, over m = 0 .. the
-    largest m it lists.  The chi-square pools the geometric tail beyond the
-    observed support into the last bin.
+    Row ``i`` of ``table``, the histogram of the prefix of ``n = table.ns[i]``
+    nodes, is compared with the geometric pmf of success probability
+    ``rho(n)`` from the supplied (typically fitted) parameters, over m = 0 ..
+    the largest m it lists.  The chi-square pools the geometric tail beyond
+    the observed support into the last bin.
     """
-    table = hists if isinstance(hists, BacklinkTable) else BacklinkTable.from_hists(hists)
     ns = table.ns
     if not ns:
         return DistributionFits("geometric", (), (0,), (), (), (), (), ())
@@ -427,26 +422,24 @@ def _pathlength_model(
 
 
 def pathlength_gof(
-    dists: Sequence[PathLengthDistribution] | PathLengthTable, family: str = "binomial-type",
-    n_prime: int | None = None,
+    table: PathLengthTable, family: str = "binomial-type", n_prime: int | None = None
 ) -> DistributionFits:
     """Fit of a model family to each normalized path-length distribution.
 
-    ``dists`` are records or the rows of a :class:`PathLengthTable`.  The
-    default family is the binomial-type distribution evaluated at
-    ``n_prime`` (each distribution's observed maximum path length unless
-    overridden).  The alternatives ('poisson', 'normal', 'binomial') are
-    moment-matched to each empirical distribution.  Chi-square counts every
-    path as an observation, which makes it extremely strict for large
-    graphs.  A distribution with a single length is one plot point (1, 1),
-    reported with a warning; its params are still the family's (the n' it
-    would take, or the moment-matched ones).
+    The distributions are the rows of ``table``.  The default family is the
+    binomial-type distribution evaluated at ``n_prime`` (each distribution's
+    observed maximum path length unless overridden).  The alternatives
+    ('poisson', 'normal', 'binomial') are moment-matched to each empirical
+    distribution.  Chi-square counts every path as an observation, which
+    makes it extremely strict for large graphs.  A distribution with a
+    single length is one plot point (1, 1), reported with a warning; its
+    params are still the family's (the n' it would take, or the
+    moment-matched ones).
     """
     if family not in PATHLENGTH_FAMILIES:
         raise ValueError(f"unknown path-length family {family!r}")
     if n_prime is not None and n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
-    table = dists if isinstance(dists, PathLengthTable) else PathLengthTable.from_dists(dists)
     if not table.ns:
         return DistributionFits(family, (), (0,), (), (), (), (), ())
     # A distribution with a single positive weight is a degenerate row: one

@@ -13,7 +13,6 @@ import pytest
 
 from cumuldyn.core import (
     BacklinkDistribution,
-    DistributionFit,
     KnowledgeGraph,
     ModelParams,
     PathLengthDistribution,
@@ -348,8 +347,8 @@ def reference_load_series(path: str) -> tuple[SeriesPoint, ...]:
         return SeriesPoint(size, id_, ipl, int(mipl), ed)
 
     points = _reference_read_table(path, ("n", "id", "ipl", "mipl", "ed"), point)
-    if not points:
-        raise ValueError(f"{path}: empty series")
+    if len(points) < 3:
+        raise ValueError(f"{path}: need at least 3 rows to fit, got {len(points)}")
     return tuple(points)
 
 
@@ -399,6 +398,8 @@ def reference_load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
         entries[links] = _in_range("count", int(count))
 
     _reference_read_table(path, ("n", "m", "count"), place)
+    if not grouped:
+        raise ValueError(f"{path}: no rows")
     try:
         return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
     except ValueError as exc:
@@ -415,6 +416,8 @@ def reference_load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]
         )
 
     _reference_read_table(path, ("n", "k", "count", "normalized"), place)
+    if not grouped:
+        raise ValueError(f"{path}: no rows")
     dists = {}
     for n, entries in grouped.items():
         counts = {k: c for k, (c, _) in entries.items()}
@@ -433,6 +436,16 @@ def reference_load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]
             mipl=max(positive),
         )
     return dists
+
+
+class ReferenceFit(NamedTuple):
+    """One fit as the per-row oracles below give it: the row of a ``DistributionFits``."""
+
+    family: str
+    params: dict[str, float]
+    plot_points: tuple[tuple[float, float], ...]
+    plot_correlation: float
+    chi_square: tuple[float, int, float]
 
 
 def _reference_plot_correlation(points, context: str) -> float:
@@ -532,7 +545,7 @@ def reference_chi_squares(
 
 def reference_geometric_gof(
     hist: BacklinkDistribution, params: ModelParams, n: int, special: Special = PACKAGE_SPECIAL
-) -> DistributionFit:
+) -> ReferenceFit:
     """Geometric fit one numpy scalar at a time, with ``np.corrcoef``.
 
     Deliberately independent of the array kernels in ``cumuldyn.fitting``:
@@ -541,7 +554,7 @@ def reference_geometric_gof(
     if not hist.counts:
         raise ValueError("empty backlink histogram")
     p = rho(n, params)
-    max_m = hist.max_links
+    max_m = max(hist.counts)
     ms = np.arange(max_m + 1)
     model = np.exp(ms * math.log1p(-p)) * p if p < 1.0 else (ms == 0).astype(float)
     observed = np.array([hist.counts.get(int(m), 0) for m in ms], dtype=float)
@@ -552,7 +565,7 @@ def reference_geometric_gof(
     chi = _reference_chi_square(
         np.append(observed, 0.0), np.append(hist.n * model, tail), special
     )
-    return DistributionFit("geometric", {"rho": p}, points, correlation, chi)
+    return ReferenceFit("geometric", {"rho": p}, points, correlation, chi)
 
 
 def _reference_pathlength_model(dist, n_prime, family, ks, special: Special):
@@ -591,7 +604,7 @@ def _reference_pathlength_model(dist, n_prime, family, ks, special: Special):
 def reference_pathlength_gof(
     dist: PathLengthDistribution, n_prime: int | None = None, family: str = "binomial-type",
     special: Special = PACKAGE_SPECIAL,
-) -> DistributionFit:
+) -> ReferenceFit:
     """Path-length fit one numpy scalar at a time, with ``np.corrcoef``.
 
     Deliberately independent of the array kernels in ``cumuldyn.fitting``:
@@ -609,7 +622,7 @@ def reference_pathlength_gof(
         params, _ = _reference_pathlength_model(
             dist, n_prime or max(dist.mipl, 1), family, np.arange(1), special
         )
-        return DistributionFit(family, params, ((1.0, 1.0),), 1.0, (math.nan, 0, math.nan))
+        return ReferenceFit(family, params, ((1.0, 1.0),), 1.0, (math.nan, 0, math.nan))
     if n_prime is None:
         n_prime = dist.mipl
     ks = np.arange(max(dist.mipl, n_prime - 1) + 1)
@@ -625,7 +638,7 @@ def reference_pathlength_gof(
         chi = _reference_chi_square(sample * empirical, sample * model, special)
     else:
         chi = (math.inf, len(ks) - 1, 0.0)
-    return DistributionFit(family, params, points, correlation, chi)
+    return ReferenceFit(family, params, points, correlation, chi)
 
 
 def reference_simulate(params: ModelParams, n_nodes: int, seed: int) -> KnowledgeGraph:

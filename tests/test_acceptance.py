@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from cumuldyn.core import ModelParams, validate_graph
+from cumuldyn.core import BacklinkTable, ModelParams, PathLengthTable, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof, pathlength_gof, power_law_fit
 from cumuldyn.growth import simulate
 from cumuldyn.ingest import TechnologyQuery, build_graph, load_corpus
@@ -245,7 +245,8 @@ class TestCriterion5DistributionShape:
         correlations = []
         for thousands, fitted in shape_runs:
             hists = [cp.backlink_dist for cp in thousands]
-            correlations.extend(geometric_gof(hists, fitted).plot_correlation)
+            fits = geometric_gof(BacklinkTable.from_hists(hists), fitted)
+            correlations.extend(fits.plot_correlation)
         mean_corr = float(np.mean(correlations))
         ok = mean_corr >= 0.99
         report(
@@ -268,7 +269,7 @@ class TestCriterion5DistributionShape:
         correlations = []
         for thousands, _ in shape_runs:
             dists = [cp.path_dist for cp in thousands]
-            correlations.extend(pathlength_gof(dists).plot_correlation)
+            correlations.extend(pathlength_gof(PathLengthTable.from_dists(dists)).plot_correlation)
         mean_corr = float(np.mean(correlations))
         ok = mean_corr >= 0.98
         report(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumuldyn.cli import ReportBundle, _build_parser, main
-from cumuldyn.core import KnowledgeGraph, ModelParams, PathLengthTable
+from cumuldyn.core import BacklinkTable, KnowledgeGraph, ModelParams, PathLengthTable
 from cumuldyn.fitting import PATHLENGTH_FAMILIES, geometric_gof, pathlength_gof
 from cumuldyn.ingest import Corpus
 
@@ -380,6 +380,7 @@ class TestGof:
             ("-0.5", "1", "--q must be positive and finite, got -0.5"),
             ("0.01", "-5", "--m0 must be positive and finite, got -5.0"),
             ("0.01", "inf", "--m0 must be positive and finite, got inf"),
+            ("0.01", "1e-17", "--m0 must be large enough that m0 + 1 > 1, got 1e-17"),
         ],
     )
     def test_bad_param_flag_exit_2_naming_it(self, tmp_path, measured_dir, capsys, q, m0, message):
@@ -428,10 +429,10 @@ class TestGof:
         dists = reference_load_pathlen_dists(str(measured_dir / "pathlen_dist.csv"))
         params = ModelParams(q=0.002, m1=3.0)
         fits = [
-            (n, "backlinks", geometric_gof([hist], params)[0])
+            (n, "backlinks", geometric_gof(BacklinkTable.from_hists([hist]), params))
             for n, hist in sorted(hists.items())
         ] + [
-            (n, "pathlengths", pathlength_gof([dist], family)[0])
+            (n, "pathlengths", pathlength_gof(PathLengthTable.from_dists([dist]), family))
             for n, dist in sorted(dists.items())
             for family in PATHLENGTH_FAMILIES
         ]
@@ -595,6 +596,14 @@ class TestGof:
         assert json.loads((out / "meta.json").read_text())["warnings"] == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# The benchmark's workloads, by the names perfbench/run.py checks against workloads.py.
+BENCH_WORKLOADS = [
+    workload["name"]
+    for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+]
+
+
 class TestTraceLayers:
     """The benchmark's layer wrappers still find every name the commands call."""
 
@@ -603,36 +612,47 @@ class TestTraceLayers:
         "geometric_gof", "pathlength_gof", "rate_predictions",
     )
 
-    def test_fine_pipeline_records_every_layer(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", BENCH_WORKLOADS)
+    def test_every_layer_records_its_counters(self, tmp_path, monkeypatch, name):
         import cumuldyn.cli as cli
 
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         import trace_layers
         import workloads
+        from run import LAYERS
 
         # install() rebinds these names; monkeypatch puts the originals back.
-        for name in self.LAYER_NAMES:
-            monkeypatch.setattr(cli, name, getattr(cli, name))
+        for layer in self.LAYER_NAMES:
+            monkeypatch.setattr(cli, layer, getattr(cli, layer))
         monkeypatch.setattr(cli.ReportBundle, "write", cli.ReportBundle.write)
         recorder = trace_layers.Recorder(peak=True)
         trace_layers.install(recorder, cli)
-        workload = workloads.WORKLOADS["fine_pipeline"]
+        workload = workloads.WORKLOADS[name]
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        workload.make_inputs(inputs, 1)
         for command in workload.commands:
             argv = [
-                token.replace("{out}", str(tmp_path)).replace("{seed}", "1")
+                token.replace("{in}", str(inputs)).replace("{out}", str(out)).replace("{seed}", "1")
                 for token in command.argv
             ]
             with recorder.command(command.label):
                 assert cli.main(argv) == 0
-        recorded = {span["name"] for span in recorder.spans}
-        assert set(workload.layers) <= recorded
+        for layer in workload.layers:
+            spans = [span for span in recorder.spans if span["name"] == layer]
+            # Derived or timed in every span, not counted: kept_ratio, s, calls, peak_mb.
+            counters = set(LAYERS[layer]) - {"s", "calls", "kept_ratio", "peak_mb"}
+            assert spans, layer
+            for span in spans:
+                assert span["parent"] is not None, layer
+                assert counters <= set(span["counts"]), layer
+                assert ("peak_mb" in span) == (layer in trace_layers.PEAK_LAYERS), layer
         support_points = sum(
             span["counts"]["support_points"]
             for span in recorder.spans
             if span["name"] == "fitting.pathlength_gof"
         )
-        points = read_csv(tmp_path / "gof" / "gof_points.csv")
-        assert support_points == sum(r["target"] == "pathlengths" for r in points) > 0
+        points = [row for path in out.glob("*/gof_points.csv") for row in read_csv(path)]
+        assert support_points == sum(row["target"] == "pathlengths" for row in points)
 
 
 def _old_fmt(value) -> str:
@@ -652,9 +672,9 @@ class TestReportBundleWrite:
     ]
 
     def test_cells_read_as_the_old_format(self, tmp_path):
-        bundle = ReportBundle(command="test", params={})
         rows = [self.CELLS, self.CELLS[::-1]]
-        bundle.add_table("cells.csv", [f"c{i}" for i in range(len(self.CELLS))], rows)
+        header = [f"c{i}" for i in range(len(self.CELLS))]
+        bundle = ReportBundle(command="test", params={}, tables={"cells.csv": (header, rows)})
         bundle.write(tmp_path)
         with open(tmp_path / "cells.csv", newline="", encoding="utf-8") as handle:
             written = list(csv.reader(handle))[1:]
@@ -924,7 +944,14 @@ class TestTableReaders:
             # The table is read before the corpus, which need not exist.
             return ["sweep", "--nodes", "none.csv", "--edges", "none.csv",
                     "--tech-table", str(table), "--out", out]
-        return ["gof", f"--{reader}", str(table), "--q", "0.01", "--m0", "1.0", "--out", out]
+        # Beside a valid table of the other kind, which gof reads too.
+        other, text = {
+            "backlink-dist": ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.6\n5,1,2,0.4\n"),
+            "pathlen-dist": ("backlink-dist", "n,m,count\n10,0,5\n10,1,5\n"),
+        }[reader]
+        (tmp_path / "other.csv").write_text(text)
+        return ["gof", f"--{reader}", str(table), f"--{other}", str(tmp_path / "other.csv"),
+                "--q", "0.01", "--m0", "1.0", "--out", out]
 
     @pytest.mark.parametrize(
         "reader, content, message",
@@ -949,6 +976,8 @@ class TestTableReaders:
              ":3: ipl must lie in [0, 3.0], got 4.0"),
             ("series", SERIES.replace("1.0,1.0,", "1.0,-4.0,"),
              ":2: ipl must lie in [0, 2.0], got -4.0"),
+            ("series", SERIES.rsplit("30,", 1)[0], ": need at least 3 rows to fit, got 2"),
+            ("series", "n,id,ipl,mipl,ed\n", ": need at least 3 rows to fit, got 0"),
             ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
             ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
             ("fits", "quantity,slope,intercept\nid,nan,1.0\n",
@@ -957,6 +986,8 @@ class TestTableReaders:
              ":3: id slope q must be positive and finite, got -0.5"),
             ("fits", "quantity,slope,intercept\nid,0.1,-5\n",
              ":2: id intercept m0 must be positive and finite, got -5.0"),
+            ("fits", "quantity,slope,intercept\nid,0.1,1e-17\n",
+             ":2: id intercept m0 must be large enough that m0 + 1 > 1, got 1e-17"),
             ("fits", "quantity,slope,intercept\nid,0.1,1.0\nipl,0.2,1.0\nid,0.2,2.0\n",
              ":4: repeated row for quantity id"),
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
@@ -982,6 +1013,7 @@ class TestTableReaders:
             ("backlink-dist", "n,m,count\n-2,0,1\n", ":2: n must lie in [1, inf], got -2"),
             ("backlink-dist", "n,m,count\n10,0,5\n10,1,5\n10,0,5\n",
              ":4: repeated row for n=10, m=0"),
+            ("backlink-dist", "n,m,count\n", ": no rows"),
             ("pathlen-dist", "n,k,normalized\n5,0,1.0\n", ": missing column(s) count"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,1,x\n", ":2: could not convert"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,nan\n5,1,2,0.4\n",
@@ -1003,6 +1035,7 @@ class TestTableReaders:
             ("pathlen-dist", "n,k,count,normalized\n0,0,3,1.0\n", ":2: n must lie in [1, inf], got 0"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.5\n5,1,3,0.5\n5,0,3,0.5\n",
              ":4: repeated row for n=5, k=0"),
+            ("pathlen-dist", "n,k,count,normalized\n\n", ": no rows"),
             ("tech-table", "group_name\nalpha\n", ": missing column(s) prefix"),
             ("tech-table", "group_name,prefix\nalpha,A01\nbeta, \n", ":3: empty group_name"),
             ("series", SERIES + "40,2.0," + "9" * 140_000 + ",5,0.0\n",
@@ -1015,9 +1048,9 @@ class TestTableReaders:
             "series-n-falls", "series-n-repeats", "series-n-negative", "series-n-zero",
             "series-fractional-mipl", "series-negative-mipl", "series-mipl-past-n",
             "series-negative-id", "series-negative-ed", "series-ipl-past-mipl",
-            "series-negative-ipl",
+            "series-negative-ipl", "series-two-rows", "series-no-rows",
             "fits-missing", "fits-bad", "fits-nan-slope", "fits-negative-slope",
-            "fits-negative-intercept", "fits-repeated-id",
+            "fits-negative-intercept", "fits-tiny-intercept", "fits-repeated-id",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
             "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",
             "backlinks-missing-ordinal",
@@ -1025,13 +1058,13 @@ class TestTableReaders:
             "backlink-dist-missing", "backlink-dist-bad",
             "backlink-dist-negative-m", "backlink-dist-negative-count", "backlink-dist-total",
             "backlink-dist-m-far-past-n", "backlink-dist-m-at-n", "backlink-dist-n-zero",
-            "backlink-dist-n-negative", "backlink-dist-repeated",
+            "backlink-dist-n-negative", "backlink-dist-repeated", "backlink-dist-no-rows",
             "pathlen-dist-missing", "pathlen-dist-bad",
             "pathlen-dist-nan-normalized", "pathlen-dist-normalized-above-1",
             "pathlen-dist-negative-count", "pathlen-dist-nan-count",
             "pathlen-dist-normalized-sum",
             "pathlen-dist-k-far-past-n", "pathlen-dist-k-at-n", "pathlen-dist-k-negative",
-            "pathlen-dist-n-zero", "pathlen-dist-repeated",
+            "pathlen-dist-n-zero", "pathlen-dist-repeated", "pathlen-dist-no-rows",
             "tech-table-missing", "tech-table-empty",
             "series-overlong-field", "nodes-overlong-field",
         ],
@@ -1208,12 +1241,14 @@ class TestColumnarReadersMatchReference:
             assert dict(zip(keys[lo:hi].tolist(), values[lo:hi].tolist())) == entries
         if reader == "backlink-dist":
             params = ModelParams(q=0.05, m1=2.0)
-            assert repr(geometric_gof(found, params)) == repr(geometric_gof(records, params))
+            expected = geometric_gof(BacklinkTable.from_hists(records), params)
+            assert repr(geometric_gof(found, params)) == repr(expected)
             return
         # Every sum over an n's rows, and so every fit, to the last bit.
-        assert repr(found) == repr(PathLengthTable.from_dists(records))
+        table = PathLengthTable.from_dists(records)
+        assert repr(found) == repr(table)
         for family in PATHLENGTH_FAMILIES:
-            assert repr(pathlength_gof(found, family)) == repr(pathlength_gof(records, family))
+            assert repr(pathlength_gof(found, family)) == repr(pathlength_gof(table, family))
 
     def test_first_short_row_is_reported(self, tmp_path):
         # Of two short rows, the later lacks more fields: the earlier is reported.

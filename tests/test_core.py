@@ -206,10 +206,6 @@ class TestModelParams:
 
 
 class TestBacklinkDistribution:
-    def test_mean_matches_definition(self):
-        hist = BacklinkDistribution(n=4, counts={0: 2, 3: 2})
-        assert hist.mean == (0 * 2 + 3 * 2) / 4
-
     def test_total_must_match_n(self):
         with pytest.raises(ValueError):
             BacklinkDistribution(n=5, counts={0: 2, 1: 2})

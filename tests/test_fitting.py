@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from cumuldyn.core import (
     BacklinkDistribution,
+    BacklinkTable,
     ModelParams,
     PathLengthDistribution,
+    PathLengthTable,
 )
 from cumuldyn.fitting import (
     PATHLENGTH_FAMILIES,
@@ -38,6 +40,11 @@ from conftest import (
     reference_geometric_gof,
     reference_pathlength_gof,
 )
+
+
+def row_points(fits, row):
+    """Row ``row``'s (empirical, model) pairs of a ``DistributionFits``."""
+    return fits.plot_points[fits.bounds[row]:fits.bounds[row + 1]]
 
 
 def naive_ols(x, y):
@@ -155,21 +162,21 @@ class TestGeometricGof:
             remaining -= c
         counts[0] += remaining  # force the histogram total to match
         hist = BacklinkDistribution(n=total, counts=counts)
-        gof = geometric_gof([hist], params)[0]
-        assert gof.params == {"rho": p}
-        assert gof.plot_correlation >= 0.9999
-        assert all(abs(e - m) < 1e-3 for e, m in gof.plot_points)
+        fits = geometric_gof(BacklinkTable.from_hists([hist]), params)
+        assert fits.params == ({"rho": p},)
+        assert fits.plot_correlation[0] >= 0.9999
+        assert all(abs(e - m) < 1e-3 for e, m in fits.plot_points)
 
     def test_uniform_histogram_is_a_negative_control(self):
         params = ModelParams(q=0.001, m1=2.0)
         hist = BacklinkDistribution(n=1100, counts={m: 100 for m in range(11)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fits = geometric_gof([hist], params)
+            fits = geometric_gof(BacklinkTable.from_hists([hist]), params)
         assert fits.warnings == ((
             "geometric fit: constant probabilities on one axis; correlation reported as 0.0",
         ),)
-        assert fits[0].plot_correlation < 0.99
+        assert fits.plot_correlation[0] < 0.99
 
     def test_simulated_graph_fits_well(self):
         # The geometric law is evaluated at parameters fitted from the id
@@ -180,9 +187,9 @@ class TestGeometricGof:
         fit = fit_series([cp.point for cp in checkpoints], "id")
         fitted = ModelParams(q=fit.slope, m1=fit.intercept + 1.0)
         assert checkpoints[-1].n == 3000
-        gof = geometric_gof([checkpoints[-1].backlink_dist], fitted)[0]
-        assert gof.plot_correlation >= 0.99
-        statistic, dof, p_value = gof.chi_square
+        fits = geometric_gof(BacklinkTable.from_hists([checkpoints[-1].backlink_dist]), fitted)
+        assert fits.plot_correlation[0] >= 0.99
+        statistic, dof, p_value = fits.chi_square[0]
         assert statistic >= 0
         assert dof >= 1
         assert 0 <= p_value <= 1
@@ -190,13 +197,17 @@ class TestGeometricGof:
     def test_chi_square_pooling_keeps_expected_above_five(self):
         params = ModelParams(q=0.001, m1=2.0)
         hist = BacklinkDistribution(n=30, counts={0: 10, 1: 8, 2: 6, 3: 3, 9: 3})
-        statistic, dof, p_value = geometric_gof([hist], params)[0].chi_square
+        fits = geometric_gof(BacklinkTable.from_hists([hist]), params)
+        statistic, dof, p_value = fits.chi_square[0]
         assert math.isfinite(statistic)
         assert dof >= 1
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
-            geometric_gof([BacklinkDistribution(n=0, counts={})], ModelParams(q=0.1, m1=2.0))
+            geometric_gof(
+                BacklinkTable.from_hists([BacklinkDistribution(n=0, counts={})]),
+                ModelParams(q=0.1, m1=2.0),
+            )
 
     def test_rows_follow_the_histograms(self):
         params = ModelParams(q=0.01, m1=2.0)
@@ -205,23 +216,19 @@ class TestGeometricGof:
             BacklinkDistribution(n=3, counts={0: 3}),
             BacklinkDistribution(n=9, counts={0: 3, 1: 4, 3: 2}),
         ]
-        fits = geometric_gof(hists, params)
-        assert len(fits) == 3
+        fits = geometric_gof(BacklinkTable.from_hists(hists), params)
         assert fits.bounds == (0, 3, 4, 8)
-        assert fits.plot_points == fits[0].plot_points + fits[1].plot_points + fits[2].plot_points
-        assert fits[-1] == fits[2]
-        assert [fit.params["rho"] for fit in fits] == [rho(h.n, params) for h in hists]
+        assert [len(row_points(fits, row)) for row in range(3)] == [3, 1, 4]
+        assert [p["rho"] for p in fits.params] == [rho(h.n, params) for h in hists]
         assert fits.warnings[1] == (
             "geometric fit: degenerate distribution with a single support point; "
             "probability-plot correlation reported as 1",
         )
         assert fits.warnings[0] == fits.warnings[2] == ()
-        with pytest.raises(IndexError):
-            fits[3]
 
     def test_no_histograms_no_rows(self):
-        fits = geometric_gof([], ModelParams(q=0.1, m1=2.0))
-        assert len(fits) == 0
+        fits = geometric_gof(BacklinkTable.from_hists([]), ModelParams(q=0.1, m1=2.0))
+        assert fits.params == ()
         assert fits.plot_points == ()
         assert fits.bounds == (0,)
 
@@ -236,8 +243,8 @@ class TestPathlengthGof:
         dist = PathLengthDistribution(
             n=500, counts=counts, normalized=dict(model), ipl=ipl, mipl=n_prime - 1
         )
-        gof = pathlength_gof([dist], n_prime=n_prime)[0]
-        assert gof.plot_correlation == pytest.approx(1.0, abs=1e-12)
+        fits = pathlength_gof(PathLengthTable.from_dists([dist]), n_prime=n_prime)
+        assert fits.plot_correlation[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_single_length(self):
         dist = PathLengthDistribution(
@@ -245,13 +252,13 @@ class TestPathlengthGof:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fits = pathlength_gof([dist])
+            fits = pathlength_gof(PathLengthTable.from_dists([dist]))
         assert fits.warnings == ((
             "degenerate path-length distribution with a single length; "
             "correlation reported as 1",
         ),)
-        assert fits[0].plot_correlation == 1.0
-        assert fits[0].plot_points == ((1.0, 1.0),)
+        assert fits.plot_correlation == (1.0,)
+        assert fits.plot_points == ((1.0, 1.0),)
 
     @pytest.mark.parametrize(
         "family, params",
@@ -271,17 +278,18 @@ class TestPathlengthGof:
         regular = PathLengthDistribution(
             n=6, counts={0: 1, 1: 3}, normalized={0: 0.25, 1: 0.75}, ipl=0.75, mipl=1
         )
-        fits = pathlength_gof([single, regular], family)
+        fits = pathlength_gof(PathLengthTable.from_dists([single, regular]), family)
         assert fits.params[0] == params
-        assert fits[0].plot_points == ((1.0, 1.0),)
-        assert repr(fits[0].chi_square) == repr((math.nan, 0, math.nan))
-        assert fits.params[1] == pathlength_gof([regular], family).params[0]
+        assert row_points(fits, 0) == ((1.0, 1.0),)
+        assert repr(fits.chi_square[0]) == repr((math.nan, 0, math.nan))
+        alone = pathlength_gof(PathLengthTable.from_dists([regular]), family)
+        assert fits.params[1] == alone.params[0]
 
     def test_default_n_prime_is_mipl(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 1500, seed=3)
         dists = [cp.path_dist for cp in measure_checkpoints(g, 500)]
-        fits = pathlength_gof(dists)
-        assert [fit.params["n_prime"] for fit in fits] == [dist.mipl for dist in dists]
+        fits = pathlength_gof(PathLengthTable.from_dists(dists))
+        assert [p["n_prime"] for p in fits.params] == [dist.mipl for dist in dists]
 
     def test_binomial_type_fits_simulated_data_reasonably(self):
         dists = [
@@ -289,14 +297,15 @@ class TestPathlengthGof:
             .path_dist
             for seed in range(5)
         ]
-        assert np.mean(pathlength_gof(dists).plot_correlation) > 0.90
+        assert np.mean(pathlength_gof(PathLengthTable.from_dists(dists)).plot_correlation) > 0.90
 
     @pytest.mark.parametrize("family", ["poisson", "normal", "binomial"])
     def test_alternative_families(self, family):
         g = simulate(ModelParams(q=0.002, m1=3.0), 2000, seed=1)
-        fits = pathlength_gof([measure_checkpoints(g, 2000)[0].path_dist], family=family)
-        assert -1.0 <= fits[0].plot_correlation <= 1.0
-        assert fits.family == fits[0].family == family
+        dists = PathLengthTable.from_dists([measure_checkpoints(g, 2000)[0].path_dist])
+        fits = pathlength_gof(dists, family=family)
+        assert -1.0 <= fits.plot_correlation[0] <= 1.0
+        assert fits.family == family
 
     def test_binomial_is_zero_past_its_size(self):
         # n' past mipl + 1 asks for lengths k beyond the binomial's size,
@@ -307,22 +316,22 @@ class TestPathlengthGof:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = pathlength_gof([dist], family="binomial", n_prime=8)[0]
-        model = [m for _, m in fit.plot_points]
-        assert fit.params == {"n": 2.0, "p": 0.5}
+            fits = pathlength_gof(PathLengthTable.from_dists([dist]), family="binomial", n_prime=8)
+        model = list(fits.model)
+        assert fits.params == ({"n": 2.0, "p": 0.5},)
         assert model[:3] == pytest.approx([0.25, 0.5, 0.25], rel=1e-15)
         assert model[3:] == [0.0] * 5
 
     def test_unknown_family_rejected(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 500, seed=1)
-        dist = measure_checkpoints(g, 500)[0].path_dist
+        dists = PathLengthTable.from_dists([measure_checkpoints(g, 500)[0].path_dist])
         with pytest.raises(ValueError):
-            pathlength_gof([dist], family="teacup")
+            pathlength_gof(dists, family="teacup")
 
     def test_empty_distribution_rejected(self):
         dist = PathLengthDistribution(n=0, counts={}, normalized={}, ipl=0.0, mipl=0)
         with pytest.raises(ValueError):
-            pathlength_gof([dist])
+            pathlength_gof(PathLengthTable.from_dists([dist]))
 
 
 def _reference_fit(reference_fn, *args):
@@ -340,22 +349,22 @@ def _reference_fit(reference_fn, *args):
 
 def _assert_same_rows(fits, reference_fn, rows_args):
     """Row i of ``fits`` equal to ``reference_fn(*rows_args[i])``, the correlation within 1e-12."""
-    assert len(fits) == len(rows_args)
+    assert len(fits.params) == len(rows_args)
     points = ()
     for row, args in enumerate(rows_args):
         expected, expected_warned = _reference_fit(reference_fn, *args)
-        fit = fits[row]
         assert list(fits.warnings[row]) == expected_warned
         # repr compares nan equal to nan and tells -0.0 from 0.0.
-        assert repr((fit.family, fit.params, fit.chi_square)) == repr(
+        assert repr((fits.family, fits.params[row], fits.chi_square[row])) == repr(
             (expected.family, expected.params, expected.chi_square)
         )
-        assert repr(fit.plot_points) == repr(expected.plot_points)
+        assert repr(row_points(fits, row)) == repr(expected.plot_points)
+        correlation = fits.plot_correlation[row]
         if math.isnan(expected.plot_correlation):
-            assert math.isnan(fit.plot_correlation)
+            assert math.isnan(correlation)
         else:
-            assert abs(fit.plot_correlation - expected.plot_correlation) <= 1e-12
-        assert -1.0 <= fit.plot_correlation <= 1.0 or math.isnan(fit.plot_correlation)
+            assert abs(correlation - expected.plot_correlation) <= 1e-12
+        assert -1.0 <= correlation <= 1.0 or math.isnan(correlation)
         points += expected.plot_points
     assert repr(fits.plot_points) == repr(points)
 
@@ -417,7 +426,7 @@ class TestGofKernelsMatchReference:
     @given(hist=_histograms, q=st.floats(1e-4, 2.0), m1=st.floats(1.01, 20.0))
     def test_geometric(self, hist, q, m1):
         params = ModelParams(q=q, m1=m1)
-        fits = geometric_gof([hist], params)
+        fits = geometric_gof(BacklinkTable.from_hists([hist]), params)
         _assert_same_rows(fits, reference_geometric_gof, [(hist, params, hist.n)])
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -428,7 +437,7 @@ class TestGofKernelsMatchReference:
     )
     def test_pathlength(self, dist, family, n_prime_offset):
         n_prime = _n_prime([dist], n_prime_offset)
-        fits = pathlength_gof([dist], family, n_prime)
+        fits = pathlength_gof(PathLengthTable.from_dists([dist]), family, n_prime)
         _assert_same_rows(fits, reference_pathlength_gof, [(dist, n_prime, family)])
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -439,7 +448,7 @@ class TestGofKernelsMatchReference:
     )
     def test_geometric_checkpoint_sequences(self, hists, q, m1):
         params = ModelParams(q=q, m1=m1)
-        fits = geometric_gof(hists, params)
+        fits = geometric_gof(BacklinkTable.from_hists(hists), params)
         _assert_same_rows(fits, reference_geometric_gof, [(h, params, h.n) for h in hists])
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -450,7 +459,7 @@ class TestGofKernelsMatchReference:
     )
     def test_pathlength_checkpoint_sequences(self, dists, family, n_prime_offset):
         n_prime = _n_prime(dists, n_prime_offset)
-        fits = pathlength_gof(dists, family, n_prime)
+        fits = pathlength_gof(PathLengthTable.from_dists(dists), family, n_prime)
         _assert_same_rows(
             fits, reference_pathlength_gof, [(dist, n_prime, family) for dist in dists]
         )

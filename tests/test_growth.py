@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cumuldyn import pcg64
-from cumuldyn.core import ModelParams, validate_graph
+from cumuldyn.core import BacklinkTable, ModelParams, validate_graph
 from cumuldyn.fitting import fit_series, geometric_gof
 from cumuldyn.growth import _distinct_below, _inverse_count, rho, simulate
 from cumuldyn.measures import measure_checkpoints
@@ -146,7 +146,8 @@ class TestSimulate:
             fit = fit_series([cp.point for cp in checkpoints], "id")
             fitted = ModelParams(q=fit.slope, m1=fit.intercept + 1.0)
             hists = [cp.backlink_dist for cp in checkpoints if cp.n % 1000 == 0]
-            correlations.extend(geometric_gof(hists, fitted).plot_correlation)
+            fits = geometric_gof(BacklinkTable.from_hists(hists), fitted)
+            correlations.extend(fits.plot_correlation)
         assert np.mean(correlations) >= 0.99
 
     def test_bad_node_count_rejected(self):

@@ -216,7 +216,7 @@ class TestBacklinkDistribution:
     def test_histogram_of_prefix(self, example_graph):
         (cp,) = measure_checkpoints(example_graph, 4)
         assert cp.backlink_dist.counts == {0: 2, 1: 1, 2: 1}
-        assert cp.backlink_dist.mean == cp.id
+        assert sum(m * c for m, c in cp.backlink_dist.counts.items()) / cp.n == cp.id
 
     def test_prefix_histogram(self, example_graph):
         assert measure_checkpoints(example_graph, 2)[0].backlink_dist.counts == {0: 2}

@@ -59,6 +59,8 @@ def test_documented_name_resolves(name):
     assert resolves(name), f"README names {name!r}, which cumuldyn does not export"
 
 
-@pytest.mark.parametrize("name", ["cumulativeness_series", "class_grouping", "np.diff"])
+@pytest.mark.parametrize(
+    "name", ["cumulativeness_series", "class_grouping", "DistributionFit", "np.diff"]
+)
 def test_unexported_names_do_not_resolve(name):
     assert not resolves(name)
