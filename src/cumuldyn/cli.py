@@ -552,6 +552,8 @@ def _add_gof_rows(
 def cmd_gof(args: argparse.Namespace) -> ReportBundle:
     families = _parse_families(args.families)
     if args.fits is not None:
+        if args.q is not None or args.m0 is not None:
+            raise ValueError("--fits and --q/--m0 exclude each other")
         q_hat, m0_hat = _read_fitted_params(args.fits)
     elif args.q is not None and args.m0 is not None:
         q_hat, m0_hat = args.q, args.m0
@@ -746,6 +748,15 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags that measure and sweep share.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--nodes", required=True, help="nodes CSV path")
+    shared.add_argument("--edges", required=True, help="citations CSV path")
+    shared.add_argument("--year-cutoff", type=int, default=None, help="keep years <= cutoff")
+    shared.add_argument("--origin", choices=("all", "app"), default="all")
+    shared.add_argument("--granted-only", action="store_true")
+    shared.add_argument("--stride", type=int, default=100, help="checkpoint spacing")
+    shared.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
 
     sim = sub.add_parser(
         "simulate", help="grow a synthetic citation corpus", allow_abbrev=False
@@ -756,21 +767,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="random seed: any non-negative integer")
 
     mea = sub.add_parser(
-        "measure", help="measure indicators of one technology", allow_abbrev=False
+        "measure", help="measure indicators of one technology", allow_abbrev=False,
+        parents=[shared],
     )
-    mea.add_argument("--nodes", required=True, help="nodes CSV path")
-    mea.add_argument("--edges", required=True, help="citations CSV path")
     mea.add_argument("--name", default="technology", help="technology name")
     mea.add_argument(
         "--prefix",
         action="append",
         help="class prefix selecting the technology (repeatable or comma-separated)",
     )
-    mea.add_argument("--year-cutoff", type=int, default=None, help="keep years <= cutoff")
-    mea.add_argument("--origin", choices=("all", "app"), default="all")
-    mea.add_argument("--granted-only", action="store_true")
-    mea.add_argument("--stride", type=int, default=100, help="checkpoint spacing")
-    mea.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
 
     fit = sub.add_parser(
         "fit", help="fit growth rates to a measured series", allow_abbrev=False
@@ -797,18 +802,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     swp = sub.add_parser(
-        "sweep", help="measure and compare many technologies", allow_abbrev=False
+        "sweep", help="measure and compare many technologies", allow_abbrev=False,
+        parents=[shared],
     )
-    swp.add_argument("--nodes", required=True, help="nodes CSV path")
-    swp.add_argument("--edges", required=True, help="citations CSV path")
     swp.add_argument(
         "--tech-table", required=True, help="CSV of group_name,prefix rows"
     )
-    swp.add_argument("--year-cutoff", type=int, default=None)
-    swp.add_argument("--origin", choices=("all", "app"), default="all")
-    swp.add_argument("--granted-only", action="store_true")
-    swp.add_argument("--stride", type=int, default=100)
-    swp.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
     for command, func in zip(
         (sim, mea, fit, gof, swp), (cmd_simulate, cmd_measure, cmd_fit, cmd_gof, cmd_sweep)
     ):

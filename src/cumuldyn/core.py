@@ -4,16 +4,14 @@ A technology is represented as a chronologically ordered set of inventions
 plus the backward links between them.  :class:`KnowledgeGraph` holds them
 by column: node ids and years, the links that stay inside the technology as
 one sorted array of cited ordinals per citing node (CSR form), and one count
-per node of the links that leave it.  All types here are immutable after
-construction and safe to share across threads.  The records that check
-nothing are ``NamedTuple``s, with tuple equality and unpacking.
+per node of the links that leave it, in read-only arrays.  The other types
+are ``NamedTuple``s, with tuple equality and unpacking.  The package changes
+nothing here after construction, so all are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -47,7 +45,6 @@ class InventionNode(NamedTuple):
     year: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
 class KnowledgeGraph:
     """Chronologically ordered inventions with backward links, held by column.
 
@@ -57,23 +54,25 @@ class KnowledgeGraph:
     row (CSR) form of the internal edges.  Edges point backward in time
     (citing > cited), which makes the graph acyclic with node order as a
     topological order.  Links leaving the technology are kept only as one
-    count per node.  The arrays are read-only; graphs with equal columns
-    are equal.
+    count per node.  The arrays are made read-only on construction; graphs
+    with equal columns are equal.
 
     Neither constructor enforces the invariants: use :func:`validate_graph`
     to diagnose a graph of unknown provenance.  ``nodes``,
-    ``internal_edges`` and ``backward_lists`` are views built on first
+    ``internal_edges`` and ``backward_lists`` are views built on each
     access, which the package's own code never reads; they remain for the
     benchmark's layer counters.
     """
 
-    node_ids: tuple[str, ...]
-    years: tuple[int | None, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-    external_backlink_counts: np.ndarray
+    __slots__ = ("node_ids", "years", "indptr", "indices", "external_backlink_counts")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, node_ids: tuple[str, ...], years: tuple[int | None, ...], indptr: np.ndarray,
+        indices: np.ndarray, external_backlink_counts: np.ndarray,
+    ) -> None:
+        self.node_ids, self.years = node_ids, years
+        self.indptr, self.indices = indptr, indices
+        self.external_backlink_counts = external_backlink_counts
         for column in self._arrays:
             column.flags.writeable = False
 
@@ -122,26 +121,25 @@ class KnowledgeGraph:
         """Number of internal backward links per node, in ordinal order."""
         return np.diff(self.indptr)
 
-    @cached_property
+    @property
     def nodes(self) -> tuple[InventionNode, ...]:
-        """The nodes as records, built on first access."""
+        """The nodes as records."""
         return tuple(map(InventionNode, self.node_ids, range(self.n_nodes), self.years))
 
-    @cached_property
+    @property
     def internal_edges(self) -> tuple[tuple[int, int], ...]:
-        """The (citing, cited) edges in CSR order, built on first access."""
+        """The (citing, cited) edges in CSR order."""
         citing = np.repeat(np.arange(self.n_nodes), self.backlink_counts)
         return tuple(zip(citing.tolist(), self.indices.tolist()))
 
-    @cached_property
+    @property
     def backward_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Per-node tuple of cited ordinals, built on first access."""
+        """Per-node tuple of cited ordinals."""
         cited, bounds = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(cited[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-@dataclass(frozen=True, slots=True)
-class ModelParams:
+class ModelParams(NamedTuple("ModelParams", [("q", float), ("m1", float), ("r", float)])):
     """Parameters of the search-process growth model.
 
     ``q`` is the rate at which the knowledge need grows per invention and
@@ -151,36 +149,30 @@ class ModelParams:
     defaulting to the small-``q`` estimate ``1 / (m0 + 1)``.
     """
 
-    q: float
-    m1: float
-    r: float = math.nan
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.q < math.inf:
-            raise ValueError(f"q must be positive and finite, got {self.q}")
-        if not 1 < self.m1 < math.inf:
-            raise ValueError(f"m1 must exceed 1 and be finite, got {self.m1}")
-        if math.isnan(self.r):
-            object.__setattr__(self, "r", 1.0 / self.m1)
-        if not 0 < self.r <= 1:
-            raise ValueError(f"r must lie in (0, 1], got {self.r}")
+    def __new__(cls, q: float, m1: float, r: float = math.nan) -> ModelParams:
+        if not 0 < q < math.inf:
+            raise ValueError(f"q must be positive and finite, got {q}")
+        if not 1 < m1 < math.inf:
+            raise ValueError(f"m1 must exceed 1 and be finite, got {m1}")
+        if math.isnan(r):
+            r = 1.0 / m1
+        if not 0 < r <= 1:
+            raise ValueError(f"r must lie in (0, 1], got {r}")
+        return super().__new__(cls, q, m1, r)
 
     @property
     def m0(self) -> float:
         return self.m1 - 1
 
 
-@dataclass(frozen=True)
-class BacklinkDistribution:
-    """Histogram of backward internal links per node over a graph prefix."""
+class BacklinkDistribution(NamedTuple):
+    """Histogram of backward internal links per node over a prefix of ``n``
+    nodes; :meth:`BacklinkTable.from_hists` checks that the counts total ``n``."""
 
     n: int
     counts: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        total = sum(self.counts.values())
-        if total != self.n:
-            raise ValueError(f"histogram total {total} != prefix size {self.n}")
 
 
 class PathLengthDistribution(NamedTuple):
@@ -238,7 +230,12 @@ class BacklinkTable(NamedTuple):
 
     @classmethod
     def from_hists(cls, hists: Iterable[BacklinkDistribution]) -> BacklinkTable:
+        """The table of ``hists``; each must total its ``n`` and count some node."""
         hists = list(hists)
+        for hist in hists:
+            total = sum(hist.counts.values())
+            if total != hist.n:
+                raise ValueError(f"histogram total {total} != prefix size {hist.n}")
         if not all(hist.counts for hist in hists):
             raise ValueError("empty backlink histogram")
         return cls(

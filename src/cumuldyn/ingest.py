@@ -30,12 +30,10 @@ import bisect
 import csv
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,19 +63,23 @@ def _strip_spaces(code: str) -> str:
     return "".join(code.split())
 
 
-@dataclass(frozen=True)
-class TechnologyQuery:
-    """Selects one technology: nodes whose class matches any prefix."""
+class TechnologyQuery(
+    NamedTuple(
+        "TechnologyQuery",
+        [("name", str), ("class_prefixes", frozenset[str]), ("year_cutoff", int | None)],
+    )
+):
+    """Selects one technology: nodes whose class matches any prefix, whitespace removed."""
 
-    name: str
-    class_prefixes: frozenset[str]
-    year_cutoff: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned = frozenset(_strip_spaces(p) for p in self.class_prefixes)
+    def __new__(
+        cls, name: str, class_prefixes: Iterable[str], year_cutoff: int | None = None
+    ) -> TechnologyQuery:
+        cleaned = frozenset(_strip_spaces(p) for p in class_prefixes)
         if not cleaned or any(not p for p in cleaned):
             raise ValueError("query needs at least one non-empty class prefix")
-        object.__setattr__(self, "class_prefixes", cleaned)
+        return super().__new__(cls, name, cleaned, year_cutoff)
 
 
 class CitationRecord(NamedTuple):
@@ -97,42 +99,41 @@ class CorpusNode(NamedTuple):
     granted: bool = True
 
 
-@dataclass(frozen=True, eq=False)
-class Corpus:
-    """A parsed corpus, held by column, plus load-time diagnostics.
+class Corpus(NamedTuple):
+    """A parsed corpus, held by column in read-only arrays, plus load-time diagnostics.
 
     ``ids[code]`` is the id of each code: the ``n_nodes`` node rows in file
     order, then the ids that occur only in citations.  Per node row,
     ``year_rank`` indexes ``years`` (the distinct years in ascending order,
-    then ``None`` for undated nodes), ``class_code`` indexes ``class_lists``
-    and ``granted`` is the flag.  The citations, self-citations dropped, are
-    the code arrays ``citing`` and ``cited`` and ``origin``, an index into
-    :data:`ORIGINS`.  ``nodes`` and ``citations`` are record views built on
-    first access, which no command reads; they remain for the benchmark's
-    layer counters.
+    then ``None`` for undated nodes), ``id_rank`` is its place in the string
+    order of the node ids, ``class_code`` indexes ``class_lists`` and
+    ``granted`` is the flag.  Label ``j`` of the class lists, list by list,
+    is ``labels[label_code[j]]`` (whitespace removed) of list ``label_owner[j]``.
+    The citations, self-citations dropped, are the code arrays ``citing``
+    and ``cited`` and ``origin``, an index into :data:`ORIGINS`.  ``nodes``
+    and ``citations`` are record views, which no command reads; they remain
+    for the benchmark's layer counters.
     """
 
     ids: tuple[str, ...]
     n_nodes: int
     years: tuple[int | None, ...]
     year_rank: np.ndarray
+    id_rank: np.ndarray
     class_lists: tuple[tuple[str, ...], ...]
     class_code: np.ndarray
+    labels: tuple[str, ...]
+    label_code: np.ndarray
+    label_owner: np.ndarray
     granted: np.ndarray
     citing: np.ndarray
     cited: np.ndarray
     origin: np.ndarray
-    self_citations_dropped: int = 0
+    self_citations_dropped: int
 
-    def __post_init__(self) -> None:
-        for column in (
-            self.year_rank, self.class_code, self.granted, self.citing, self.cited, self.origin
-        ):
-            column.flags.writeable = False
-
-    @cached_property
+    @property
     def nodes(self) -> tuple[CorpusNode, ...]:
-        """The node rows as records, built on first access."""
+        """The node rows as records."""
         return tuple(
             CorpusNode(node_id, self.years[rank], self.class_lists[code], granted)
             for node_id, rank, code, granted in zip(
@@ -143,9 +144,9 @@ class Corpus:
             )
         )
 
-    @cached_property
+    @property
     def citations(self) -> tuple[CitationRecord, ...]:
-        """The kept citation rows as records, built on first access."""
+        """The kept citation rows as records."""
         ids = self.ids
         return tuple(
             CitationRecord(ids[citing], ids[cited], ORIGINS[origin])
@@ -154,32 +155,12 @@ class Corpus:
             )
         )
 
-    @cached_property
-    def _id_rank(self) -> np.ndarray:
-        """Each node's position in the (Python string) order of the node ids."""
-        rank = np.empty(self.n_nodes, dtype=np.int64)
-        rank[sorted(range(self.n_nodes), key=self.ids.__getitem__)] = np.arange(self.n_nodes)
-        return rank
-
-    @cached_property
-    def _label_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The distinct labels with whitespace removed and, for each label of
-        each class list, the label's index and the class list's index."""
-        labels: dict[str, int] = {}
-        pairs = [
-            (labels.setdefault(_strip_spaces(label), len(labels)), owner)
-            for owner, classes in enumerate(self.class_lists)
-            for label in classes
-        ]
-        label, owner = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        return list(labels), label, owner
-
     def class_mask(self, query: TechnologyQuery) -> np.ndarray:
         """Which nodes ``query`` selects by class, matched once per distinct label."""
-        labels, label, owner = self._label_index
         prefixes = tuple(query.class_prefixes)
-        hit = np.array([text.startswith(prefixes) for text in labels], dtype=bool)
-        matched = np.bincount(owner[hit[label]], minlength=len(self.class_lists)) > 0
+        hit = np.array([text.startswith(prefixes) for text in self.labels], dtype=bool)
+        owners = self.label_owner[hit[self.label_code]]
+        matched = np.bincount(owners, minlength=len(self.class_lists)) > 0
         return matched[self.class_code]
 
 
@@ -342,6 +323,15 @@ def load_corpus(node_file: str, edge_file: str) -> Corpus:
     _raise_earliest(node_file, [empty, duplicate, year_error, class_error, granted_error])
     years = (*sorted({y for y in year_values if y is not None}), None)
     rank_of = {year: rank for rank, year in enumerate(years)}
+    id_rank = np.empty(n_nodes, dtype=np.int64)
+    id_rank[sorted(range(n_nodes), key=node_ids.__getitem__)] = np.arange(n_nodes)
+    labels: dict[str, int] = {}
+    pairs = [
+        (labels.setdefault(_strip_spaces(label), len(labels)), owner)
+        for owner, classes in enumerate(class_lists)
+        for label in classes
+    ]
+    label_code, label_owner = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
     raw_citing, raw_cited, raw_origins = _read_columns(
         edge_file, ("citing_id", "cited_id"), "origin"
@@ -357,19 +347,27 @@ def load_corpus(node_file: str, edge_file: str) -> Corpus:
     citing = np.array([code.setdefault(i, len(code)) for i in citing_ids], dtype=np.int64)
     cited = np.array([code.setdefault(i, len(code)) for i in cited_ids], dtype=np.int64)
     keep = citing != cited
-    return Corpus(
+    corpus = Corpus(
         ids=tuple(code),
         n_nodes=n_nodes,
         years=years,
         year_rank=np.array([rank_of[y] for y in year_values], dtype=np.int64)[year_code],
+        id_rank=id_rank,
         class_lists=tuple(class_lists),
         class_code=class_code,
+        labels=tuple(labels),
+        label_code=label_code,
+        label_owner=label_owner,
         granted=np.array(granted_values, dtype=bool)[granted_code],
         citing=citing[keep],
         cited=cited[keep],
         origin=np.array(origin_values, dtype=np.int8)[origin_code][keep],
         self_citations_dropped=int(len(keep) - keep.sum()),
     )
+    for column in corpus:
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return corpus
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -412,7 +410,7 @@ def build_graph(
     if not len(selected):
         raise ValueError(f"query {query.name!r} matches zero nodes")
     year_rank = corpus.year_rank[selected]
-    order = np.lexsort((corpus._id_rank[selected], year_rank))
+    order = np.lexsort((corpus.id_rank[selected], year_rank))
     selected, year_rank = selected[order], year_rank[order]
     n, n_codes = len(selected), len(corpus.ids)
     ordinal = np.full(n_codes, -1, dtype=np.int64)

@@ -400,10 +400,11 @@ def reference_load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
     _reference_read_table(path, ("n", "m", "count"), place)
     if not grouped:
         raise ValueError(f"{path}: no rows")
-    try:
-        return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    for n, counts in grouped.items():
+        total = sum(counts.values())
+        if total != n:
+            raise ValueError(f"{path}: histogram total {total} != prefix size {n}")
+    return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
 
 
 def reference_load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:

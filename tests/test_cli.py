@@ -392,6 +392,20 @@ class TestGof:
         assert f"cumuldyn: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("flags", [["--q", "5", "--m0", "-3"], ["--q", "5"], ["--m0", "1"]])
+    def test_fits_with_a_param_flag_exit_2_naming_both(self, tmp_path, capsys, flags):
+        fits = tmp_path / "fits.csv"
+        fits.write_text("quantity,slope,intercept\nid,0.01,1.0\n")
+        dist = tmp_path / "backlink_dist.csv"
+        dist.write_text("n,m,count\n2,0,1\n2,1,1\n")
+        code = run(
+            "gof", "--backlink-dist", str(dist), "--fits", str(fits), *flags,
+            "--out", str(tmp_path / "g"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "cumuldyn: --fits and --q/--m0 exclude each other\n"
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize(
         "families,message",
         [

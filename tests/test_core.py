@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cumuldyn.core import (
     BacklinkDistribution,
+    BacklinkTable,
     InventionNode,
     KnowledgeGraph,
     ModelParams,
@@ -204,8 +205,19 @@ class TestModelParams:
     def test_nan_default_r_is_sentinel_only(self):
         assert not math.isnan(ModelParams(q=1.0, m1=2.0).r)
 
+    def test_value_equality_hash_and_immutability(self):
+        params = ModelParams(q=0.1, m1=2.0)
+        assert params == ModelParams(0.1, 2.0, 0.5)
+        assert params != ModelParams(q=0.1, m1=2.5)
+        assert hash(params) == hash(ModelParams(q=0.1, m1=2.0))
+        for name in ("q", "r", "m0", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(params, name, 1.0)
+
 
 class TestBacklinkDistribution:
     def test_total_must_match_n(self):
-        with pytest.raises(ValueError):
-            BacklinkDistribution(n=5, counts={0: 2, 1: 2})
+        # A histogram is checked where it enters a table, not when it is made.
+        hist = BacklinkDistribution(n=5, counts={0: 2, 1: 2})
+        with pytest.raises(ValueError, match="^histogram total 4 != prefix size 5$"):
+            BacklinkTable.from_hists([BacklinkDistribution(n=1, counts={0: 1}), hist])

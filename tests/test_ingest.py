@@ -140,6 +140,18 @@ class TestLoadCorpus:
         assert [n.node_id for n in corpus.nodes] == ["A"]
         assert corpus.citations[0].origin == "APP"
 
+    def test_every_array_is_read_only(self, small_corpus):
+        names = {
+            "year_rank", "id_rank", "class_code", "label_code", "label_owner", "granted",
+            "citing", "cited", "origin",
+        }
+        fields = small_corpus._asdict()
+        assert {name for name, value in fields.items() if isinstance(value, np.ndarray)} == names
+        for name in names:
+            assert not fields[name].flags.writeable, name
+            with pytest.raises(ValueError):
+                fields[name][0] = 1
+
     def test_missing_year_allowed(self, tmp_path):
         nodes = write(tmp_path / "n.csv", "node_id,year,classes\nA,,X\n")
         edges = write(tmp_path / "e.csv", "citing_id,cited_id,origin\n")
@@ -162,6 +174,17 @@ class TestTechnologyQuery:
             TechnologyQuery(name="t", class_prefixes=frozenset())
         with pytest.raises(ValueError):
             TechnologyQuery(name="t", class_prefixes=frozenset({" "}))
+
+    def test_value_equality_hash_and_immutability(self):
+        query = TechnologyQuery("t", frozenset({"Y02E 10/5", "H01L"}), 2000)
+        same = TechnologyQuery(name="t", class_prefixes={"H01L", "Y02E10/5"}, year_cutoff=2000)
+        assert query == same
+        assert query.class_prefixes == frozenset({"Y02E10/5", "H01L"})
+        assert query != TechnologyQuery("t", frozenset({"H01L"}), 2000)
+        assert hash(query) == hash(same)
+        for name in ("name", "class_prefixes", "year_cutoff", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(query, name, None)
 
 
 class TestBuildGraph:

@@ -15,11 +15,20 @@ import cumuldyn
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_spans() -> list[str]:
     """The backticked spans of the *Library* section, line breaks as spaces."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    return [span.replace("\n", " ") for span in re.findall(r"`([^`]+)`", section)]
+    return [span.replace("\n", " ") for span in re.findall(r"`([^`]+)`", library_section())]
+
+
+def named_tuples() -> list[str]:
+    """The types listed by the section's sentence "The types are named tuples…"."""
+    sentence = re.search(r"The types are named tuples.*?:(.*?)\.\s", library_section(), re.S)
+    return re.findall(r"`([A-Z]\w*)`", sentence.group(1))
 
 
 def documented_names() -> set[str]:
@@ -52,6 +61,14 @@ def resolves(name: str) -> bool:
 def test_the_section_names_calls_and_types():
     names = documented_names()
     assert {"measure_checkpoints", "Checkpoint", "Corpus.class_mask", "SeriesPoint"} <= names
+
+
+def test_the_listed_named_tuples_are_tuples():
+    names = named_tuples()
+    assert {"ModelParams", "TechnologyQuery", "BacklinkDistribution", "Corpus"} <= set(names)
+    assert [name for name in names if not issubclass(getattr(cumuldyn, name), tuple)] == []
+    assert "KnowledgeGraph" not in names
+    assert not issubclass(cumuldyn.KnowledgeGraph, tuple)
 
 
 @pytest.mark.parametrize("name", sorted(documented_names()))

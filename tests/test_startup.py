@@ -8,9 +8,10 @@ stream itself: ``default_rng`` would load numpy.random's extension modules
 and, through ``secrets``, ``hashlib`` and OpenSSL's ``_hashlib``, about
 11 ms and 5.6 MB of a one-shot run.  The stream's own module,
 ``cumuldyn.pcg64``, is left to ``simulate`` as well, so other commands do
-not compile it.  The check runs in a fresh interpreter, since this test
-process has all of them loaded already.  It looks at ``sys.modules``, never
-at a clock.
+not compile it.  No command loads ``dataclasses`` either: the package's
+types are named tuples and one slotted class.  The check runs in a fresh
+interpreter, since this test process has all of them loaded already.  It
+looks at ``sys.modules``, never at a clock.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ SCRIPT = textwrap.dedent(
         return sorted(
             m for m in sys.modules
             if m in ("scipy", "numpy.ma", "numpy.random", "hashlib", "_hashlib", "secrets",
-                     "cumuldyn.pcg64")
+                     "cumuldyn.pcg64", "dataclasses")
             or m.startswith(("scipy.", "numpy.random."))
         )
 
@@ -129,6 +130,12 @@ def test_measure_and_sweep_load_no_numpy_ma(loaded):
 def test_fit_and_gof_load_no_numpy_ma(loaded):
     assert "numpy.ma" not in loaded["fit"]
     assert "numpy.ma" not in loaded["gof"]
+
+
+def test_no_command_loads_dataclasses(loaded):
+    assert {step: "dataclasses" in mods for step, mods in loaded.items()} == {
+        "import": False, "simulate_measure_sweep": False, "fit": False, "gof": False,
+    }
 
 
 def test_only_simulate_loads_the_word_stream(loaded):
