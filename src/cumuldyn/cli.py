@@ -32,6 +32,7 @@ from .core import (
     LinearFit,
     ModelParams,
     PathLengthTable,
+    RatePredictions,
     SeriesPoint,
     _as_float,
 )
@@ -59,7 +60,7 @@ from .predictions import rate_predictions
 
 __all__ = ["main", "entry_point"]
 
-_SERIES_COLUMNS = ("n", "id", "ipl", "mipl", "ed")
+_SERIES_COLUMNS = SeriesPoint._fields
 _FIT_COLUMNS = ("quantity", "slope", "intercept", "r2", "se", "f", "n_obs")
 # ModelParams takes m1 = m0 + 1, which a positive m0 below about 1.1e-16 leaves at 1.
 _M0_TOO_SMALL = "must be large enough that m0 + 1 > 1"
@@ -189,10 +190,14 @@ def _repeated(*keys: np.ndarray) -> np.ndarray:
 
 
 def _load_series(path: str) -> tuple[SeriesPoint, ...]:
-    """The checkpoints of a series table: n rising from 1 or more, mipl a whole
-    number in [0, n - 1], id and ed at least 0, ipl in [0, mipl]."""
+    """The checkpoints of a series table: n rising from 1 to at most 2**53, mipl a
+    whole number in [0, n - 1], id in [0, (n - 1)/2], ed at least 0, ipl in [0, mipl].
+
+    n nodes have at most n(n - 1)/2 internal edges, so every measured series
+    passes; the bounds keep the fit's sums finite and its rates below 1."""
     (n, *cells), errors = _read_table(path, _SERIES_COLUMNS)
     sizes, size = _column(errors, n, int, "n", 1)
+    _flag(errors, size > 2**53, lambda row: f"n must be at most 2**53, got {sizes[row]}")
     _flag(
         errors, np.concatenate(([False], size[1:] <= size[:-1])),
         lambda row: f"n must rise from row to row, got {sizes[row]} after {sizes[row - 1]}",
@@ -212,6 +217,11 @@ def _load_series(path: str) -> tuple[SeriesPoint, ...]:
     )
     for got, name in ((ids, "id"), (eds, "ed")):
         _flag(errors, np.array(got) < 0, lambda row: f"{name} must not be negative, got {got[row]}")
+    most = (np.minimum(size, 2**53) - 1) / 2  # an n past 2**53 is flagged above
+    _flag(
+        errors, np.array(ids) > most,
+        lambda row: f"id must be at most (n - 1)/2 = {most[row]}, got {ids[row]}",
+    )
     _flag(errors, outside, lambda row: f"ipl must lie in [0, {mipls[row]}], got {ipls[row]}")
     _raise_earliest(path, errors)
     if len(sizes) < 3:  # what fit_series needs
@@ -331,7 +341,7 @@ def _query_from_args(args: argparse.Namespace) -> TechnologyQuery:
         prefixes.extend(p.strip() for p in chunk.split(",") if p.strip())
     if not prefixes:
         raise ValueError("at least one --prefix is required")
-    return TechnologyQuery(args.name, frozenset(prefixes), args.year_cutoff)
+    return TechnologyQuery(args.name, prefixes, args.year_cutoff)
 
 
 def _fit_row(quantity: str, fit: LinearFit) -> list:
@@ -368,17 +378,11 @@ def cmd_simulate(args: argparse.Namespace) -> ReportBundle:
 def _measure_graph(graph: KnowledgeGraph, stride: int, mode: str) -> dict:
     checkpoints = measure_checkpoints(graph, stride, mode)
     return {
-        "series.csv": (
-            _SERIES_COLUMNS,
-            [[cp.n, cp.id, cp.path_dist.ipl, cp.path_dist.mipl, cp.ed] for cp in checkpoints],
-        ),
+        "series.csv": (_SERIES_COLUMNS, [cp.point for cp in checkpoints]),
+        # Each histogram's counts are keyed by m in ascending order.
         "backlink_dist.csv": (
             ("n", "m", "count"),
-            [
-                [cp.n, m, count]
-                for cp in checkpoints
-                for m, count in sorted(cp.backlink_dist.counts.items())
-            ],
+            [[cp.n, m, c] for cp in checkpoints for m, c in cp.backlink_dist.counts.items()],
         ),
         # One string of finished lines per checkpoint, as csv would write them:
         # counts and normalized both run over k = 0..mipl in key order.
@@ -437,23 +441,25 @@ def cmd_fit(args: argparse.Namespace) -> ReportBundle:
         if sibling.exists():
             backlinks_path = str(sibling)
     n_final = series[-1].n
-    backlinks = _load_backlinks(backlinks_path, n_final) if backlinks_path else None
+    try:
+        backlinks = _load_backlinks(backlinks_path, n_final) if backlinks_path else None
+    except ValueError as exc:  # the backlinks must match the series, which may be at fault
+        raise ValueError(f"{exc} (for {args.series}, which ends at n = {n_final})") from None
 
     fitted = {quantity: fit_series(series, quantity) for quantity in ("id", "ipl", "mipl")}
     q_hat, m0_hat = fitted["id"].slope, fitted["id"].intercept
     if q_hat <= 0:
         raise ValueError(
-            f"fitted id slope {q_hat!r} is not positive; rate predictions "
+            f"{args.series}: fitted id slope {q_hat!r} is not positive; rate predictions "
             "are undefined for this series"
         )
     rates = rate_predictions(q_hat, m0_hat, n_final, backlinks=backlinks)
-    columns = ("p", "q_prime_a", "p_prime_a", "q_prime_b", "p_prime_b", "v", "delta_n")
     return ReportBundle(
         command="fit",
         params={"series": args.series, "backlinks": backlinks_path, "n_final": n_final},
         tables={
             "fits.csv": (_FIT_COLUMNS, [_fit_row(q, fit) for q, fit in fitted.items()]),
-            "rates.csv": (columns, [[getattr(rates, c) for c in columns]]),
+            "rates.csv": (RatePredictions._fields, [rates]),
         },
     )
 
@@ -614,15 +620,13 @@ def _read_tech_table(path: str) -> dict[str, set[str]]:
     return techs
 
 
-def _sweep_one(corpus, name, prefixes, args, warned):
-    query = TechnologyQuery(
-        name=name, class_prefixes=frozenset(prefixes), year_cutoff=args.year_cutoff
-    )
+def _sweep_one(corpus, name, prefixes, args, warned) -> tuple[list, dict]:
+    """The technology's ``sweep.csv`` row, [tech, n, id, ipl, q, p, rate], and its diagnostics."""
+    query = TechnologyQuery(name, prefixes, args.year_cutoff)
     graph, diagnostics = build_graph(
         corpus, query, origin=args.origin, granted_only=args.granted_only
     )
     series = tuple(cp.point for cp in measure_checkpoints(graph, args.stride, args.mode))
-    last = series[-1]
     q_hat = p_hat = math.nan
     if len(series) >= 3:
         q_hat = fit_series(series, "id").slope
@@ -635,16 +639,11 @@ def _sweep_one(corpus, name, prefixes, args, warned):
     except ValueError:
         _warn(warned, f"{name}: missing years, invention rate reported as nan")
         rate = math.nan
-    return {
-        "tech": name,
-        "n": last.n,
-        "id": last.id,
-        "ipl": last.ipl,
-        "q": q_hat,
-        "p": p_hat,
-        "rate": rate,
-        "diagnostics": {**diagnostics.as_dict(), "mode": resolve_mode(args.mode, graph.n_nodes)},
-    }
+    last = series[-1]
+    return (
+        [name, last.n, last.id, last.ipl, q_hat, p_hat, rate],
+        {**diagnostics.as_dict(), "mode": resolve_mode(args.mode, graph.n_nodes)},
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
@@ -652,18 +651,17 @@ def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
     corpus = load_corpus(args.nodes, args.edges)
     names = sorted(techs)
     warned: list[str] = []
-    results = [_sweep_one(corpus, name, techs[name], args, warned) for name in names]
+    rows, technologies = [], {}
+    for name in names:
+        row, technologies[name] = _sweep_one(corpus, name, techs[name], args, warned)
+        rows.append(row)
+    _, ns, ids, ipls, qs, _, rates = zip(*rows)
 
-    labels = [""] * len(results)
+    labels = [""] * len(rows)
     cross_rows = []
-    ids = [r["id"] for r in results]
-    ipls = [r["ipl"] for r in results]
-    classifiable = [i for i, r in enumerate(results) if r["n"] > 0 and r["id"] > 0]
-    rated = [
-        (r["q"], r["rate"])
-        for r in results
-        if math.isfinite(r["rate"]) and math.isfinite(r["q"]) and r["q"] > 0 and r["rate"] > 0
-    ]
+    # Every measured technology has n >= 1, so only its id can leave it unlabelled.
+    classifiable = [i for i, id_ in enumerate(ids) if id_ > 0]
+    rated = [(q, rate) for q, rate in zip(qs, rates) if 0 < q < math.inf and 0 < rate < math.inf]
 
     def id_ipl():
         return [
@@ -672,7 +670,7 @@ def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
         ]
 
     def relative():
-        points = [(float(results[i]["n"]), results[i]["id"]) for i in classifiable]
+        points = [(float(ns[i]), ids[i]) for i in classifiable]
         found, (exponent, prefactor, fit) = classify_relative_cumulativeness(points)
         for i, label in zip(classifiable, found):
             labels[i] = label
@@ -684,11 +682,11 @@ def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
 
     # Each cross fit: what it is, which technologies it needs 3 of, the fit.
     cross_fits = [
-        ("pairwise id/ipl fit", "", results, id_ipl),
+        ("pairwise id/ipl fit", "", rows, id_ipl),
         ("relative-cumulativeness labels", " with positive id", classifiable, relative),
         ("power-law fit", " with positive rate and q", rated, power_law),
     ]
-    if len(results) < 3:
+    if len(rows) < 3:
         _warn(warned, "fewer than 3 technologies; cross-technology fits skipped")
         cross_fits = []
     for what, which, eligible, fit in cross_fits:
@@ -716,10 +714,7 @@ def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
         tables={
             "sweep.csv": (
                 ("tech", "n", "id", "ipl", "q", "p", "rate", "cumulativeness"),
-                [
-                    [r["tech"], r["n"], r["id"], r["ipl"], r["q"], r["p"], r["rate"], label]
-                    for r, label in zip(results, labels)
-                ],
+                [[*row, label] for row, label in zip(rows, labels)],
             ),
             "cross_fits.csv": (
                 ("relation",) + _FIT_COLUMNS[1:] + ("exponent", "prefactor"), cross_rows
@@ -727,7 +722,7 @@ def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
         },
         diagnostics={
             "self_citations_dropped": corpus.self_citations_dropped,
-            "technologies": {r["tech"]: r["diagnostics"] for r in results},
+            "technologies": technologies,
         },
         warnings=warned,
     )

@@ -330,6 +330,8 @@ def reference_load_series(path: str) -> tuple[SeriesPoint, ...]:
     def point(n: str, id_: str, ipl: str, mipl: str, ed: str) -> SeriesPoint:
         nonlocal last
         size = _in_range("n", int(n), 1)
+        if size > 2**53:
+            raise ValueError(f"n must be at most 2**53, got {size}")
         if size <= last:
             raise ValueError(f"n must rise from row to row, got {size} after {last}")
         last = size
@@ -342,6 +344,8 @@ def reference_load_series(path: str) -> tuple[SeriesPoint, ...]:
         for name, value in (("id", id_), ("ed", ed)):
             if value < 0:
                 raise ValueError(f"{name} must not be negative, got {value}")
+        if id_ > (size - 1) / 2:
+            raise ValueError(f"id must be at most (n - 1)/2 = {(size - 1) / 2}, got {id_}")
         if not 0 <= ipl <= mipl:
             raise ValueError(f"ipl must lie in [0, {mipl}], got {ipl}")
         return SeriesPoint(size, id_, ipl, int(mipl), ed)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cumuldyn.cli import ReportBundle, _build_parser, main
@@ -894,6 +896,56 @@ class TestSweep:
         assert json.loads((out / "meta.json").read_text())["warnings"] == expected
         assert read_csv(out / "cross_fits.csv") == []
 
+    def test_nan_slopes_and_rates_skip_only_the_fits_that_need_them(self, tmp_path, capsys):
+        # delta has 2 checkpoints at stride 10, so nan slopes; one gamma node has
+        # no year, so a nan rate.  The pairwise fit and the labels use all five
+        # technologies, the power law only the three with a finite q and rate.
+        rng = np.random.default_rng(5)
+        node_rows = ["node_id,year,classes"]
+        edge_rows = ["citing_id,cited_id,origin"]
+        techs = {"alpha": ("A01", 60, 0.08), "beta": ("B02", 90, 0.02), "delta": ("D04", 15, 0.3),
+                 "eps": ("E05", 50, 0.1), "gamma": ("C03", 40, 0.15)}
+        for name, (prefix, n, density) in techs.items():
+            ids = [f"{prefix}N{i:03d}" for i in range(n)]
+            for i in range(n):
+                year = "" if (name, i) == ("gamma", 7) else 2000 + i // (3 + len(name))
+                node_rows.append(f"{ids[i]},{year},{prefix}")
+                edge_rows += [f"{ids[i]},{ids[j]}," for j in range(i) if rng.random() < density]
+        (tmp_path / "nodes.csv").write_text("\n".join(node_rows) + "\n")
+        (tmp_path / "edges.csv").write_text("\n".join(edge_rows) + "\n")
+        (tmp_path / "techs.csv").write_text(
+            "group_name,prefix\n" + "".join(f"{name},{t[0]}\n" for name, t in techs.items())
+        )
+        out = tmp_path / "sweep"
+        assert run(
+            "sweep", "--nodes", str(tmp_path / "nodes.csv"), "--edges", str(tmp_path / "edges.csv"),
+            "--tech-table", str(tmp_path / "techs.csv"), "--stride", "10", "--out", str(out),
+        ) == 0
+        expected = [
+            "delta: only 2 checkpoint(s) at stride 10; slopes reported as nan",
+            "gamma: missing years, invention rate reported as nan",
+        ]
+        assert capsys.readouterr().err.splitlines() == [f"cumuldyn: warning: {w}" for w in expected]
+        assert json.loads((out / "meta.json").read_text())["warnings"] == expected
+        rows = {r["tech"]: r for r in read_csv(out / "sweep.csv")}
+        assert list(rows) == sorted(techs)
+        nans = {name: [c for c in ("q", "p", "rate") if r[c] == "nan"] for name, r in rows.items()}
+        assert nans == {"alpha": [], "beta": [], "delta": ["q", "p"], "eps": [], "gamma": ["rate"]}
+        cross = {r["relation"]: r for r in read_csv(out / "cross_fits.csv")}
+        assert list(cross) == ["id_on_ipl", "ipl_on_id", "id_on_n_loglog", "rate_on_q_loglog"]
+        assert [cross[r]["n_obs"] for r in cross] == ["5", "5", "5", "3"]
+        from cumuldyn.fitting import classify_relative_cumulativeness, power_law_fit
+
+        labels, _ = classify_relative_cumulativeness(
+            [(float(r["n"]), float(r["id"])) for r in rows.values()]
+        )
+        assert [r["cumulativeness"] for r in rows.values()] == labels
+        exponent, prefactor, _ = power_law_fit(
+            *zip(*[(float(rows[t]["q"]), float(rows[t]["rate"])) for t in ("alpha", "beta", "eps")])
+        )
+        assert cross["rate_on_q_loglog"]["exponent"] == repr(exponent)
+        assert cross["rate_on_q_loglog"]["prefactor"] == repr(prefactor)
+
     def test_commands_read_only_the_graph_columns(self, tmp_path, multi_corpus, monkeypatch):
         def forbidden(columns):
             raise AssertionError(f"a command read a {type(columns).__name__} record view")
@@ -992,6 +1044,16 @@ class TestTableReaders:
              ":2: ipl must lie in [0, 2.0], got -4.0"),
             ("series", SERIES.rsplit("30,", 1)[0], ": need at least 3 rows to fit, got 2"),
             ("series", "n,id,ipl,mipl,ed\n", ": need at least 3 rows to fit, got 0"),
+            ("series", SERIES.replace("20,1.5", "20,1e308"),
+             ":3: id must be at most (n - 1)/2 = 9.5, got 1e+308"),
+            ("series", SERIES.replace("20,1.5", "20,99999999999999999999999"),
+             ":3: id must be at most (n - 1)/2 = 9.5, got 1e+23"),
+            ("series", SERIES.replace("30,", f"{2**53 + 1},"),
+             f":4: n must be at most 2**53, got {2**53 + 1}"),
+            ("series", SERIES.replace("30,", f"{10**400},"),
+             f":4: n must be at most 2**53, got {10**400}"),
+            ("series", SERIES.replace("10,1.0", "10,2.0").replace("30,2.0", "30,1.0"),
+             ": fitted id slope -0.05 is not positive"),
             ("fits", "quantity,intercept\nid,1.0\n", ": missing column(s) slope"),
             ("fits", "quantity,slope,intercept\nid,0.1,y\n", ":2: could not convert"),
             ("fits", "quantity,slope,intercept\nid,nan,1.0\n",
@@ -1063,6 +1125,8 @@ class TestTableReaders:
             "series-fractional-mipl", "series-negative-mipl", "series-mipl-past-n",
             "series-negative-id", "series-negative-ed", "series-ipl-past-mipl",
             "series-negative-ipl", "series-two-rows", "series-no-rows",
+            "series-id-past-bound", "series-id-past-int64", "series-n-past-2-53",
+            "series-n-past-float", "series-id-falls",
             "fits-missing", "fits-bad", "fits-nan-slope", "fits-negative-slope",
             "fits-negative-intercept", "fits-tiny-intercept", "fits-repeated-id",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
@@ -1094,12 +1158,15 @@ class TestTableReaders:
         [
             ("series", SERIES.replace("20,1.5", "20,inf")),
             ("series", SERIES.replace(",5,", ",inf,")),
+            ("series", SERIES.replace("20,1.5", "20,1e308")),
+            ("series", SERIES.replace("20,1.5", "20,99999999999999999999999")),
             ("backlink-dist", "n,m,count\n10,-1,5\n10,1,5\n"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,nan\n5,1,2,0.4\n"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.9\n5,1,2,0.9\n"),
         ],
         ids=[
-            "series-inf-id", "series-inf-mipl", "backlink-dist-negative-m", "pathlen-dist-nan",
+            "series-inf-id", "series-inf-mipl", "series-huge-id", "series-id-past-int64",
+            "backlink-dist-negative-m", "pathlen-dist-nan",
             "pathlen-dist-normalized-sum",
         ],
     )
@@ -1128,6 +1195,15 @@ class TestTableReaders:
         table.write_bytes(content)
         assert run(*self._argv(tmp_path, reader, table)) == 2
         assert f"{table}{message}" in capsys.readouterr().err
+
+    def test_backlinks_error_names_the_series(self, tmp_path, capsys):
+        table = tmp_path / "backlinks.csv"
+        table.write_text("ordinal,m\n0,0\n30,1\n")
+        assert run(*self._argv(tmp_path, "backlinks", table)) == 2
+        assert capsys.readouterr().err == (
+            f"cumuldyn: {table}:3: ordinal must lie in [0, 29], got 30 "
+            f"(for {tmp_path / 'series.csv'}, which ends at n = 30)\n"
+        )
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         table = tmp_path / "series.csv"
@@ -1161,8 +1237,10 @@ def _tables(draw, reader):
         mipl = st.sampled_from(["3", "3.0", "0", "2.5", "-1"])
         rate = st.floats(0, allow_infinity=False).map(repr)
         mean = st.one_of(st.just("0.0"), st.floats(0, 3).map(repr), finite)
+        # Three ids in four are drawn within the (n - 1)/2 bound, the fourth from any rate.
         rows = [
-            [str(n), draw(rate), draw(mean), draw(mipl), draw(rate)]
+            [str(n), draw(st.one_of(*[st.floats(0, (n - 1) / 2).map(repr)] * 3, rate)),
+             draw(mean), draw(mipl), draw(rate)]
             for n in np.cumsum(steps).tolist()
         ]
     elif reader == "backlinks":
@@ -1275,6 +1353,86 @@ class TestColumnarReadersMatchReference:
         assert str(raised.value).endswith(":3: too few fields")
         with pytest.raises(ValueError, match=":3: too few fields"):
             _load_backlink_dists(str(path))
+
+
+@pytest.fixture(scope="module")
+def measured_tables(tmp_path_factory):
+    """The text of each table that fit and gof read, as the commands write it."""
+    root = tmp_path_factory.mktemp("measured")
+    assert run("simulate", "--q", "0.05", "--m1", "2", "--n", "40", "--seed", "3",
+               "--out", str(root / "sim")) == 0
+    assert run("measure", "--nodes", str(root / "sim" / "nodes.csv"),
+               "--edges", str(root / "sim" / "edges.csv"), "--prefix", "SIM", "--stride", "5",
+               "--out", str(root / "measured")) == 0
+    assert run("fit", "--series", str(root / "measured" / "series.csv"),
+               "--out", str(root / "fit")) == 0
+    tables = {path.name: path.read_text(encoding="utf-8") for path in (root / "measured").iterdir()
+              if path.suffix == ".csv"}
+    return {**tables, "fits.csv": (root / "fit" / "fits.csv").read_text(encoding="utf-8")}
+
+
+class TestMutatedTables:
+    """One fault in a valid table: exit 0, or exit 2 naming the table; never a
+    traceback or a raw warning."""
+
+    CELLS = [
+        "", "nan", "inf", "-inf", "1e400", "1e308", "1e-320", str(10**23), "-1", "1.5", "x",
+        "\ufeff",
+    ]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        name=st.sampled_from(
+            ["series.csv", "backlinks.csv", "backlink_dist.csv", "pathlen_dist.csv", "fits.csv"]
+        ),
+        fault=st.sampled_from(["cell", "cell", "cell", "repeat", "drop", "short"]),
+        row=st.integers(0, 1000),
+        column=st.integers(0, 5),
+        cell=st.sampled_from(CELLS),
+    )
+    # The series faults that once ended in raw warnings or an error naming no file.
+    @example(name="series.csv", fault="cell", row=5, column=1, cell="1e308")
+    @example(name="series.csv", fault="cell", row=5, column=1, cell=str(10**23))
+    def test_exit_0_or_2_naming_the_table(
+        self, measured_tables, tmp_path_factory, name, fault, row, column, cell
+    ):
+        header, *rows = (line.split(",") for line in measured_tables[name].splitlines())
+        row %= len(rows)
+        if fault == "cell":
+            rows[row][column % len(header)] = cell
+        elif fault == "repeat":
+            rows.insert(row, rows[row])
+        elif fault == "drop":
+            del rows[row]
+        else:
+            del rows[row][1 + column % (len(header) - 1):]
+        directory = tmp_path_factory.mktemp("mutated")
+        for table, text in measured_tables.items():
+            (directory / table).write_text(text, encoding="utf-8")
+        path = directory / name
+        path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]),
+                        encoding="utf-8")
+        if name in ("series.csv", "backlinks.csv"):
+            argv = ["fit", "--series", str(directory / "series.csv")]
+        else:
+            argv = [
+                "gof", "--backlink-dist", str(directory / "backlink_dist.csv"),
+                "--pathlen-dist", str(directory / "pathlen_dist.csv"),
+                "--fits", str(directory / "fits.csv"),
+                "--families", ",".join(PATHLENGTH_FAMILIES),
+            ]
+        # An exception out of main fails the test as the traceback it would print.
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(directory / "out")])
+        for w in caught:
+            err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+        stderr = err.getvalue()
+        assert code in (0, 2), stderr
+        assert "Traceback" not in stderr and "Warning" not in stderr, stderr
+        if code == 2:
+            assert str(path) in stderr, stderr
 
 
 class TestConfigFile:
