@@ -34,7 +34,6 @@ from .core import (
     PathLengthTable,
     RatePredictions,
     SeriesPoint,
-    _as_float,
 )
 from .fitting import (
     PATHLENGTH_FAMILIES,
@@ -253,14 +252,13 @@ def _count(raw: str) -> int | float:
         return float(raw)
 
 
-def _read_distributions(path: str, columns: tuple[str, ...], parse_count: Callable) -> tuple:
-    """A checked table of distributions by prefix size, in runs of one n.
+def _read_distributions(path: str, table: type, columns: tuple[str, ...], parse_count: Callable):
+    """The ``table`` (BacklinkTable or PathLengthTable) of distributions by prefix size.
 
     Each row names a prefix size n >= 1, a key in 0..n-1 (each (n, key)
     once), a count >= 0 and, in a fourth column if any, a value in [0, 1].
-    Returns the sizes as read, each n's first row in the file, and, with the
-    rows ordered by n (file order within an n), the bounds of each n's run,
-    the counts as read and the columns from the key on as arrays.
+    The table's rows are the runs of one n, by n, in file order within an
+    n; an n's fault (see ``table.from_runs``) is reported at its first row.
     """
     (n, key, count, *value), errors = _read_table(path, columns)
     name = columns[1]
@@ -274,65 +272,31 @@ def _read_distributions(path: str, columns: tuple[str, ...], parse_count: Callab
         errors, _repeated(size, keyed),
         lambda row: f"repeated row for n={sizes[row]}, {name}={keys[row]}",
     )
-    counts, counted = _column(errors, count, parse_count, "count")
-    arrays = [keyed, counted]
-    if value:
-        arrays.append(_column(errors, value[0], float, columns[3], 0, 1)[1])
+    counts, _ = _column(errors, count, parse_count, "count")
+    values = [_column(errors, cells, float, columns[3], 0, 1)[1] for cells in value]
     _raise_earliest(path, errors)
     if not sizes:
         raise ValueError(f"{path}: no rows")
     order = np.argsort(size, kind="stable")
     ranked = size[order]
-    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))[: len(order)]
-    return (
-        sizes, order[starts].tolist(), [*starts.tolist(), len(order)],
-        list(map(counts.__getitem__, order.tolist())), *(array[order] for array in arrays),
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    firsts = order[starts].tolist()
+    made, faults = table.from_runs(
+        [sizes[row] for row in firsts], [*starts.tolist(), len(order)], keyed[order],
+        list(map(counts.__getitem__, order.tolist())), *(array[order] for array in values),
     )
+    _raise_earliest(path, [(firsts[row], message) for row, message in faults])
+    return made
 
 
 def _load_backlink_dists(path: str) -> BacklinkTable:
     """Histograms by prefix size; each (n, m) once, with n >= 1 and 0 <= m <= n-1."""
-    sizes, firsts, bounds, counts, links, _ = _read_distributions(path, ("n", "m", "count"), int)
-    wrong = [
-        (row, f"histogram total {total} != prefix size {sizes[row]}")
-        for row, lo, hi in zip(firsts, bounds, bounds[1:])
-        if (total := sum(counts[lo:hi])) != sizes[row]
-    ]
-    if wrong:  # the n that comes first in the file
-        raise ValueError(f"{path}: {min(wrong)[1]}")
-    return BacklinkTable(
-        [sizes[row] for row in firsts], np.array(bounds), links, np.array(counts, dtype=float)
-    )
+    return _read_distributions(path, BacklinkTable, ("n", "m", "count"), int)
 
 
 def _load_pathlen_dists(path: str) -> PathLengthTable:
-    """Distributions by prefix size; each (n, k) once, with n >= 1 and 0 <= k <= n-1.
-
-    Each n's sums (ipl, variance, total count) add its rows in file order.
-    """
-    sizes, firsts, bounds, counts, ks, counted, weights = _read_distributions(
-        path, ("n", "k", "count", "normalized"), _count
-    )
-    moments, squares = (ks * weights).tolist(), (ks * ks * weights).tolist()
-    shares = weights.tolist()
-    positive = np.where(counted > 0, ks, -1).tolist()
-    ipl, variance, mipl, samples, wrong = [], [], [], [], []
-    for row, lo, hi in zip(firsts, bounds, bounds[1:]):
-        mean = sum(moments[lo:hi])
-        ipl.append(mean)
-        variance.append(sum(squares[lo:hi]) - mean * mean)
-        mipl.append(max(positive[lo:hi]))
-        samples.append(_as_float(sum(counts[lo:hi])))
-        total = math.fsum(shares[lo:hi])
-        if mipl[-1] < 0:
-            wrong.append((row, f"distribution at n={sizes[row]} has no paths"))
-        elif abs(total - 1.0) > 1e-9:
-            wrong.append((row, f"normalized values at n={sizes[row]} sum to {total!r}, not 1"))
-    if wrong:  # the n that comes first in the file
-        raise ValueError(f"{path}: {min(wrong)[1]}")
-    return PathLengthTable(
-        [sizes[row] for row in firsts], ipl, variance, mipl, samples, np.array(bounds), ks, weights
-    )
+    """Distributions by prefix size; each (n, k) once, with n >= 1 and 0 <= k <= n-1."""
+    return _read_distributions(path, PathLengthTable, ("n", "k", "count", "normalized"), _count)
 
 
 def _query_from_args(args: argparse.Namespace) -> TechnologyQuery:
@@ -868,23 +832,14 @@ def _config_path(argv: list[str]) -> str | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config_file = _config_path(argv)
-    if config_file is not None:
+    try:
+        config_file = _config_path(argv)
+        if config_file is not None:
+            argv = _merge_config(argv, _read_config(config_file))
         try:
-            config = _read_config(config_file)
-        except OSError as exc:
-            print(f"cumuldyn: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"cumuldyn: {exc}", file=sys.stderr)
-            return 2
-        argv = _merge_config(argv, config)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         args.func(args).write(Path(args.out))
     except ValueError as exc:  # CorpusError included
         print(f"cumuldyn: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ nothing here after construction, so all are safe to share across threads.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -169,7 +169,8 @@ class ModelParams(NamedTuple("ModelParams", [("q", float), ("m1", float), ("r", 
 
 class BacklinkDistribution(NamedTuple):
     """Histogram of backward internal links per node over a prefix of ``n``
-    nodes; :meth:`BacklinkTable.from_hists` checks that the counts total ``n``."""
+    nodes: ``counts[m]`` nodes have ``m`` links.  It is not checked when made;
+    :meth:`BacklinkTable.from_hists` rejects counts that do not total ``n``."""
 
     n: int
     counts: Mapping[int, int]
@@ -229,20 +230,32 @@ class BacklinkTable(NamedTuple):
     counts: np.ndarray
 
     @classmethod
+    def from_runs(
+        cls, ns: list[int], bounds: list[int], links: np.ndarray, counts: list[int]
+    ) -> tuple[BacklinkTable, list[tuple[int, str]]]:
+        """The table whose row ``i`` is run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``,
+        and each row's fault as ``(i, message)``: counts that do not total ``ns[i]``,
+        or no rows at all."""
+        faults = []
+        for row, (n, lo, hi) in enumerate(zip(ns, bounds, bounds[1:])):
+            total = sum(counts[lo:hi])
+            if total != n:
+                faults.append((row, f"histogram total {total} != prefix size {n}"))
+            elif lo == hi:
+                faults.append((row, f"empty backlink histogram at n={n}"))
+        return cls(ns, np.array(bounds), links, np.array(counts, dtype=float)), faults
+
+    @classmethod
     def from_hists(cls, hists: Iterable[BacklinkDistribution]) -> BacklinkTable:
-        """The table of ``hists``; each must total its ``n`` and count some node."""
+        """The table of ``hists``, one row each, as :meth:`from_runs` builds it from
+        their rows; raises ValueError for the first with a fault."""
         hists = list(hists)
-        for hist in hists:
-            total = sum(hist.counts.values())
-            if total != hist.n:
-                raise ValueError(f"histogram total {total} != prefix size {hist.n}")
-        if not all(hist.counts for hist in hists):
-            raise ValueError("empty backlink histogram")
-        return cls(
-            [hist.n for hist in hists], np.cumsum([0, *(len(hist.counts) for hist in hists)]),
+        return _raise_first(cls.from_runs(
+            [hist.n for hist in hists],
+            list(accumulate((len(hist.counts) for hist in hists), initial=0)),
             np.array([m for hist in hists for m in hist.counts], dtype=np.int64),
-            np.array([c for hist in hists for c in hist.counts.values()], dtype=float),
-        )
+            [c for hist in hists for c in hist.counts.values()],
+        ))
 
 
 class PathLengthTable(NamedTuple):
@@ -265,26 +278,56 @@ class PathLengthTable(NamedTuple):
     normalized: np.ndarray
 
     @classmethod
+    def from_runs(
+        cls, ns: list[int], bounds: list[int], lengths: np.ndarray, counts: list[int | float],
+        normalized: np.ndarray,
+    ) -> tuple[PathLengthTable, list[tuple[int, str]]]:
+        """The table whose row ``i`` is run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``,
+        and each row's fault as ``(i, message)``: no positive count, or normalized
+        values more than 1e-9 from summing to 1.  A run's sums add its rows in order:
+        ``ipl`` and ``variance`` from ``lengths`` and ``normalized``, ``samples`` from
+        ``counts`` (exact for ints); ``mipl`` is its longest length with a positive count."""
+        moments, shares = (lengths * normalized).tolist(), normalized.tolist()
+        squares = (lengths * lengths * normalized).tolist()
+        positive = [k if c > 0 else -1 for k, c in zip(lengths.tolist(), counts)]
+        ipl, variance, mipl, samples, faults = [], [], [], [], []
+        for row, (n, lo, hi) in enumerate(zip(ns, bounds, bounds[1:])):
+            mean = sum(moments[lo:hi])
+            ipl.append(mean)
+            variance.append(sum(squares[lo:hi]) - mean * mean)
+            mipl.append(max(positive[lo:hi], default=-1))
+            try:
+                samples.append(float(sum(counts[lo:hi])))
+            except OverflowError:  # past the float range
+                samples.append(math.inf)
+            total = math.fsum(shares[lo:hi])
+            if mipl[-1] < 0:
+                faults.append((row, f"distribution at n={n} has no paths"))
+            elif abs(total - 1.0) > 1e-9:
+                faults.append((row, f"normalized values at n={n} sum to {total!r}, not 1"))
+        return cls(ns, ipl, variance, mipl, samples, np.array(bounds), lengths, normalized), faults
+
+    @classmethod
     def from_dists(cls, dists: Iterable[PathLengthDistribution]) -> PathLengthTable:
+        """The table of ``dists``, one row each, as :meth:`from_runs` builds it from their
+        rows (each length of ``normalized`` with its count), not from their ``ipl``
+        and ``mipl``; raises ValueError for the first with a fault."""
         dists = list(dists)
-        totals = [dist.total_paths for dist in dists]
-        if not all(dist.counts and total > 0 for dist, total in zip(dists, totals)):
-            raise ValueError("path-length distribution has no paths")
-        return cls(
-            [dist.n for dist in dists], [dist.ipl for dist in dists],
-            [sum(k * k * w for k, w in d.normalized.items()) - d.ipl * d.ipl for d in dists],
-            [dist.mipl for dist in dists], list(map(_as_float, totals)),
-            np.cumsum([0, *(len(dist.normalized) for dist in dists)]),
+        return _raise_first(cls.from_runs(
+            [dist.n for dist in dists],
+            list(accumulate((len(dist.normalized) for dist in dists), initial=0)),
             np.array([k for dist in dists for k in dist.normalized], dtype=np.int64),
+            [dist.counts[k] for dist in dists for k in dist.normalized],
             np.array([w for dist in dists for w in dist.normalized.values()], dtype=float),
-        )
+        ))
 
 
-def _as_float(total: int | float) -> float:  # inf past the float range
-    try:
-        return float(total)
-    except OverflowError:
-        return math.inf
+def _raise_first(made: tuple[tuple, list[tuple[int, str]]]) -> tuple:
+    """The table of a ``from_runs`` result, or ValueError with its first fault."""
+    table, faults = made
+    if faults:
+        raise ValueError(faults[0][1])
+    return table
 
 
 class SeriesPoint(NamedTuple):

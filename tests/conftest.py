@@ -292,7 +292,8 @@ def binomial_path_dist_np(n: int, p: float) -> dict[int, float]:
 # checked where it is read, so the first bad row raises with its own line.
 
 
-def _reference_read_table(path: str, columns, parse_row) -> list:
+def _reference_read_table(path: str, columns, parse_row) -> tuple[list, list[int]]:
+    """What ``parse_row`` returns for each non-blank row, and each such row's line."""
     with open_csv(path) as reader:
         header = next(reader, None) or []
         index = {name: i for i, name in enumerate(header)}
@@ -301,7 +302,7 @@ def _reference_read_table(path: str, columns, parse_row) -> list:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         positions = [index[c] for c in columns]
         width = max(positions) + 1
-        parsed = []
+        parsed, lines = [], []
         for fields in filter(None, reader):
             try:
                 if len(fields) < width:
@@ -309,7 +310,8 @@ def _reference_read_table(path: str, columns, parse_row) -> list:
                 parsed.append(parse_row(*(fields[i] for i in positions)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return parsed
+            lines.append(reader.line_num)
+    return parsed, lines
 
 
 def _finite(column: str, value: float) -> float:
@@ -350,7 +352,7 @@ def reference_load_series(path: str) -> tuple[SeriesPoint, ...]:
             raise ValueError(f"ipl must lie in [0, {mipl}], got {ipl}")
         return SeriesPoint(size, id_, ipl, int(mipl), ed)
 
-    points = _reference_read_table(path, ("n", "id", "ipl", "mipl", "ed"), point)
+    points, _ = _reference_read_table(path, ("n", "id", "ipl", "mipl", "ed"), point)
     if len(points) < 3:
         raise ValueError(f"{path}: need at least 3 rows to fit, got {len(points)}")
     return tuple(points)
@@ -394,45 +396,54 @@ def _prefix_key(grouped: dict, n: str, name: str, key: str) -> tuple[dict, int]:
     return entries, value
 
 
-def reference_load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
-    grouped: dict[int, dict[int, int]] = {}
+def _read_grouped(path: str, columns, place) -> tuple[dict, dict[int, int]]:
+    """The rows grouped by n, in the order each n first appears, and the line of that row."""
+    grouped: dict[int, dict] = {}
 
-    def place(n: str, m: str, count: str) -> None:
-        entries, links = _prefix_key(grouped, n, "m", m)
-        entries[links] = _in_range("count", int(count))
+    def row(n: str, key: str, *cells: str) -> int:
+        place(*_prefix_key(grouped, n, columns[1], key), *cells)
+        return int(n)
 
-    _reference_read_table(path, ("n", "m", "count"), place)
+    sizes, lines = _reference_read_table(path, columns, row)
     if not grouped:
         raise ValueError(f"{path}: no rows")
+    first_lines: dict[int, int] = {}
+    for size, line in zip(sizes, lines):
+        first_lines.setdefault(size, line)
+    return grouped, first_lines
+
+
+def reference_load_backlink_dists(path: str) -> dict[int, BacklinkDistribution]:
+    def place(entries: dict, links: int, count: str) -> None:
+        entries[links] = _in_range("count", int(count))
+
+    grouped, lines = _read_grouped(path, ("n", "m", "count"), place)
     for n, counts in grouped.items():
         total = sum(counts.values())
         if total != n:
-            raise ValueError(f"{path}: histogram total {total} != prefix size {n}")
+            raise ValueError(f"{path}:{lines[n]}: histogram total {total} != prefix size {n}")
     return {n: BacklinkDistribution(n=n, counts=counts) for n, counts in grouped.items()}
 
 
 def reference_load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]:
-    grouped: dict[int, dict] = {}
-
-    def place(n: str, k: str, count: str, normalized: str) -> None:
-        entries, length = _prefix_key(grouped, n, "k", k)
+    def place(entries: dict, length: int, count: str, normalized: str) -> None:
         entries[length] = (
             _parse_count(count), _in_range("normalized", float(normalized), 0, 1)
         )
 
-    _reference_read_table(path, ("n", "k", "count", "normalized"), place)
-    if not grouped:
-        raise ValueError(f"{path}: no rows")
+    grouped, lines = _read_grouped(path, ("n", "k", "count", "normalized"), place)
     dists = {}
     for n, entries in grouped.items():
         counts = {k: c for k, (c, _) in entries.items()}
         normalized = {k: w for k, (_, w) in entries.items()}
         positive = [k for k, c in counts.items() if c > 0]
         if not positive:
-            raise ValueError(f"{path}: distribution at n={n} has no paths")
+            raise ValueError(f"{path}:{lines[n]}: distribution at n={n} has no paths")
         total = math.fsum(normalized.values())
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"{path}: normalized values at n={n} sum to {total!r}, not 1")
+            raise ValueError(
+                f"{path}:{lines[n]}: normalized values at n={n} sum to {total!r}, not 1"
+            )
         dists[n] = PathLengthDistribution(
             n=n,
             counts=counts,

@@ -15,10 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cumuldyn.cli import ReportBundle, _build_parser, main
+from cumuldyn.cli import (
+    ReportBundle, _build_parser, _load_backlink_dists, _load_pathlen_dists, main,
+)
 from cumuldyn.core import BacklinkTable, KnowledgeGraph, ModelParams, PathLengthTable
 from cumuldyn.fitting import PATHLENGTH_FAMILIES, geometric_gof, pathlength_gof
-from cumuldyn.ingest import Corpus
+from cumuldyn.ingest import Corpus, TechnologyQuery, build_graph, load_corpus
+from cumuldyn.measures import measure_checkpoints
 
 from conftest import reference_load_backlink_dists, reference_load_pathlen_dists
 
@@ -30,6 +33,17 @@ def read_csv(path):
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def two_predecessor_corpus(directory: Path, n: int) -> tuple[Path, Path]:
+    """Nodes and edges files of n nodes of class FIB, node i citing i-1 and i-2,
+    so path counts grow as Fibonacci numbers."""
+    nodes, edges = directory / "nodes.csv", directory / "edges.csv"
+    nodes.write_text("node_id,year,classes\n" + "".join(f"f{i:04d},,FIB\n" for i in range(n)))
+    edges.write_text("citing_id,cited_id,origin\n" + "".join(
+        f"f{i:04d},f{i - d:04d},\n" for i in range(1, n) for d in (1, 2) if i >= d
+    ))
+    return nodes, edges
 
 
 @pytest.fixture
@@ -175,14 +189,9 @@ class TestMeasure:
         assert all(-1.0 <= float(r["correlation"]) <= 1.0 for r in summary)
 
     def test_overflowing_float_counts_round_trip_through_gof(self, tmp_path, recwarn):
-        # Node i cites i-1 and i-2, so the longest lengths' path counts pass
-        # the float range and float mode writes them as inf.
-        n = 1600
-        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-        nodes.write_text("node_id,year,classes\n" + "".join(f"f{i:04d},,FIB\n" for i in range(n)))
-        edges.write_text("citing_id,cited_id,origin\n" + "".join(
-            f"f{i:04d},f{i - d:04d},\n" for i in range(1, n) for d in (1, 2) if i >= d
-        ))
+        # The longest lengths' path counts pass the float range and float mode
+        # writes them as inf.
+        nodes, edges = two_predecessor_corpus(tmp_path, 1600)
         out = tmp_path / "measured"
         assert run(
             "measure", "--nodes", str(nodes), "--edges", str(edges), "--prefix", "FIB",
@@ -1081,7 +1090,11 @@ class TestTableReaders:
             ("backlink-dist", "n,m,count\n10,-1,5\n10,1,5\n", ":2: m must lie in [0, inf]"),
             ("backlink-dist", "n,m,count\n10,0,-5\n10,1,15\n", ":2: count must lie in [0, inf]"),
             ("backlink-dist", "n,m,count\n10,0,5\n10,1,4\n",
-             ": histogram total 9 != prefix size 10"),
+             ":2: histogram total 9 != prefix size 10"),
+            ("backlink-dist", "n,m,count\n10,0,5\n4,0,3\n10,1,4\n4,1,2\n",
+             ":2: histogram total 9 != prefix size 10"),
+            ("backlink-dist", "n,m,count\n10,0,10\n\n4,0,3\n4,1,0\n",
+             ":4: histogram total 3 != prefix size 4"),
             ("backlink-dist", "n,m,count\n5,0,4\n5,300000,1\n",
              ":3: m must be at most n - 1 = 4, got 300000"),
             ("backlink-dist", "n,m,count\n5,0,4\n5,5,1\n", ":3: m must be at most n - 1 = 4, got 5"),
@@ -1101,7 +1114,11 @@ class TestTableReaders:
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.6\n5,1,nan,0.4\n",
              ":3: count must lie in [0, inf], got nan"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.9\n5,1,2,0.9\n",
-             ": normalized values at n=5 sum to 1.8, not 1"),
+             ":2: normalized values at n=5 sum to 1.8, not 1"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.6\n3,0,1,0.6\n5,1,2,0.4\n",
+             ":3: normalized values at n=3 sum to 0.6, not 1"),
+            ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.6\n5,1,2,0.4\n3,1,0,1.0\n3,0,0,0.0\n",
+             ":4: distribution at n=3 has no paths"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.5\n5,3000000,3,0.5\n",
              ":3: k must be at most n - 1 = 4, got 3000000"),
             ("pathlen-dist", "n,k,count,normalized\n5,0,3,0.5\n5,5,3,0.5\n",
@@ -1135,13 +1152,15 @@ class TestTableReaders:
             "backlinks-ordinal-past-series", "backlinks-negative-ordinal",
             "backlink-dist-missing", "backlink-dist-bad",
             "backlink-dist-negative-m", "backlink-dist-negative-count", "backlink-dist-total",
+            "backlink-dist-first-total-in-file", "backlink-dist-total-of-a-later-n",
             "backlink-dist-m-far-past-n", "backlink-dist-m-at-n", "backlink-dist-n-zero",
             "backlink-dist-n-negative", "backlink-dist-repeated", "backlink-dist-no-rows",
             "pathlen-dist-missing", "pathlen-dist-bad",
             "pathlen-dist-nan-normalized", "pathlen-dist-normalized-above-1",
             "pathlen-dist-negative-count", "pathlen-dist-nan-count",
-            "pathlen-dist-normalized-sum",
-            "pathlen-dist-k-far-past-n", "pathlen-dist-k-at-n", "pathlen-dist-k-negative",
+            "pathlen-dist-normalized-sum", "pathlen-dist-sum-of-a-later-n",
+            "pathlen-dist-no-paths", "pathlen-dist-k-far-past-n", "pathlen-dist-k-at-n",
+            "pathlen-dist-k-negative",
             "pathlen-dist-n-zero", "pathlen-dist-repeated", "pathlen-dist-no-rows",
             "tech-table-missing", "tech-table-empty",
             "series-overlong-field", "nodes-overlong-field",
@@ -1233,16 +1252,17 @@ def _tables(draw, reader):
     n_final = 0
     if reader == "series":
         header = "n,id,ipl,mipl,ed"
-        steps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
-        mipl = st.sampled_from(["3", "3.0", "0", "2.5", "-1"])
+        steps = draw(st.lists(st.integers(1, 5), min_size=3, max_size=6))
         rate = st.floats(0, allow_infinity=False).map(repr)
-        mean = st.one_of(st.just("0.0"), st.floats(0, 3).map(repr), finite)
-        # Three ids in four are drawn within the (n - 1)/2 bound, the fourth from any rate.
-        rows = [
-            [str(n), draw(st.one_of(*[st.floats(0, (n - 1) / 2).map(repr)] * 3, rate)),
-             draw(mean), draw(mipl), draw(rate)]
-            for n in np.cumsum(steps).tolist()
-        ]
+        rows = []
+        for n in np.cumsum(steps).tolist():
+            # One row in ten has a mipl out of range or not whole, an id past
+            # its bound or an ipl past its mipl; the others are valid.
+            odd = draw(st.sampled_from([*[None] * 27, "mipl", "id", "ipl"]))
+            mipl = draw(st.sampled_from([n, 2.5, -1]) if odd == "mipl" else st.integers(0, n - 1))
+            id_ = draw(rate if odd == "id" else st.floats(0, (n - 1) / 2).map(repr))
+            mean = finite if odd == "ipl" else st.floats(0, max(mipl, 0)).map(repr)
+            rows.append([str(n), id_, draw(mean), str(mipl), draw(rate)])
     elif reader == "backlinks":
         header = "ordinal,m"
         n_final = draw(st.integers(1, 8))
@@ -1355,6 +1375,43 @@ class TestColumnarReadersMatchReference:
             _load_backlink_dists(str(path))
 
 
+class TestTablesFromRecordsMatchTheFiles:
+    """The tables built from measured checkpoints equal, to the last bit, the
+    tables gof reads from the files measure writes for them."""
+
+    @pytest.mark.parametrize(
+        "graph, stride, mode",
+        [
+            ("simulated", 12, "exact"), ("simulated", 12, "float"),
+            # 9e20 paths over 100 lengths: some length's count passes 2**53,
+            # where exact mode goes on in the packed tail.
+            ("fibonacci-100", 7, "exact"),
+            ("fibonacci-1600", 400, "float"),  # inf counts
+        ],
+    )
+    def test_same_tables(self, tmp_path, graph, stride, mode):
+        if graph == "simulated":
+            assert run("simulate", "--q", "0.006", "--m1", "3", "--n", "600", "--seed", "1",
+                       "--out", str(tmp_path)) == 0
+            nodes, edges, prefix = tmp_path / "nodes.csv", tmp_path / "edges.csv", "SIM"
+        else:
+            nodes, edges = two_predecessor_corpus(tmp_path, int(graph.split("-")[1]))
+            prefix = "FIB"
+        out = tmp_path / "measured"
+        assert run("measure", "--nodes", str(nodes), "--edges", str(edges), "--prefix", prefix,
+                   "--stride", str(stride), "--mode", mode, "--out", str(out)) == 0
+        query = TechnologyQuery("t", [prefix])
+        checkpoints = measure_checkpoints(
+            build_graph(load_corpus(str(nodes), str(edges)), query)[0], stride, mode
+        )
+        hists = BacklinkTable.from_hists(cp.backlink_dist for cp in checkpoints)
+        assert repr(hists) == repr(_load_backlink_dists(str(out / "backlink_dist.csv")))
+        dists = PathLengthTable.from_dists(cp.path_dist for cp in checkpoints)
+        assert repr(dists) == repr(_load_pathlen_dists(str(out / "pathlen_dist.csv")))
+        if graph != "simulated":
+            assert max(dists.samples) > 9e20 if mode == "exact" else math.inf in dists.samples
+
+
 @pytest.fixture(scope="module")
 def measured_tables(tmp_path_factory):
     """The text of each table that fit and gof read, as the commands write it."""
@@ -1371,24 +1428,56 @@ def measured_tables(tmp_path_factory):
     return {**tables, "fits.csv": (root / "fit" / "fits.csv").read_text(encoding="utf-8")}
 
 
+# Faults a mutation test puts in one valid table: one cell set to one of
+# these, or one row repeated, dropped or cut short.
+MUTATED_CELLS = [
+    "", "nan", "inf", "-inf", "1e400", "1e308", "1e-320", str(10**23), "-1", "1.5", "x", "\ufeff",
+]
+MUTATIONS = st.sampled_from(["cell", "cell", "cell", "repeat", "drop", "short"])
+
+
+def _mutate(text: str, fault: str, row: int, column: int, cell: str) -> str:
+    """``text``, a CSV table, with ``fault`` at data row ``row`` (modulo the rows)."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    row %= len(rows)
+    if fault == "cell":
+        rows[row][column % len(header)] = cell
+    elif fault == "repeat":
+        rows.insert(row, rows[row])
+    elif fault == "drop":
+        del rows[row]
+    else:
+        del rows[row][1 + column % (len(header) - 1):]
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+def _run_capturing(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, with every warning raised written to it.
+
+    An exception out of main fails the test as the traceback it would print.
+    """
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return code, err.getvalue()
+
+
 class TestMutatedTables:
     """One fault in a valid table: exit 0, or exit 2 naming the table; never a
     traceback or a raw warning."""
-
-    CELLS = [
-        "", "nan", "inf", "-inf", "1e400", "1e308", "1e-320", str(10**23), "-1", "1.5", "x",
-        "\ufeff",
-    ]
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
         name=st.sampled_from(
             ["series.csv", "backlinks.csv", "backlink_dist.csv", "pathlen_dist.csv", "fits.csv"]
         ),
-        fault=st.sampled_from(["cell", "cell", "cell", "repeat", "drop", "short"]),
+        fault=MUTATIONS,
         row=st.integers(0, 1000),
         column=st.integers(0, 5),
-        cell=st.sampled_from(CELLS),
+        cell=st.sampled_from(MUTATED_CELLS),
     )
     # The series faults that once ended in raw warnings or an error naming no file.
     @example(name="series.csv", fault="cell", row=5, column=1, cell="1e308")
@@ -1396,22 +1485,11 @@ class TestMutatedTables:
     def test_exit_0_or_2_naming_the_table(
         self, measured_tables, tmp_path_factory, name, fault, row, column, cell
     ):
-        header, *rows = (line.split(",") for line in measured_tables[name].splitlines())
-        row %= len(rows)
-        if fault == "cell":
-            rows[row][column % len(header)] = cell
-        elif fault == "repeat":
-            rows.insert(row, rows[row])
-        elif fault == "drop":
-            del rows[row]
-        else:
-            del rows[row][1 + column % (len(header) - 1):]
         directory = tmp_path_factory.mktemp("mutated")
         for table, text in measured_tables.items():
             (directory / table).write_text(text, encoding="utf-8")
         path = directory / name
-        path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]),
-                        encoding="utf-8")
+        path.write_text(_mutate(measured_tables[name], fault, row, column, cell), encoding="utf-8")
         if name in ("series.csv", "backlinks.csv"):
             argv = ["fit", "--series", str(directory / "series.csv")]
         else:
@@ -1421,18 +1499,63 @@ class TestMutatedTables:
                 "--fits", str(directory / "fits.csv"),
                 "--families", ",".join(PATHLENGTH_FAMILIES),
             ]
-        # An exception out of main fails the test as the traceback it would print.
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main([*argv, "--out", str(directory / "out")])
-        for w in caught:
-            err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
-        stderr = err.getvalue()
+        code, stderr = _run_capturing([*argv, "--out", str(directory / "out")])
         assert code in (0, 2), stderr
         assert "Traceback" not in stderr and "Warning" not in stderr, stderr
         if code == 2:
             assert str(path) in stderr, stderr
+
+
+@pytest.fixture(scope="module")
+def corpus_tables():
+    """The text of a corpus of three dated technologies, citing within and across
+    them, and of the tech table that names them."""
+    rng = np.random.default_rng(5)
+    nodes, edges = ["node_id,year,classes,granted"], ["citing_id,cited_id,origin"]
+    for i in range(60):
+        nodes.append(f"N{i:02d},{2000 + i // 6},{'ABC'[i % 3]}0{i % 3} 1/{i % 4},{i % 5 > 0}")
+        cited = np.flatnonzero(rng.random(i) < 0.15).tolist()
+        edges += [f"N{i:02d},N{j:02d},{('APP', 'EXA', '')[j % 3]}" for j in cited]
+    return {
+        "nodes.csv": "\n".join(nodes) + "\n",
+        "edges.csv": "\n".join(edges) + "\n",
+        "techs.csv": "group_name,prefix\nalpha,A00\nbeta,B01\ngamma,C02\nab,A\nab,B\n",
+    }
+
+
+class TestMutatedCorpus:
+    """One fault in a valid corpus or tech table: measure and sweep exit 0, or exit
+    2 naming the file, or the query that then matches no node; never a traceback
+    or a raw warning."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        command=st.sampled_from(["measure", "sweep"]),
+        name=st.sampled_from(["nodes.csv", "edges.csv", "techs.csv"]),
+        fault=MUTATIONS,
+        row=st.integers(0, 1000),
+        column=st.integers(0, 3),
+        cell=st.sampled_from(MUTATED_CELLS),
+    )
+    def test_exit_0_or_2_naming_the_file(
+        self, corpus_tables, tmp_path_factory, command, name, fault, row, column, cell
+    ):
+        directory = tmp_path_factory.mktemp("mutated")
+        for table, text in corpus_tables.items():
+            (directory / table).write_text(text, encoding="utf-8")
+        path = directory / name
+        path.write_text(_mutate(corpus_tables[name], fault, row, column, cell), encoding="utf-8")
+        corpus = ["--nodes", str(directory / "nodes.csv"), "--edges", str(directory / "edges.csv")]
+        if command == "measure" and name != "techs.csv":
+            argv = ["measure", *corpus, "--name", "alpha", "--prefix", "A00", "--stride", "4"]
+        else:
+            argv = ["sweep", *corpus, "--tech-table", str(path.with_name("techs.csv")),
+                    "--stride", "4"]
+        code, stderr = _run_capturing([*argv, "--out", str(directory / "out")])
+        assert code in (0, 2), stderr
+        assert "Traceback" not in stderr and "Warning" not in stderr, stderr
+        if code == 2:
+            assert str(path) in stderr or "' matches zero nodes" in stderr, stderr
 
 
 class TestConfigFile:
