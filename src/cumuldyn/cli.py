@@ -229,11 +229,11 @@ def _load_series(path: str) -> tuple[SeriesPoint, ...]:
 
 
 def _load_backlinks(path: str, n: int) -> list[int]:
-    """m_1..m_n from a table that lists each ordinal 0..n-1 exactly once."""
+    """m_1..m_n, each in 0..n-1, from a table that lists each ordinal 0..n-1 exactly once."""
     (ordinal, m), errors = _read_table(path, ("ordinal", "m"))
     ordinals, ranks = _column(errors, ordinal, int, "ordinal", 0, n - 1)
     _flag(errors, _repeated(ranks), lambda row: f"duplicate ordinal {ordinals[row]}")
-    links, _ = _column(errors, m, int, "m")
+    links, _ = _column(errors, m, int, "m", 0, n - 1)
     _raise_earliest(path, errors)
     missing = np.flatnonzero(np.bincount(ranks, minlength=n) == 0).tolist()
     if missing:

@@ -232,10 +232,10 @@ class BacklinkTable(NamedTuple):
     @classmethod
     def from_runs(
         cls, ns: list[int], bounds: list[int], links: np.ndarray, counts: list[int]
-    ) -> tuple[BacklinkTable, list[tuple[int, str]]]:
-        """The table whose row ``i`` is run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``,
-        and each row's fault as ``(i, message)``: counts that do not total ``ns[i]``,
-        or no rows at all."""
+    ) -> tuple[BacklinkTable | None, list[tuple[int, str]]]:
+        """The table whose row ``i`` is run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``, or
+        None if a row has a fault (a count past ``ns[i]`` may be past the float range), and
+        each row's fault as ``(i, message)``: counts that do not total ``ns[i]``, or no rows."""
         faults = []
         for row, (n, lo, hi) in enumerate(zip(ns, bounds, bounds[1:])):
             total = sum(counts[lo:hi])
@@ -243,7 +243,8 @@ class BacklinkTable(NamedTuple):
                 faults.append((row, f"histogram total {total} != prefix size {n}"))
             elif lo == hi:
                 faults.append((row, f"empty backlink histogram at n={n}"))
-        return cls(ns, np.array(bounds), links, np.array(counts, dtype=float)), faults
+        table = None if faults else cls(ns, np.array(bounds), links, np.array(counts, dtype=float))
+        return table, faults
 
     @classmethod
     def from_hists(cls, hists: Iterable[BacklinkDistribution]) -> BacklinkTable:

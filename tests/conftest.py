@@ -365,7 +365,7 @@ def reference_load_backlinks(path: str, n: int) -> list[int]:
         i = _in_range("ordinal", int(ordinal), 0, n - 1)
         if backlinks[i] is not None:
             raise ValueError(f"duplicate ordinal {i}")
-        backlinks[i] = _in_range("m", int(m))
+        backlinks[i] = _in_range("m", int(m), 0, n - 1)
 
     _reference_read_table(path, ("ordinal", "m"), place)
     missing = backlinks.count(None)

@@ -1078,7 +1078,9 @@ class TestTableReaders:
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
             ("backlinks", "ordinal,node_id,m\n0,a,1\n1,b,x\n", ":3: invalid literal"),
             ("backlinks", "ordinal,node_id,m\n0,a\n", ":2: too few fields"),
-            ("backlinks", "ordinal,node_id,m\n0,a,0\n1,b,-3\n", ":3: m must lie in [0, inf]"),
+            ("backlinks", "ordinal,node_id,m\n0,a,0\n1,b,-3\n", ":3: m must lie in [0, 29]"),
+            ("backlinks", f"ordinal,node_id,m\n0,a,0\n1,b,{10**400}\n",
+             f":3: m must lie in [0, 29], got {10**400}"),
             ("backlinks", "ordinal,m\n0,0\n0,3\n5,1\n", ":3: duplicate ordinal 0"),
             ("backlinks", "ordinal,m\n0,0\n5,1\n", ": no row for ordinal 1 (28 of ordinals 0..29"),
             ("backlinks", "ordinal,m\n" + "".join(f"{i},1\n" for i in range(30) if i != 17),
@@ -1095,6 +1097,8 @@ class TestTableReaders:
              ":2: histogram total 9 != prefix size 10"),
             ("backlink-dist", "n,m,count\n10,0,10\n\n4,0,3\n4,1,0\n",
              ":4: histogram total 3 != prefix size 4"),
+            ("backlink-dist", f"n,m,count\n5,0,{10**400}\n",
+             f":2: histogram total {10**400} != prefix size 5"),
             ("backlink-dist", "n,m,count\n5,0,4\n5,300000,1\n",
              ":3: m must be at most n - 1 = 4, got 300000"),
             ("backlink-dist", "n,m,count\n5,0,4\n5,5,1\n", ":3: m must be at most n - 1 = 4, got 5"),
@@ -1147,12 +1151,14 @@ class TestTableReaders:
             "fits-missing", "fits-bad", "fits-nan-slope", "fits-negative-slope",
             "fits-negative-intercept", "fits-tiny-intercept", "fits-repeated-id",
             "backlinks-missing", "backlinks-bad", "backlinks-short", "backlinks-negative-m",
+            "backlinks-m-past-float",
             "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",
             "backlinks-missing-ordinal",
             "backlinks-ordinal-past-series", "backlinks-negative-ordinal",
             "backlink-dist-missing", "backlink-dist-bad",
             "backlink-dist-negative-m", "backlink-dist-negative-count", "backlink-dist-total",
             "backlink-dist-first-total-in-file", "backlink-dist-total-of-a-later-n",
+            "backlink-dist-count-past-float",
             "backlink-dist-m-far-past-n", "backlink-dist-m-at-n", "backlink-dist-n-zero",
             "backlink-dist-n-negative", "backlink-dist-repeated", "backlink-dist-no-rows",
             "pathlen-dist-missing", "pathlen-dist-bad",
@@ -1262,12 +1268,14 @@ def _tables(draw, reader):
             mipl = draw(st.sampled_from([n, 2.5, -1]) if odd == "mipl" else st.integers(0, n - 1))
             id_ = draw(rate if odd == "id" else st.floats(0, (n - 1) / 2).map(repr))
             mean = finite if odd == "ipl" else st.floats(0, max(mipl, 0)).map(repr)
-            rows.append([str(n), id_, draw(mean), str(mipl), draw(rate)])
+            # A valid whole mipl may be spelled as a float, which both readers take.
+            spelled = str(mipl) if odd == "mipl" else draw(st.sampled_from([str(mipl), f"{mipl}.0"]))
+            rows.append([str(n), id_, draw(mean), spelled, draw(rate)])
     elif reader == "backlinks":
         header = "ordinal,m"
         n_final = draw(st.integers(1, 8))
         ordinals = draw(st.permutations(range(n_final)))
-        rows = [[str(i), str(draw(st.integers(0, 5)))] for i in ordinals]
+        rows = [[str(i), str(draw(st.integers(0, n_final - 1)))] for i in ordinals]
     else:
         ns = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True))
         rows = []
@@ -1431,7 +1439,8 @@ def measured_tables(tmp_path_factory):
 # Faults a mutation test puts in one valid table: one cell set to one of
 # these, or one row repeated, dropped or cut short.
 MUTATED_CELLS = [
-    "", "nan", "inf", "-inf", "1e400", "1e308", "1e-320", str(10**23), "-1", "1.5", "x", "\ufeff",
+    "", "nan", "inf", "-inf", "1e400", "1e308", "1e-320", str(10**23), str(10**400), "-1", "1.5",
+    "x", "\ufeff",
 ]
 MUTATIONS = st.sampled_from(["cell", "cell", "cell", "repeat", "drop", "short"])
 
