@@ -28,7 +28,6 @@ from . import __version__
 from .core import (
     BacklinkTable,
     DistributionFits,
-    KnowledgeGraph,
     LinearFit,
     ModelParams,
     PathLengthTable,
@@ -143,11 +142,6 @@ def _read_table(path: str, columns: tuple[str, ...]) -> tuple[list[list[str]], l
 
 def _convert(cells: list[str], kind: Callable, errors: list) -> list:
     """``kind`` of each cell; from the first cell it rejects on, the values are 0."""
-    if kind is _count:
-        try:  # the common case, every count an integer, in one C-level pass
-            return list(map(int, cells))
-        except ValueError:
-            pass
     values: list = []
     try:
         values.extend(map(kind, cells))
@@ -321,8 +315,10 @@ def _fit_row(quantity: str, fit: LinearFit) -> list:
 def cmd_simulate(args: argparse.Namespace) -> ReportBundle:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    params = ModelParams(q=args.q, m1=args.m1)
-    graph = simulate(params, args.n, args.seed)
+    try:  # each message names the parameter at fault: q, m1 or n_nodes
+        graph = simulate(ModelParams(q=args.q, m1=args.m1), args.n, args.seed)
+    except ValueError as exc:
+        raise ValueError(f"--q {args.q} --m1 {args.m1} --n {args.n}: {exc}") from None
     # Finished lines, as csv writes them: an id is S and digits, which need no quoting.
     ids = graph.node_ids
     citing = np.repeat(np.arange(graph.n_nodes), graph.backlink_counts).tolist()
@@ -339,61 +335,62 @@ def cmd_simulate(args: argparse.Namespace) -> ReportBundle:
     )
 
 
-def _measure_graph(graph: KnowledgeGraph, stride: int, mode: str) -> dict:
-    checkpoints = measure_checkpoints(graph, stride, mode)
-    return {
-        "series.csv": (_SERIES_COLUMNS, [cp.point for cp in checkpoints]),
-        # Each histogram's counts are keyed by m in ascending order.
-        "backlink_dist.csv": (
-            ("n", "m", "count"),
-            [[cp.n, m, c] for cp in checkpoints for m, c in cp.backlink_dist.counts.items()],
-        ),
-        # One string of finished lines per checkpoint, as csv would write them:
-        # counts and normalized both run over k = 0..mipl in key order.
-        "pathlen_dist.csv": (
-            ("n", "k", "count", "normalized"),
-            [
-                "".join(
-                    f"{cp.n},{k},{paths},{w!r}\n"
-                    for k, paths, w in zip(
-                        count(), cp.path_dist.counts.values(), cp.path_dist.normalized.values()
-                    )
-                )
-                for cp in checkpoints
-            ],
-        ),
-        "backlinks.csv": (
-            ("ordinal", "node_id", "m"),
-            list(zip(count(), graph.node_ids, graph.backlink_counts.tolist())),
-        ),
-    }
+def _measure_technology(corpus, query: TechnologyQuery, args: argparse.Namespace) -> tuple:
+    """The technology's graph, its checkpoints at ``--stride``, its ingest
+    diagnostics and the arithmetic that ``--mode`` resolves to."""
+    graph, diagnostics = build_graph(
+        corpus, query, origin=args.origin, granted_only=args.granted_only
+    )
+    checkpoints = measure_checkpoints(graph, args.stride, args.mode)
+    return graph, checkpoints, diagnostics.as_dict(), resolve_mode(args.mode, graph.n_nodes)
+
+
+def _corpus_params(args: argparse.Namespace) -> dict:
+    """The flags that measure and sweep share, as both record them in ``params``."""
+    names = ("nodes", "edges", "year_cutoff", "origin", "granted_only", "stride", "mode")
+    return {name: getattr(args, name) for name in names}
 
 
 def cmd_measure(args: argparse.Namespace) -> ReportBundle:
     query = _query_from_args(args)
     corpus = load_corpus(args.nodes, args.edges)
-    graph, diagnostics = build_graph(
-        corpus, query, origin=args.origin, granted_only=args.granted_only
-    )
+    graph, checkpoints, diagnostics, mode = _measure_technology(corpus, query, args)
     return ReportBundle(
         command="measure",
         params={
-            "nodes": args.nodes,
-            "edges": args.edges,
+            **_corpus_params(args),
             "technology": query.name,
             "prefixes": sorted(query.class_prefixes),
-            "year_cutoff": query.year_cutoff,
-            "origin": args.origin,
-            "granted_only": args.granted_only,
-            "stride": args.stride,
-            "mode": args.mode,
         },
-        tables=_measure_graph(graph, args.stride, args.mode),
-        diagnostics={
-            **diagnostics.as_dict(),
-            "self_citations_dropped": corpus.self_citations_dropped,
+        tables={
+            "series.csv": (_SERIES_COLUMNS, [cp.point for cp in checkpoints]),
+            # Each histogram's counts are keyed by m in ascending order.
+            "backlink_dist.csv": (
+                ("n", "m", "count"),
+                [[cp.n, m, c] for cp in checkpoints for m, c in cp.backlink_dist.counts.items()],
+            ),
+            # One string of finished lines per checkpoint, as csv would write them:
+            # counts and normalized both run over k = 0..mipl in key order.
+            "pathlen_dist.csv": (
+                ("n", "k", "count", "normalized"),
+                [
+                    "".join(
+                        f"{cp.n},{k},{paths},{w!r}\n"
+                        for k, paths, w in zip(
+                            count(), cp.path_dist.counts.values(),
+                            cp.path_dist.normalized.values(),
+                        )
+                    )
+                    for cp in checkpoints
+                ],
+            ),
+            "backlinks.csv": (
+                ("ordinal", "node_id", "m"),
+                list(zip(count(), graph.node_ids, graph.backlink_counts.tolist())),
+            ),
         },
-        engine={"mode": resolve_mode(args.mode, graph.n_nodes)},
+        diagnostics={**diagnostics, "self_citations_dropped": corpus.self_citations_dropped},
+        engine={"mode": mode},
     )
 
 
@@ -587,10 +584,8 @@ def _read_tech_table(path: str) -> dict[str, set[str]]:
 def _sweep_one(corpus, name, prefixes, args, warned) -> tuple[list, dict]:
     """The technology's ``sweep.csv`` row, [tech, n, id, ipl, q, p, rate], and its diagnostics."""
     query = TechnologyQuery(name, prefixes, args.year_cutoff)
-    graph, diagnostics = build_graph(
-        corpus, query, origin=args.origin, granted_only=args.granted_only
-    )
-    series = tuple(cp.point for cp in measure_checkpoints(graph, args.stride, args.mode))
+    graph, checkpoints, diagnostics, mode = _measure_technology(corpus, query, args)
+    series = tuple(cp.point for cp in checkpoints)
     q_hat = p_hat = math.nan
     if len(series) >= 3:
         q_hat = fit_series(series, "id").slope
@@ -606,7 +601,7 @@ def _sweep_one(corpus, name, prefixes, args, warned) -> tuple[list, dict]:
     last = series[-1]
     return (
         [name, last.n, last.id, last.ipl, q_hat, p_hat, rate],
-        {**diagnostics.as_dict(), "mode": resolve_mode(args.mode, graph.n_nodes)},
+        {**diagnostics, "mode": mode},
     )
 
 
@@ -664,17 +659,7 @@ def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
 
     return ReportBundle(
         command="sweep",
-        params={
-            "nodes": args.nodes,
-            "edges": args.edges,
-            "tech_table": args.tech_table,
-            "stride": args.stride,
-            "year_cutoff": args.year_cutoff,
-            "origin": args.origin,
-            "granted_only": args.granted_only,
-            "mode": args.mode,
-            "technologies": names,
-        },
+        params={**_corpus_params(args), "tech_table": args.tech_table, "technologies": names},
         tables={
             "sweep.csv": (
                 ("tech", "n", "id", "ipl", "q", "p", "rate", "cumulativeness"),
@@ -695,6 +680,12 @@ def cmd_sweep(args: argparse.Namespace) -> ReportBundle:
 # --------------------------------------------------------------------------
 # Argument parsing
 # --------------------------------------------------------------------------
+
+
+def _out_dir(raw: str) -> str:
+    if not raw:  # Path("") is the working directory
+        raise argparse.ArgumentTypeError("expected a directory, got ''")
+    return raw
 
 
 @functools.cache
@@ -770,7 +761,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, func in zip(
         (sim, mea, fit, gof, swp), (cmd_simulate, cmd_measure, cmd_fit, cmd_gof, cmd_sweep)
     ):
-        command.add_argument("--out", required=True, help="output directory")
+        command.add_argument("--out", required=True, type=_out_dir, help="output directory")
         command.add_argument("--config", help="key=value file standing in for flags")
         command.set_defaults(func=func)
     return parser
@@ -822,9 +813,11 @@ def _merge_config(argv: list[str], config: dict[str, str]) -> list[str]:
 
 
 def _config_path(argv: list[str]) -> str | None:
+    """The ``--config`` path; a missing one, or one that starts with ``-``, is left to argparse."""
     for i, token in enumerate(argv):
         if token == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else None
+            path = argv[i + 1] if i + 1 < len(argv) else "-"
+            return None if path.startswith("-") else path
         if token.startswith("--config="):
             return token.split("=", 1)[1]
     return None
@@ -840,6 +833,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        if args.config != config_file:  # a path that reads as a flag, or a second path
+            raise ValueError("--config takes one path, which must not start with '-'")
         args.func(args).write(Path(args.out))
     except ValueError as exc:  # CorpusError included
         print(f"cumuldyn: {exc}", file=sys.stderr)

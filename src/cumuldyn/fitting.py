@@ -33,7 +33,7 @@ from .core import (
     SeriesPoint,
 )
 from .growth import rho
-from .predictions import _log_factorial_parts, binomial_path_pmf, log_factorials
+from .predictions import binomial_path_pmf, log_factorials
 
 __all__ = [
     "ols_fit",
@@ -125,24 +125,9 @@ def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each segment's sum along the last axis, rounded as ``np.sum`` of it alone.
-
-    ``np.sum`` adds a contiguous row pairwise in an order fixed by its length,
-    so the segments of one length are summed as the rows of one C-ordered
-    array (a gathered array that is not C-ordered may be added in another
-    order).  One gather puts the segments in order of length.
-    """
-    order = np.argsort(lengths, kind="stable")
-    ranked = lengths[order]
-    gathered = values[..., np.repeat(starts[order], ranked) + _segments(ranked)[1]]
-    blocks, edge = [], 0
-    for length, count in zip(*(a.tolist() for a in np.unique(ranked, return_counts=True))):
-        block = gathered[..., edge:edge + count * length].reshape(*values.shape[:-1], count, length)
-        blocks.append(np.ascontiguousarray(block).sum(axis=-1))
-        edge += count * length
-    sums = np.empty(values.shape[:-1] + starts.shape)
-    sums[..., order] = np.concatenate(blocks, axis=-1)
-    return sums
+    """Each segment's sum along the last axis, as ``np.sum`` of it alone."""
+    segments = zip(starts.tolist(), lengths.tolist())
+    return np.stack([values[..., lo:lo + n].sum(axis=-1) for lo, n in segments], axis=-1)
 
 
 def _plot_correlations(
@@ -374,8 +359,7 @@ def _pathlength_model(
     means = table.ipl
     mean = np.repeat(means, lengths)
     if family == "binomial-type":
-        parts = _log_factorial_parts(max(n_primes))
-        pmfs = {n_prime: binomial_path_pmf(n_prime, parts) for n_prime in set(n_primes)}
+        pmfs = {n_prime: binomial_path_pmf(n_prime) for n_prime in set(n_primes)}
         model = np.zeros(len(ks))
         # Every row's lengths reach n_prime - 1: the pmf fills its first n_prime.
         model[ks < np.repeat(n_primes, lengths)] = np.concatenate([pmfs[m] for m in n_primes])

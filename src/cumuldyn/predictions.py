@@ -114,10 +114,9 @@ def log_factorials(top: int) -> np.ndarray:
     return coarse + fine
 
 
-def _log_binomial(n: int, k: np.ndarray, parts: tuple | None = None) -> np.ndarray:
-    """log C(n, k) for integers 0 <= k <= n, from ``parts`` if given: a table of
-    :func:`_log_factorial_parts` that reaches n."""
-    coarse, fine = _log_factorial_parts(n) if parts is None else parts
+def _log_binomial(n: int, k: np.ndarray) -> np.ndarray:
+    """log C(n, k) for integers 0 <= k <= n."""
+    coarse, fine = _log_factorial_parts(n)
     return (coarse[n] - coarse[k] - coarse[n - k]) + (fine[n] - fine[k] - fine[n - k])
 
 
@@ -150,16 +149,20 @@ def analytic_path_counts(n: int, params: ModelParams) -> PathLengthDistribution:
     return PathLengthDistribution.from_logs(n, logs)
 
 
+def _path_pmf(n: int, q: float) -> np.ndarray:
+    """C(n, k+1) * q^(k+1) / ((1+q)^n - 1) for k = 0 .. n-1, taken from log space."""
+    ks = np.arange(n)
+    log_z = _log_expm1(n * math.log1p(q))
+    return np.exp(_log_binomial(n, ks + 1) + (ks + 1.0) * math.log(q) - log_z)
+
+
 def normalized_path_dist(n: int, q: float) -> dict[int, float]:
     """Probability of a path having length k: C(n, k+1) * q^(k+1) / ((1+q)^n - 1)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    ks = np.arange(n)
-    log_z = _log_expm1(n * math.log1p(q))
-    logs = _log_binomial(n, ks + 1) + (ks + 1.0) * math.log(q) - log_z
-    return {int(k): float(v) for k, v in zip(ks, np.exp(logs))}
+    return dict(enumerate(_path_pmf(n, q).tolist()))
 
 
 def analytic_ipl(n: int, q: float) -> float:
@@ -239,15 +242,12 @@ def rate_predictions(
     )
 
 
-def binomial_path_pmf(n_prime: int, parts: tuple | None = None) -> np.ndarray:
-    """Binomial-type path-length pmf over k = 0 .. n'-1: C(n', k+1) / (2^n' - 1).
-
-    Pmfs of many n' can share ``parts``, a :func:`_log_factorial_parts` table reaching n'.
-    """
+def binomial_path_pmf(n_prime: int) -> np.ndarray:
+    """Binomial-type path-length pmf over k = 0 .. n'-1: C(n', k+1) / (2^n' - 1),
+    the values of ``normalized_path_dist(n_prime, 1.0)``."""
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
-    log_z = _log_expm1(n_prime * math.log(2.0))
-    return np.exp(_log_binomial(n_prime, np.arange(n_prime) + 1, parts) - log_z)
+    return _path_pmf(n_prime, 1.0)
 
 
 def expected_initial_count(n: int, params: ModelParams) -> tuple[float, float]:

@@ -687,6 +687,32 @@ def _old_fmt(value) -> str:
     return str(value)
 
 
+class TestEmptyOut:
+    """An empty --out names the working directory, so every command refuses it."""
+
+    @pytest.mark.parametrize("command", ["simulate", "measure", "fit", "gof", "sweep"])
+    def test_exit_2_naming_the_flag(self, tmp_path, measured_dir, capsys, monkeypatch, command):
+        sim = tmp_path / "sim"
+        corpus = ["--nodes", str(sim / "nodes.csv"), "--edges", str(sim / "edges.csv")]
+        techs = tmp_path / "techs.csv"
+        techs.write_text("group_name,prefix\nsim,SIM\n")
+        argv = {
+            "simulate": ["--q", "0.01", "--m1", "2", "--n", "5"],
+            "measure": [*corpus, "--prefix", "SIM"],
+            "fit": ["--series", str(measured_dir / "series.csv")],
+            "gof": [
+                "--pathlen-dist", str(measured_dir / "pathlen_dist.csv"), "--q", "0.01", "--m0", "2"
+            ],
+            "sweep": [*corpus, "--tech-table", str(techs)],
+        }[command]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(command, *argv, "--out", "") == 2
+        assert "argument --out: expected a directory, got ''" in capsys.readouterr().err
+        assert not any(work.iterdir())
+
+
 class TestReportBundleWrite:
     CELLS = [
         0.1, 1 / 3, np.float64(0.1), np.float64(1 / 3), math.inf, -math.inf, math.nan,
@@ -1567,6 +1593,59 @@ class TestMutatedCorpus:
             assert str(path) in stderr or "' matches zero nodes" in stderr, stderr
 
 
+SIMULATE_CONFIG = ("q=0.01", "m1=2", "n=50", "seed=5")
+
+
+class TestMutatedConfig:
+    """One fault in a valid simulate config: exit 0, 2 or 3, an exit 2 naming the
+    config file and line or a flag; never a traceback, a raw warning or a file
+    written outside --out."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        fault=st.sampled_from(
+            ["value", "value", "value", "key", "add", "no equals", "repeat", "drop", "bom"]
+        ),
+        row=st.integers(0, 1000),
+        key=st.sampled_from(["unknown", "config", "out"]),
+        value=st.sampled_from([*MUTATED_CELLS, "true", "false"]),
+    )
+    def test_exit_0_2_or_3_naming_the_file_or_flag(
+        self, tmp_path_factory, fault, row, key, value
+    ):
+        lines = list(SIMULATE_CONFIG)
+        row %= len(lines)
+        name, _, old = lines[row].partition("=")
+        if fault == "value":
+            lines[row] = f"{name}={value}"
+        elif fault == "key":
+            lines[row] = f"{key}={old}"
+        elif fault == "add":
+            lines.insert(row, f"{key}={value}")
+        elif fault == "no equals":
+            lines[row] = name + old
+        elif fault == "repeat":
+            lines.insert(row, lines[row])
+        elif fault == "drop":
+            del lines[row]
+        else:
+            lines[row] = "\ufeff" + lines[row]
+        directory = tmp_path_factory.mktemp("config")
+        cfg = directory / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        work = directory / "work"
+        work.mkdir()
+        with contextlib.chdir(work):
+            code, stderr = _run_capturing(["simulate", "--config", str(cfg), "--out", "out"])
+        assert code in (0, 2, 3), stderr
+        assert "Traceback" not in stderr and "Warning" not in stderr, stderr
+        if code == 2:
+            keys = [line.partition("=")[0] for line in lines]
+            flags = [f"--{key}" for key in [*keys, "q", "m1", "n", "seed", "out", "config"]]
+            assert f"{cfg}:" in stderr or any(flag in stderr for flag in flags), stderr
+        assert [path.name for path in work.iterdir()] in ([], ["out"])
+
+
 class TestConfigFile:
     def test_config_supplies_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1605,6 +1684,36 @@ class TestConfigFile:
         cfg.write_bytes(b"q=0.01\r\nm1=2\r\nn=\xff50\r\n")
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert f"{cfg}:3: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--config", "--out", "o"), ("--out", "o", "--config")])
+    def test_config_without_a_path_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", *argv) == 2
+        assert "argument --config: expected one argument" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("paths", [("-1",), ("a.cfg", "b.cfg")])
+    def test_config_path_read_as_a_flag_or_given_twice_exit_2(
+        self, tmp_path, capsys, monkeypatch, paths
+    ):
+        monkeypatch.chdir(tmp_path)
+        for path in paths:
+            (tmp_path / path).write_text("seed=5\n")
+        configs = [token for path in paths for token in ("--config", path)]
+        flags = ("--q", "0.01", "--m1", "2", "--n", "5", "--out", "o")
+        assert run("simulate", *configs, *flags) == 2
+        assert "--config takes one path" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q=0.01\nm1=2\nn=5\nout=\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run("simulate", "--config", str(cfg)) == 2
+        assert "argument --out: expected a directory, got ''" in capsys.readouterr().err
+        assert not any(work.iterdir())
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "none.cfg"),

@@ -1,4 +1,4 @@
-"""Pinned outputs: the SHA-256 of every table a small pipeline writes.
+"""Pinned outputs: the SHA-256 of every table a small pipeline writes, and its meta.json files.
 
 The digests were recorded from the row-by-row table readers that the
 columnar ones replaced, so the tables ``fit`` and ``gof`` write from the
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import warnings
 from collections import defaultdict
 from pathlib import Path
@@ -144,6 +145,96 @@ def test_pipeline_tables_are_pinned(tmp_path):
 
 def test_hand_written_tables_are_pinned(tmp_path):
     assert _digests(_hand_written_gof(tmp_path)) == HAND_WRITTEN
+
+
+# Each meta.json of the pinned pipeline, with the paths it records relative
+# to the run's directory.
+INGESTED = {
+    "dropped_non_backward": 0, "duplicates_collapsed": 0, "external_links": 0,
+    "ignored_citations": 0, "internal_edges": 818, "matched_nodes": 300,
+}
+CORPUS_PARAMS = {
+    "nodes": "sim/nodes.csv", "edges": "sim/edges.csv", "year_cutoff": None, "origin": "all",
+    "granted_only": False, "stride": 12,
+}
+RELEASE = {"package": "cumuldyn", "version": "0.1.0"}
+
+
+def _pinned_meta(mode: str) -> dict[str, dict]:
+    tables = ["backlink_dist.csv", "backlinks.csv", "pathlen_dist.csv", "series.csv"]
+    return {
+        f"measure-{mode}": {
+            **RELEASE, "command": "measure", "tables": tables, "engine": {"mode": mode},
+            "diagnostics": {**INGESTED, "self_citations_dropped": 0},
+            "params": {
+                **CORPUS_PARAMS, "mode": mode, "technology": "technology", "prefixes": ["SIM"]
+            },
+        },
+        f"fit-{mode}": {
+            **RELEASE, "command": "fit", "tables": ["fits.csv", "rates.csv"], "diagnostics": {},
+            "params": {
+                "series": f"measure-{mode}/series.csv",
+                "backlinks": f"measure-{mode}/backlinks.csv",
+                "n_final": 300,
+            },
+        },
+        f"gof-{mode}": {
+            **RELEASE, "command": "gof", "tables": ["gof_points.csv", "gof_summary.csv"],
+            "diagnostics": {}, "warnings": [],
+            "params": {
+                "q": 0.003154433970095076, "m0": 1.8593159829211177,
+                "backlink_dist": f"measure-{mode}/backlink_dist.csv",
+                "pathlen_dist": f"measure-{mode}/pathlen_dist.csv",
+                "families": FAMILIES.split(","),
+            },
+        },
+    }
+
+
+PIPELINE_META = {
+    "sim": {
+        **RELEASE, "command": "simulate", "tables": ["edges.csv", "nodes.csv"], "diagnostics": {},
+        "params": {"q": 0.006, "m1": 3.0, "n": 300, "seed": 1, "rng": "numpy.random PCG64"},
+    },
+    **_pinned_meta("exact"),
+    **_pinned_meta("float"),
+    "sweep": {
+        **RELEASE, "command": "sweep", "tables": ["cross_fits.csv", "sweep.csv"],
+        "diagnostics": {
+            "self_citations_dropped": 0,
+            "technologies": {
+                name: {**INGESTED, "mode": "exact"} for name in ("all", "sim")
+            },
+        },
+        "params": {
+            **CORPUS_PARAMS, "mode": "auto", "tech_table": "techs.csv",
+            "technologies": ["all", "sim"],
+        },
+        "warnings": [
+            "all: missing years, invention rate reported as nan",
+            "sim: missing years, invention rate reported as nan",
+            "fewer than 3 technologies; cross-technology fits skipped",
+        ],
+    },
+}
+
+
+def test_pipeline_meta_is_pinned(tmp_path):
+    sim = _simulate(tmp_path)
+    outs = [sim]
+    for mode in ("exact", "float"):
+        outs += _measure_fit_gof(tmp_path, sim, mode)
+    (tmp_path / "techs.csv").write_text("group_name,prefix\nsim,SIM\nall,S\n", encoding="utf-8")
+    outs.append(tmp_path / "sweep")
+    assert main([
+        "sweep", "--nodes", str(sim / "nodes.csv"), "--edges", str(sim / "edges.csv"),
+        "--tech-table", str(tmp_path / "techs.csv"), "--stride", "12", "--out", str(outs[-1]),
+    ]) == 0
+    found = {
+        out.name: json.loads((out / "meta.json").read_text("utf-8").replace(f"{tmp_path}/", ""))
+        for out in outs
+    }
+    assert found == PIPELINE_META
 
 
 def _read_rows(path: Path) -> list[dict[str, str]]:

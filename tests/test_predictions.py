@@ -13,6 +13,7 @@ from cumuldyn.predictions import (
     _digamma,
     analytic_ipl,
     analytic_path_counts,
+    binomial_path_pmf,
     corrected_rate_a,
     corrected_rate_b,
     expected_id,
@@ -214,6 +215,11 @@ class TestBinomialPathDist:
     @pytest.mark.parametrize("n_prime", [2, 7, 40, 300])
     def test_sums_to_one(self, n_prime):
         assert sum(binomial_path_dist(n_prime).values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pmf_is_the_normalized_dist_at_q_one(self):
+        for n_prime in range(1, 400):
+            expected = list(normalized_path_dist(n_prime, 1.0).values())
+            assert binomial_path_pmf(n_prime).tolist() == expected
 
 class TestBinomialPathDistNP:
     def test_integer_argument_matches_plain_form(self):
