@@ -767,9 +767,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """The ``key=value`` lines of a UTF-8 config file; a leading byte-order mark is skipped."""
-    values = {}
+def _with_config(argv: list[str], path: str) -> list[str]:
+    """``argv`` with the ``key=value`` lines of a UTF-8 config file as flags before its own.
+
+    Each key is a flag of the command, spelled with ``_`` or ``-``: a switch takes
+    true or false, any other flag its value as written.  A flag on the command
+    line drops its config entry, so it wins, and a config --prefix never adds to
+    one there.  A leading byte-order mark is skipped.
+    """
+    commands = next(action.choices for action in _build_parser()._actions
+                    if action.dest == "command")
+    if argv[0] not in commands:  # left to argparse
+        return argv
+    flags = commands[argv[0]]._option_string_actions
+    explicit = {flags.get(token.partition("=")[0]) for token in argv[1:]}
+    entries: dict[argparse.Action, list[str]] = {}
     with open(path, encoding="utf-8-sig") as handle:
         try:
             for line_num, line in enumerate(handle, start=1):
@@ -778,38 +790,24 @@ def _read_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in stripped:
                     raise ValueError(f"{path}:{line_num}: expected key=value")
-                key, _, value = stripped.partition("=")
-                values[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in stripped.partition("="))
+                flag = "--" + key.replace("_", "-")
+                action = flags.get(flag)
+                if action is None or action.dest in ("help", "config"):
+                    raise ValueError(f"{path}:{line_num}: unknown key {key!r} for {argv[0]}")
+                if action.nargs != 0:
+                    entries[action] = [f"{flag}={value}"]
+                elif value.lower() in ("true", "false"):
+                    entries[action] = [flag] if value.lower() == "true" else []
+                else:
+                    raise ValueError(f"{path}:{line_num}: {flag} is true or false, got {value!r}")
         except UnicodeDecodeError as exc:
             raise ValueError(
                 f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
             ) from None
-    return values
-
-
-def _merge_config(argv: list[str], config: dict[str, str]) -> list[str]:
-    """Turn config entries into flags placed before the explicit ones.
-
-    Later occurrences win for plain flags; for the repeatable --prefix the
-    config entry is dropped entirely when the command line has its own.
-    """
-    explicit = {
-        token.split("=", 1)[0][2:].replace("_", "-")
-        for token in argv[1:]
-        if token.startswith("--")
-    }
-    synthetic: list[str] = []
-    for key, value in sorted(config.items()):
-        flag = key.replace("_", "-")
-        if flag == "config" or flag in explicit:
-            continue
-        if value.lower() == "true":
-            synthetic.append(f"--{flag}")
-        elif value.lower() == "false":
-            continue
-        else:
-            synthetic.extend([f"--{flag}", value])
-    return [argv[0], *synthetic, *argv[1:]]
+    config = [token for action, tokens in entries.items() if action not in explicit
+              for token in tokens]
+    return [argv[0], *config, *argv[1:]]
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -828,7 +826,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config_file = _config_path(argv)
         if config_file is not None:
-            argv = _merge_config(argv, _read_config(config_file))
+            argv = _with_config(argv, config_file)
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:

@@ -284,13 +284,15 @@ class PathLengthTable(NamedTuple):
         normalized: np.ndarray,
     ) -> tuple[PathLengthTable, list[tuple[int, str]]]:
         """The table whose row ``i`` is run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``,
-        and each row's fault as ``(i, message)``: no positive count, or normalized
-        values more than 1e-9 from summing to 1.  A run's sums add its rows in order:
-        ``ipl`` and ``variance`` from ``lengths`` and ``normalized``, ``samples`` from
-        ``counts`` (exact for ints); ``mipl`` is its longest length with a positive count."""
+        and each row's fault as ``(i, message)``: no positive count, a positive normalized
+        value where the count is 0, or normalized values more than 1e-9 from summing to 1.
+        A run's sums add its rows in order: ``ipl`` and ``variance`` from ``lengths`` and
+        ``normalized``, ``samples`` from ``counts`` (exact for ints); ``mipl`` is its
+        longest length with a positive count, so no weight lies past it."""
         moments, shares = (lengths * normalized).tolist(), normalized.tolist()
         squares = (lengths * lengths * normalized).tolist()
         positive = [k if c > 0 else -1 for k, c in zip(lengths.tolist(), counts)]
+        strays = ((normalized > 0.0) & (np.array(positive) < 0)).tolist()
         ipl, variance, mipl, samples, faults = [], [], [], [], []
         for row, (n, lo, hi) in enumerate(zip(ns, bounds, bounds[1:])):
             mean = sum(moments[lo:hi])
@@ -304,6 +306,10 @@ class PathLengthTable(NamedTuple):
             total = math.fsum(shares[lo:hi])
             if mipl[-1] < 0:
                 faults.append((row, f"distribution at n={n} has no paths"))
+            elif True in strays[lo:hi]:
+                k = lengths[strays.index(True, lo, hi)]
+                message = f"normalized value at n={n}, k={k} is positive where its count is 0"
+                faults.append((row, message))
             elif abs(total - 1.0) > 1e-9:
                 faults.append((row, f"normalized values at n={n} sum to {total!r}, not 1"))
         return cls(ns, ipl, variance, mipl, samples, np.array(bounds), lengths, normalized), faults

@@ -353,16 +353,16 @@ def geometric_gof(table: BacklinkTable, params: ModelParams) -> DistributionFits
 
 
 def _pathlength_model(
-    family: str, table: PathLengthTable, n_primes: list[int], lengths: np.ndarray, ks: np.ndarray,
+    family: str, table: PathLengthTable, lengths: np.ndarray, ks: np.ndarray,
 ) -> tuple[list[Mapping[str, float]], np.ndarray]:
     """Each row's parameters, and the family's pmf over every row's lengths ``ks``."""
     means = table.ipl
     mean = np.repeat(means, lengths)
     if family == "binomial-type":
-        pmfs = {n_prime: binomial_path_pmf(n_prime) for n_prime in set(n_primes)}
-        model = np.zeros(len(ks))
-        # Every row's lengths reach n_prime - 1: the pmf fills its first n_prime.
-        model[ks < np.repeat(n_primes, lengths)] = np.concatenate([pmfs[m] for m in n_primes])
+        n_primes = [max(m, 1) for m in table.mipl]
+        # Each row's lengths run to n' = mipl, where the pmf is 0, or are the one k = 0.
+        pmfs = {n_prime: np.append(binomial_path_pmf(n_prime), 0.0) for n_prime in set(n_primes)}
+        model = np.concatenate([pmfs[m][:size] for m, size in zip(n_primes, lengths.tolist())])
         return [{"n_prime": float(m)} for m in n_primes], model
     if family == "poisson":
         log_means = np.repeat([math.log(m) if m > 0 else 0.0 for m in means], lengths)
@@ -384,56 +384,46 @@ def _pathlength_model(
             np.exp(-((ks - mean) ** 2) / twice) / roots,
         )
         return [{"mean": m, "var": v} for m, v in zip(means, variances)], model
-    if family == "binomial":
-        sizes = [max(m, 1) for m in table.mipl]
-        probs = [min(max(m / size, 0.0), 1.0) for m, size in zip(means, sizes)]
-        size = np.repeat(sizes, lengths)
-        prob = np.repeat(probs, lengths)
-        # An n_prime past mipl + 1 asks for k > size, where the pmf is 0.
-        within = ks <= size
-        drawn = np.where(within, ks, 0)
-        log_fact = log_factorials(max(sizes))
-        logs = (
-            log_fact[size]
-            - log_fact[drawn]
-            - log_fact[size - drawn]
-            + ks * np.log(prob)
-            + (size - ks) * np.log1p(-prob)
-        )
-        model = np.nan_to_num(np.where(within, np.exp(logs), 0.0), nan=0.0)
-        return [{"n": float(s), "p": pr} for s, pr in zip(sizes, probs)], model
-    raise ValueError(f"unknown path-length family {family!r}")
+    # binomial, whose size max(mipl, 1) every row's lengths stay within
+    sizes = [max(m, 1) for m in table.mipl]
+    probs = [min(max(m / size, 0.0), 1.0) for m, size in zip(means, sizes)]
+    size = np.repeat(sizes, lengths)
+    prob = np.repeat(probs, lengths)
+    log_fact = log_factorials(max(sizes))
+    logs = (
+        log_fact[size]
+        - log_fact[ks]
+        - log_fact[size - ks]
+        + ks * np.log(prob)
+        + (size - ks) * np.log1p(-prob)
+    )
+    model = np.nan_to_num(np.exp(logs), nan=0.0)
+    return [{"n": float(s), "p": pr} for s, pr in zip(sizes, probs)], model
 
 
-def pathlength_gof(
-    table: PathLengthTable, family: str = "binomial-type", n_prime: int | None = None
-) -> DistributionFits:
+def pathlength_gof(table: PathLengthTable, family: str = "binomial-type") -> DistributionFits:
     """Fit of a model family to each normalized path-length distribution.
 
-    The distributions are the rows of ``table``.  The default family is the
-    binomial-type distribution evaluated at ``n_prime`` (each distribution's
-    observed maximum path length unless overridden).  The alternatives
-    ('poisson', 'normal', 'binomial') are moment-matched to each empirical
-    distribution.  Chi-square counts every path as an observation, which
-    makes it extremely strict for large graphs.  A distribution with a
-    single length is one plot point (1, 1), reported with a warning; its
-    params are still the family's (the n' it would take, or the
-    moment-matched ones).
+    The distributions are the rows of ``table``, each laid out over k = 0 ..
+    its mipl.  The default family is the binomial-type distribution
+    evaluated at n' = mipl, each distribution's observed maximum path
+    length, so the model is 0 at k = mipl.  The alternatives ('poisson',
+    'normal', 'binomial') are moment-matched to each empirical distribution.
+    Chi-square counts every path as an observation, which makes it extremely
+    strict for large graphs.  A distribution with a single length is one
+    plot point (1, 1), reported with a warning; its params are still the
+    family's (n' = max(mipl, 1), or the moment-matched ones).
     """
     if family not in PATHLENGTH_FAMILIES:
         raise ValueError(f"unknown path-length family {family!r}")
-    if n_prime is not None and n_prime < 1:
-        raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     if not table.ns:
         return DistributionFits(family, (), (0,), (), (), (), (), ())
     # A distribution with a single positive weight is a degenerate row: one
-    # plot point (1, 1) at k = 0, where the binomial-type pmf is taken at n' = 1.
+    # plot point (1, 1) at k = 0.
     entries = np.diff(table.bounds)
     positive = np.concatenate(([0], np.cumsum(table.normalized > 0.0)))[table.bounds]
     degenerate = np.diff(positive) < 2
-    mipl = np.array(table.mipl)
-    n_primes = np.where(degenerate, 1, n_prime or mipl)
-    lengths = np.where(degenerate, 1, np.maximum(mipl, n_primes - 1) + 1)
+    lengths = np.where(degenerate, 1, np.array(table.mipl) + 1)
     starts, ks = _segments(lengths)
     emp = np.zeros(len(ks))
     inside = np.repeat(~degenerate, entries) & (table.lengths < np.repeat(lengths, entries))
@@ -441,7 +431,7 @@ def pathlength_gof(
     emp[starts[degenerate]] = 1.0
     samples = np.where(degenerate, 0.0, table.samples)
     with np.errstate(all="ignore"):
-        params, model = _pathlength_model(family, table, n_primes.tolist(), lengths, ks)
+        params, model = _pathlength_model(family, table, lengths, ks)
         model[starts[degenerate]] = 1.0
         correlations, warned = _plot_correlations(
             emp, model, starts, lengths, f"{family} path-length fit"
@@ -451,9 +441,6 @@ def pathlength_gof(
     for row in np.flatnonzero(np.isinf(samples)).tolist():
         chi_square[row] = (math.inf, int(lengths[row]) - 1, 0.0)
     for row in np.flatnonzero(degenerate).tolist():
-        # The other families keep their moment-matched params of the row.
-        if family == "binomial-type":
-            params[row] = {"n_prime": float(n_prime or max(table.mipl[row], 1))}
         correlations[row] = 1.0
         chi_square[row] = (math.nan, 0, math.nan)
         warned[row] = (

@@ -439,6 +439,12 @@ def reference_load_pathlen_dists(path: str) -> dict[int, PathLengthDistribution]
         positive = [k for k, c in counts.items() if c > 0]
         if not positive:
             raise ValueError(f"{path}:{lines[n]}: distribution at n={n} has no paths")
+        for k, (c, w) in entries.items():
+            if w > 0 and not c > 0:
+                raise ValueError(
+                    f"{path}:{lines[n]}: normalized value at n={n}, k={k} is positive "
+                    "where its count is 0"
+                )
         total = math.fsum(normalized.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(
@@ -584,9 +590,10 @@ def reference_geometric_gof(
     return ReferenceFit("geometric", {"rho": p}, points, correlation, chi)
 
 
-def _reference_pathlength_model(dist, n_prime, family, ks, special: Special):
+def _reference_pathlength_model(dist, family, ks, special: Special):
     mean = dist.ipl
     if family == "binomial-type":
+        n_prime = max(dist.mipl, 1)
         pmf = dict(enumerate(special.binomial_pmf(n_prime).tolist()))
         return {"n_prime": float(n_prime)}, np.array([pmf.get(int(k), 0.0) for k in ks])
     if family == "poisson":
@@ -602,23 +609,21 @@ def _reference_pathlength_model(dist, n_prime, family, ks, special: Special):
     if family == "binomial":
         size = max(dist.mipl, 1)
         prob = min(max(mean / size, 0.0), 1.0)
-        # Past the size the pmf is 0; those ks are clipped to stay off the pole.
-        drawn = np.minimum(ks, size)
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = (
                 special.log_factorial(np.full(len(ks), size))
-                - special.log_factorial(drawn)
-                - special.log_factorial(size - drawn)
+                - special.log_factorial(ks)
+                - special.log_factorial(size - ks)
                 + ks * np.log(prob)
                 + (size - ks) * np.log1p(-prob)
             )
-        model = np.nan_to_num(np.where(ks <= size, np.exp(logs), 0.0), nan=0.0)
+        model = np.nan_to_num(np.exp(logs), nan=0.0)
         return {"n": float(size), "p": prob}, model
     raise ValueError(f"unknown path-length family {family!r}")
 
 
 def reference_pathlength_gof(
-    dist: PathLengthDistribution, n_prime: int | None = None, family: str = "binomial-type",
+    dist: PathLengthDistribution, family: str = "binomial-type",
     special: Special = PACKAGE_SPECIAL,
 ) -> ReferenceFit:
     """Path-length fit one numpy scalar at a time, with ``np.corrcoef``.
@@ -635,15 +640,11 @@ def reference_pathlength_gof(
             "degenerate path-length distribution with a single length; "
             "correlation reported as 1"
         )
-        params, _ = _reference_pathlength_model(
-            dist, n_prime or max(dist.mipl, 1), family, np.arange(1), special
-        )
+        params, _ = _reference_pathlength_model(dist, family, np.arange(1), special)
         return ReferenceFit(family, params, ((1.0, 1.0),), 1.0, (math.nan, 0, math.nan))
-    if n_prime is None:
-        n_prime = dist.mipl
-    ks = np.arange(max(dist.mipl, n_prime - 1) + 1)
+    ks = np.arange(dist.mipl + 1)
     empirical = np.array([dist.normalized.get(int(k), 0.0) for k in ks])
-    params, model = _reference_pathlength_model(dist, n_prime, family, ks, special)
+    params, model = _reference_pathlength_model(dist, family, ks, special)
     points = tuple((float(e), float(mo)) for e, mo in zip(empirical, model))
     correlation = _reference_plot_correlation(points, f"{family} path-length fit")
     try:

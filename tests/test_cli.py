@@ -296,6 +296,16 @@ class TestGof:
         points = read_csv(out / "gof_points.csv")
         assert {"empirical", "model"} <= set(points[0])
 
+    @pytest.mark.parametrize("family", PATHLENGTH_FAMILIES)
+    def test_weight_where_the_count_is_0_exit_2_naming_the_line(self, tmp_path, capsys, family):
+        # Half the weight lies past mipl = 0, where the fit's layout ends.
+        path = tmp_path / "pathlen_dist.csv"
+        path.write_text("n,k,count,normalized\n5,0,3,0.5\n5,1,0,0.5\n")
+        assert run("gof", "--pathlen-dist", str(path), "--q", "0.1", "--m0", "1",
+                   "--families", family, "--out", str(tmp_path / "out")) == 2
+        message = "normalized value at n=5, k=1 is positive where its count is 0"
+        assert f"{path}:2: {message}" in capsys.readouterr().err
+
     def test_perfect_model_fixture_correlation_one(self, tmp_path):
         # Histogram drawn exactly from the model pmf.
         from cumuldyn.growth import rho
@@ -1465,8 +1475,8 @@ def measured_tables(tmp_path_factory):
 # Faults a mutation test puts in one valid table: one cell set to one of
 # these, or one row repeated, dropped or cut short.
 MUTATED_CELLS = [
-    "", "nan", "inf", "-inf", "1e400", "1e308", "1e-320", str(10**23), str(10**400), "-1", "1.5",
-    "x", "\ufeff",
+    "", "0", "nan", "inf", "-inf", "1e400", "1e308", "1e-320", str(10**23), str(10**400), "-1",
+    "1.5", "x", "\ufeff",
 ]
 MUTATIONS = st.sampled_from(["cell", "cell", "cell", "repeat", "drop", "short"])
 
@@ -1594,12 +1604,15 @@ class TestMutatedCorpus:
 
 
 SIMULATE_CONFIG = ("q=0.01", "m1=2", "n=50", "seed=5")
+# How simulate reads each of its config keys that meta.json records.
+SIMULATE_KINDS = {"q": float, "m1": float, "n": int, "seed": int}
 
 
 class TestMutatedConfig:
-    """One fault in a valid simulate config: exit 0, 2 or 3, an exit 2 naming the
-    config file and line or a flag; never a traceback, a raw warning or a file
-    written outside --out."""
+    """One fault in a valid simulate config: exit 0 with each config value in
+    meta.json as read, 2 or 3; an exit 2 naming the config file and line or a
+    flag, and the line of a key that is no flag of simulate; never a traceback,
+    a raw warning or a file written outside --out."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -1607,7 +1620,7 @@ class TestMutatedConfig:
             ["value", "value", "value", "key", "add", "no equals", "repeat", "drop", "bom"]
         ),
         row=st.integers(0, 1000),
-        key=st.sampled_from(["unknown", "config", "out"]),
+        key=st.sampled_from(["unknown", "config", "out", "help", "granted_only"]),
         value=st.sampled_from([*MUTATED_CELLS, "true", "false"]),
     )
     def test_exit_0_2_or_3_naming_the_file_or_flag(
@@ -1639,11 +1652,24 @@ class TestMutatedConfig:
             code, stderr = _run_capturing(["simulate", "--config", str(cfg), "--out", "out"])
         assert code in (0, 2, 3), stderr
         assert "Traceback" not in stderr and "Warning" not in stderr, stderr
-        if code == 2:
-            keys = [line.partition("=")[0] for line in lines]
+        assert [path.name for path in work.iterdir()] in ([], ["out"])
+        # The lines as read: a byte-order mark opening the file is no part of them.
+        read = [line.partition("=") for line in cfg.read_text(encoding="utf-8-sig").splitlines()]
+        keys = [k for k, _, _ in read]
+        foreign = [
+            line for line, (k, eq, _) in enumerate(read, 1)
+            if eq and k not in [*SIMULATE_KINDS, "out"]
+        ]
+        if foreign:
+            assert code == 2 and f"{cfg}:{foreign[0]}: " in stderr, stderr
+        elif code == 0:
+            params = json.loads((work / "out" / "meta.json").read_text())["params"]
+            for k, _, v in read:
+                if k in SIMULATE_KINDS:
+                    assert params[k] == SIMULATE_KINDS[k](v), (k, v)
+        elif code == 2:
             flags = [f"--{key}" for key in [*keys, "q", "m1", "n", "seed", "out", "config"]]
             assert f"{cfg}:" in stderr or any(flag in stderr for flag in flags), stderr
-        assert [path.name for path in work.iterdir()] in ([], ["out"])
 
 
 class TestConfigFile:
@@ -1665,6 +1691,52 @@ class TestConfigFile:
         ) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["params"]["seed"] == 9
+
+    def test_prefix_flag_drops_the_config_prefix(self, tmp_path):
+        nodes, edges = two_predecessor_corpus(tmp_path, 12)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nodes={nodes}\nedges={edges}\nprefix=NONE\nstride=4\n")
+        out = tmp_path / "out"
+        assert run("measure", "--config", str(cfg), "--prefix", "FIB", "--out", str(out)) == 0
+        assert json.loads((out / "meta.json").read_text())["params"]["prefixes"] == ["FIB"]
+
+    def test_values_are_taken_as_written(self, tmp_path):
+        # Only a switch reads true or false; any other flag takes the word itself.
+        nodes, edges = two_predecessor_corpus(tmp_path, 12)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"nodes={nodes}\nedges={edges}\nprefix=FIB\nname=false\ngranted_only=false\n"
+        )
+        out = tmp_path / "out"
+        assert run("measure", "--config", str(cfg), "--out", str(out)) == 0
+        params = json.loads((out / "meta.json").read_text())["params"]
+        assert (params["technology"], params["granted_only"]) == ("false", False)
+
+    def test_non_integer_seed_exit_2_naming_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q=0.01\nm1=2\nn=50\nseed=false\n")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "argument --seed: invalid int value: 'false'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("unknown=1", "unknown key 'unknown' for measure"),
+            ("\ufeffedges=e.csv", "unknown key '\\ufeffedges' for measure"),
+            ("help=true", "unknown key 'help' for measure"),
+            ("config=x", "unknown key 'config' for measure"),
+            ("granted_only=yes", "--granted-only is true or false, got 'yes'"),
+        ],
+    )
+    def test_bad_key_or_switch_exit_2_naming_the_line(self, tmp_path, capsys, line, message):
+        # The config is read before any table, so the corpus need not exist.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nodes=n.csv\n{line}\nprefix=A\n", encoding="utf-8")
+        assert run("measure", "--config", str(cfg), "--edges", "e.csv",
+                   "--out", str(tmp_path / "o")) == 2
+        assert f"{cfg}:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_line_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -32,6 +32,7 @@ from cumuldyn.fitting import (
 )
 from cumuldyn.growth import rho, simulate
 from cumuldyn.measures import measure_checkpoints
+from cumuldyn.predictions import binomial_path_pmf
 
 from conftest import (
     binomial_path_dist,
@@ -235,16 +236,20 @@ class TestGeometricGof:
 
 class TestPathlengthGof:
     def test_perfect_model_correlation_one(self):
-        n_prime = 12
-        model = binomial_path_dist(n_prime)
+        # A distribution of the pmf at n' = 12 itself, with one path at k = 12 so that
+        # mipl = 12: the model is that pmf below mipl and 0 at mipl.
         total = 10**9
-        counts = {k: w * total for k, w in model.items()}
-        ipl = sum(k * w for k, w in model.items())
+        counts = {k: round(w * total) for k, w in binomial_path_dist(12).items()} | {12: 1}
+        paths = sum(counts.values())
+        normalized = {k: c / paths for k, c in counts.items()}
         dist = PathLengthDistribution(
-            n=500, counts=counts, normalized=dict(model), ipl=ipl, mipl=n_prime - 1
+            n=500, counts=counts, normalized=normalized,
+            ipl=sum(k * w for k, w in normalized.items()), mipl=12,
         )
-        fits = pathlength_gof(PathLengthTable.from_dists([dist]), n_prime=n_prime)
-        assert fits.plot_correlation[0] == pytest.approx(1.0, abs=1e-12)
+        fits = pathlength_gof(PathLengthTable.from_dists([dist]))
+        assert fits.params == ({"n_prime": 12.0},)
+        assert fits.model == (*binomial_path_pmf(12).tolist(), 0.0)
+        assert fits.plot_correlation[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_single_length(self):
         dist = PathLengthDistribution(
@@ -307,26 +312,19 @@ class TestPathlengthGof:
         assert -1.0 <= fits.plot_correlation[0] <= 1.0
         assert fits.family == family
 
-    def test_binomial_is_zero_past_its_size(self):
-        # n' past mipl + 1 asks for lengths k beyond the binomial's size,
-        # where log((size - k)!) has its poles.
-        dist = PathLengthDistribution(
-            n=40, counts={0: 10, 1: 20, 2: 10}, normalized={0: 0.25, 1: 0.5, 2: 0.25},
-            ipl=1.0, mipl=2,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fits = pathlength_gof(PathLengthTable.from_dists([dist]), family="binomial", n_prime=8)
-        model = list(fits.model)
-        assert fits.params == ({"n": 2.0, "p": 0.5},)
-        assert model[:3] == pytest.approx([0.25, 0.5, 0.25], rel=1e-15)
-        assert model[3:] == [0.0] * 5
-
     def test_unknown_family_rejected(self):
         g = simulate(ModelParams(q=0.002, m1=3.0), 500, seed=1)
         dists = PathLengthTable.from_dists([measure_checkpoints(g, 500)[0].path_dist])
         with pytest.raises(ValueError):
             pathlength_gof(dists, family="teacup")
+
+    def test_weight_without_paths_rejected(self):
+        # mipl is 0, yet half the weight lies at k = 1.
+        dist = PathLengthDistribution(
+            n=5, counts={0: 3, 1: 0}, normalized={0: 0.5, 1: 0.5}, ipl=0.5, mipl=0
+        )
+        with pytest.raises(ValueError, match="at n=5, k=1 is positive where its count is 0"):
+            PathLengthTable.from_dists([dist])
 
     def test_empty_distribution_rejected(self):
         dist = PathLengthDistribution(n=0, counts={}, normalized={}, ipl=0.0, mipl=0)
@@ -414,11 +412,6 @@ def _pathlength_dists(draw):
     )
 
 
-def _n_prime(dists, offset):
-    """None, or one n' for every row: the smallest mipl shifted by ``offset``, at least 1."""
-    return None if offset is None else max(min(d.mipl for d in dists) + offset, 1)
-
-
 class TestGofKernelsMatchReference:
     """The batched kernels, row by row, against the per-scalar code kept in conftest."""
 
@@ -433,12 +426,10 @@ class TestGofKernelsMatchReference:
     @given(
         dist=_pathlength_dists(),
         family=st.sampled_from(PATHLENGTH_FAMILIES),
-        n_prime_offset=st.one_of(st.none(), st.integers(-40, 6)),
     )
-    def test_pathlength(self, dist, family, n_prime_offset):
-        n_prime = _n_prime([dist], n_prime_offset)
-        fits = pathlength_gof(PathLengthTable.from_dists([dist]), family, n_prime)
-        _assert_same_rows(fits, reference_pathlength_gof, [(dist, n_prime, family)])
+    def test_pathlength(self, dist, family):
+        fits = pathlength_gof(PathLengthTable.from_dists([dist]), family)
+        _assert_same_rows(fits, reference_pathlength_gof, [(dist, family)])
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -455,14 +446,10 @@ class TestGofKernelsMatchReference:
     @given(
         dists=st.lists(_pathlength_dists(), min_size=1, max_size=8),
         family=st.sampled_from(PATHLENGTH_FAMILIES),
-        n_prime_offset=st.one_of(st.none(), st.integers(-40, 6)),
     )
-    def test_pathlength_checkpoint_sequences(self, dists, family, n_prime_offset):
-        n_prime = _n_prime(dists, n_prime_offset)
-        fits = pathlength_gof(PathLengthTable.from_dists(dists), family, n_prime)
-        _assert_same_rows(
-            fits, reference_pathlength_gof, [(dist, n_prime, family) for dist in dists]
-        )
+    def test_pathlength_checkpoint_sequences(self, dists, family):
+        fits = pathlength_gof(PathLengthTable.from_dists(dists), family)
+        _assert_same_rows(fits, reference_pathlength_gof, [(dist, family) for dist in dists])
 
     def test_segment_sums_round_as_numpy_sum(self):
         from cumuldyn.fitting import _row_sums

@@ -255,9 +255,7 @@ def _assert_gof_matches_scipy(checked: Path, inputs: Path, params: ModelParams) 
         }
         for family in FAMILIES.split(","):
             for n, dist in dists.items():
-                fits[n, "pathlengths", family] = reference_pathlength_gof(
-                    dist, None, family, special
-                )
+                fits[n, "pathlengths", family] = reference_pathlength_gof(dist, family, special)
     summary = _read_rows(checked / "gof_summary.csv")
     assert len(summary) == len(fits)
     for row in summary:

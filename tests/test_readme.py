@@ -1,4 +1,5 @@
-"""The README's *Library* section names only what ``cumuldyn`` exports."""
+"""The README's *Library* section names only what ``cumuldyn`` exports, and its
+*Command line* section names every flag."""
 
 from __future__ import annotations
 
@@ -81,3 +82,26 @@ def test_documented_name_resolves(name):
 )
 def test_unexported_names_do_not_resolve(name):
     assert not resolves(name)
+
+
+def command_line_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def long_flags() -> list[tuple[str, str]]:
+    """Each (subcommand, long flag) of the CLI's parser."""
+    from cumuldyn.cli import _build_parser
+
+    commands = next(a.choices for a in _build_parser()._actions if a.dest == "command")
+    return [
+        (name, flag) for name, parser in commands.items()
+        for flag in parser._option_string_actions if flag.startswith("--")
+    ]
+
+
+@pytest.mark.parametrize("command, flag", long_flags())
+def test_command_line_section_names_every_flag(command, flag):
+    assert re.search(re.escape(flag) + r"(?![\w-])", command_line_section()), (
+        f"README's *Command line* does not name {command} {flag}"
+    )
