@@ -3,9 +3,11 @@
 A corpus is a pair of CSV files: nodes (``node_id,year,classes`` with an
 optional ``granted`` boolean column, classes ``;``-separated) and citations
 (``citing_id,cited_id,origin`` with origin APP, EXA or empty for unknown).
-Files are UTF-8; a leading byte-order mark is skipped.  Node ids are opaque
-strings, assumed pre-aggregated to one node per invention (e.g. one patent
-family).
+Files are UTF-8; a leading byte-order mark is skipped.  A plain file is
+split at its commas and line ends; one with quotes, a lone ``\\r``, NUL,
+blank lines or ragged rows goes through ``csv.reader``, with the same values
+and errors.  Node ids are opaque strings, assumed pre-aggregated to one node
+per invention (e.g. one patent family).
 
 A technology is selected by class-prefix match (whitespace-insensitive, so
 the query "Y02E10/5" matches the label "Y02E 10/50").  Selected nodes are
@@ -191,6 +193,17 @@ def _undecodable_line(path: str) -> int:
 
 
 @contextmanager
+def _csv_rows(path: str, lines: Iterable[str]) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over ``lines`` whose errors raise :class:`CorpusError`
+    naming ``file:line``."""
+    reader = csv.reader(lines)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+@contextmanager
 def open_csv(path: str) -> Iterator[Iterator[list[str]]]:
     """A ``csv.reader`` over a UTF-8 file, skipping a leading byte-order mark.
 
@@ -198,15 +211,53 @@ def open_csv(path: str) -> Iterator[Iterator[list[str]]]:
     raise :class:`CorpusError` naming ``file:line``.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
         try:
-            yield reader
-        except csv.Error as exc:
-            raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
+            with _csv_rows(path, handle) as reader:
+                yield reader
         except UnicodeDecodeError as exc:
             raise CorpusError(
                 f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
             ) from None
+
+
+def _plain_fields(text: str) -> tuple[list[str], list[str]] | None:
+    """The header and the body's fields of a plain CSV text, or None.
+
+    A text is plain when it holds no quote and no NUL, every ``\\r`` ends a
+    ``\\r\\n``, no line is blank, every row has as many fields as the header
+    and no field is longer than csv's field size limit.  Then ``csv.reader``
+    would split it at every comma and line end, and one ``str.split`` does:
+    the body's fields come row after row with a ``"\\n"`` field between rows.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    head, _, body = text.partition("\n")
+    header = head.split(",")
+    # Under a one-column header a blank line would read as a row of one
+    # empty field; under a wider one it is a short row, rejected below.
+    if len(header) == 1 and "\n\n" in "\n" + text:
+        return None
+    fields: list[str] = []
+    if body:
+        body = body[:-1] if body.endswith("\n") else body
+        breaks = body.count("\n")
+        fields = body.replace("\n", ",\n,").split(",")
+        width = len(header)
+        # Every line end is a "\n" field; all of them must fall after each
+        # width fields, and the last row must be whole.
+        if (
+            len(fields) != (breaks + 1) * (width + 1) - 1
+            or fields[width :: width + 1].count("\n") != breaks
+        ):
+            return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, header + fields)) > limit:
+        return None
+    return header, fields
 
 
 def _read_columns(
@@ -218,18 +269,39 @@ def _read_columns(
     short row reads as None, and so does every field of an absent optional
     column.  A header naming a column twice takes the later one.  A missing
     required column raises :class:`CorpusError` naming the file and ``what``.
+
+    The file is read once.  A plain text (see :func:`_plain_fields`) is split
+    at its commas; any other goes through ``csv.reader``, with the same
+    values and errors.  A file that is not UTF-8 is read again by
+    :func:`open_csv`, so the first error reported is the one streaming finds.
     """
-    with open_csv(path) as reader:
-        index = {name: i for i, name in enumerate(next(reader, None) or [])}
+
+    def wanted(header: list[str]) -> list[int | None]:
+        index = {name: i for i, name in enumerate(header)}
         missing = [c for c in required if c not in index]
         if missing:
             raise CorpusError(f"{path}: missing {what} {', '.join(missing)}")
+        return [index.get(name) for name in (*required, optional) if name is not None]
+
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        text = None
+    plain = None if text is None else _plain_fields(text)
+    if plain is not None:
+        header, fields = plain
+        step = len(header) + 1
+        n_rows = (len(fields) + 1) // step
+        return [[None] * n_rows if i is None else fields[i::step] for i in wanted(header)]
+    lines = open_csv(path) if text is None else _csv_rows(path, io.StringIO(text, newline=""))
+    with lines as reader:
+        picks = wanted(next(reader, None) or [])
         rows = [row for row in reader if row]
-    wanted = [index.get(name) for name in (*required, optional) if name is not None]
-    width = max(i for i in wanted if i is not None) + 1
+    width = max(i for i in picks if i is not None) + 1
     if min(map(len, rows), default=width) < width:
         rows = [row + [None] * (width - len(row)) for row in rows]
-    return [[None] * len(rows) if i is None else list(map(itemgetter(i), rows)) for i in wanted]
+    return [[None] * len(rows) if i is None else list(map(itemgetter(i), rows)) for i in picks]
 
 
 def _intern(

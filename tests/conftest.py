@@ -6,6 +6,7 @@ import csv
 import math
 import warnings
 from collections import Counter, defaultdict
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -128,6 +129,28 @@ def node_path_counts(graph: KnowledgeGraph, n: int) -> list[dict[int, int]]:
                 vector[k + 1] += c
         vectors.append(dict(vector) if indptr[i + 1] > indptr[i] else {0: 1})
     return vectors
+
+
+def reference_read_columns(
+    path: str, required: tuple[str, ...], optional: str | None, what: str = "required column(s)"
+) -> list[list[str | None]]:
+    """``ingest._read_columns`` as ``csv.reader`` gives it, for every file.
+
+    Deliberately without the reader's plain-text split: every row comes from
+    one ``csv.reader`` streaming over the file, so its values and errors are
+    csv's own.
+    """
+    with open_csv(path) as reader:
+        index = {name: i for i, name in enumerate(next(reader, None) or [])}
+        missing = [c for c in required if c not in index]
+        if missing:
+            raise CorpusError(f"{path}: missing {what} {', '.join(missing)}")
+        rows = [row for row in reader if row]
+    wanted = [index.get(name) for name in (*required, optional) if name is not None]
+    width = max(i for i in wanted if i is not None) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    return [[None] * len(rows) if i is None else list(map(itemgetter(i), rows)) for i in wanted]
 
 
 def reference_load_corpus(
