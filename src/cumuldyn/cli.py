@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -49,7 +50,7 @@ from .ingest import (
     TechnologyQuery,
     _raise_earliest,
     _read_columns,
-    _undecodable_line,
+    _read_text,
     build_graph,
     load_corpus,
 )
@@ -688,6 +689,12 @@ def _out_dir(raw: str) -> str:
     return raw
 
 
+def _in_file(raw: str) -> str:
+    if not raw:  # an optional one would read as absent
+        raise argparse.ArgumentTypeError("expected a file, got ''")
+    return raw
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process (about 1.5 ms): parse_args leaves the parser
@@ -700,8 +707,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # The flags that measure and sweep share.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--nodes", required=True, help="nodes CSV path")
-    shared.add_argument("--edges", required=True, help="citations CSV path")
+    shared.add_argument("--nodes", required=True, type=_in_file, help="nodes CSV path")
+    shared.add_argument("--edges", required=True, type=_in_file, help="citations CSV path")
     shared.add_argument("--year-cutoff", type=int, default=None, help="keep years <= cutoff")
     shared.add_argument("--origin", choices=("all", "app"), default="all")
     shared.add_argument("--granted-only", action="store_true")
@@ -730,18 +737,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser(
         "fit", help="fit growth rates to a measured series", allow_abbrev=False
     )
-    fit.add_argument("--series", required=True, help="series.csv path")
+    fit.add_argument("--series", required=True, type=_in_file, help="series.csv path")
     fit.add_argument(
         "--backlinks",
+        type=_in_file,
         help="backlinks.csv path (default: sibling of --series when present)",
     )
 
     gof = sub.add_parser(
         "gof", help="goodness of fit of the predicted distributions", allow_abbrev=False
     )
-    gof.add_argument("--backlink-dist", help="backlink_dist.csv path")
-    gof.add_argument("--pathlen-dist", help="pathlen_dist.csv path")
-    gof.add_argument("--fits", help="fits.csv path to read fitted q and m0 from")
+    gof.add_argument("--backlink-dist", type=_in_file, help="backlink_dist.csv path")
+    gof.add_argument("--pathlen-dist", type=_in_file, help="pathlen_dist.csv path")
+    gof.add_argument("--fits", type=_in_file, help="fits.csv path to read fitted q and m0 from")
     gof.add_argument("--q", type=float, help="fitted id slope")
     gof.add_argument("--m0", type=float, help="fitted id intercept")
     gof.add_argument(
@@ -756,13 +764,13 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[shared],
     )
     swp.add_argument(
-        "--tech-table", required=True, help="CSV of group_name,prefix rows"
+        "--tech-table", required=True, type=_in_file, help="CSV of group_name,prefix rows"
     )
     for command, func in zip(
         (sim, mea, fit, gof, swp), (cmd_simulate, cmd_measure, cmd_fit, cmd_gof, cmd_sweep)
     ):
         command.add_argument("--out", required=True, type=_out_dir, help="output directory")
-        command.add_argument("--config", help="key=value file standing in for flags")
+        command.add_argument("--config", type=_in_file, help="key=value file standing in for flags")
         command.set_defaults(func=func)
     return parser
 
@@ -782,42 +790,40 @@ def _with_config(argv: list[str], path: str) -> list[str]:
     flags = commands[argv[0]]._option_string_actions
     explicit = {flags.get(token.partition("=")[0]) for token in argv[1:]}
     entries: dict[argparse.Action, list[str]] = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            for line_num, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ValueError(f"{path}:{line_num}: expected key=value")
-                key, _, value = (part.strip() for part in stripped.partition("="))
-                flag = "--" + key.replace("_", "-")
-                action = flags.get(flag)
-                if action is None or action.dest in ("help", "config"):
-                    raise ValueError(f"{path}:{line_num}: unknown key {key!r} for {argv[0]}")
-                if action.nargs != 0:
-                    entries[action] = [f"{flag}={value}"]
-                elif value.lower() in ("true", "false"):
-                    entries[action] = [flag] if value.lower() == "true" else []
-                else:
-                    raise ValueError(f"{path}:{line_num}: {flag} is true or false, got {value!r}")
-        except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
-            ) from None
+    # The lines open() would give: universal newlines, and no split at \x85 or
+    # \u2028 as str.splitlines makes.
+    lines = io.StringIO(_read_text(path), newline=None)
+    for line_num, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}:{line_num}: expected key=value")
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        flag = "--" + key.replace("_", "-")
+        action = flags.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            raise ValueError(f"{path}:{line_num}: unknown key {key!r} for {argv[0]}")
+        if action.nargs != 0:
+            entries[action] = [f"{flag}={value}"]
+        elif value.lower() in ("true", "false"):
+            entries[action] = [flag] if value.lower() == "true" else []
+        else:
+            raise ValueError(f"{path}:{line_num}: {flag} is true or false, got {value!r}")
     config = [token for action, tokens in entries.items() if action not in explicit
               for token in tokens]
     return [argv[0], *config, *argv[1:]]
 
 
 def _config_path(argv: list[str]) -> str | None:
-    """The ``--config`` path; a missing one, or one that starts with ``-``, is left to argparse."""
+    """The ``--config`` path; a missing or empty one, or one that starts with ``-``,
+    is left to argparse."""
     for i, token in enumerate(argv):
         if token == "--config":
             path = argv[i + 1] if i + 1 < len(argv) else "-"
-            return None if path.startswith("-") else path
+            return None if not path or path.startswith("-") else path
         if token.startswith("--config="):
-            return token.split("=", 1)[1]
+            return token.split("=", 1)[1] or None
     return None
 
 

@@ -3,8 +3,10 @@
 A corpus is a pair of CSV files: nodes (``node_id,year,classes`` with an
 optional ``granted`` boolean column, classes ``;``-separated) and citations
 (``citing_id,cited_id,origin`` with origin APP, EXA or empty for unknown).
-Files are UTF-8; a leading byte-order mark is skipped.  A plain file is
-split at its commas and line ends; one with quotes, a lone ``\\r``, NUL,
+Files are UTF-8; a leading byte-order mark is skipped.  Each file is read
+and decoded whole by one function, so a byte that is not UTF-8 is reported
+at its line before any other fault, whatever the file's size.  A plain file
+is split at its commas and line ends; one with quotes, a lone ``\\r``, NUL,
 blank lines or ragged rows goes through ``csv.reader``, with the same values
 and errors.  Node ids are opaque strings, assumed pre-aggregated to one node
 per invention (e.g. one patent family).
@@ -34,7 +36,6 @@ import io
 from contextlib import contextmanager
 from itertools import islice
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -48,7 +49,6 @@ __all__ = [
     "CorpusNode",
     "Corpus",
     "IngestDiagnostics",
-    "open_csv",
     "load_corpus",
     "build_graph",
 ]
@@ -180,44 +180,33 @@ class IngestDiagnostics(NamedTuple):
         return self._asdict()
 
 
-def _undecodable_line(path: str) -> int:
-    """Line number of the first byte of ``path`` that is not UTF-8."""
-    data = Path(path).read_bytes()
-    end = len(data)
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark skipped.
+
+    The one place a file is opened for reading.  A byte that is not UTF-8
+    raises :class:`CorpusError` naming the line of the first one, counted as
+    csv counts lines: a line ends at ``\\n``, ``\\r`` or ``\\r\\n``.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        end = exc.start
-    # Counted as csv counts lines: a line ends at \n, \r or \r\n.
-    return sum(1 for _ in io.StringIO(data[:end].decode("utf-8") + "_", newline=""))
+        # exc.object lacks the byte-order mark that utf-8-sig stripped.
+        head = exc.object[: exc.start].decode("utf-8")
+        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise CorpusError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
 
 
 @contextmanager
-def _csv_rows(path: str, lines: Iterable[str]) -> Iterator[Iterator[list[str]]]:
-    """A ``csv.reader`` over ``lines`` whose errors raise :class:`CorpusError`
-    naming ``file:line``."""
-    reader = csv.reader(lines)
+def _csv_rows(path: str, text: str) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over ``text``, read from ``path``, whose errors raise
+    :class:`CorpusError` naming ``file:line``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         yield reader
     except csv.Error as exc:
         raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-@contextmanager
-def open_csv(path: str) -> Iterator[Iterator[list[str]]]:
-    """A ``csv.reader`` over a UTF-8 file, skipping a leading byte-order mark.
-
-    Bytes that are not UTF-8 or a field longer than csv's field size limit
-    raise :class:`CorpusError` naming ``file:line``.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        try:
-            with _csv_rows(path, handle) as reader:
-                yield reader
-        except UnicodeDecodeError as exc:
-            raise CorpusError(
-                f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})"
-            ) from None
 
 
 def _plain_fields(text: str) -> tuple[list[str], list[str]] | None:
@@ -270,10 +259,10 @@ def _read_columns(
     column.  A header naming a column twice takes the later one.  A missing
     required column raises :class:`CorpusError` naming the file and ``what``.
 
-    The file is read once.  A plain text (see :func:`_plain_fields`) is split
-    at its commas; any other goes through ``csv.reader``, with the same
-    values and errors.  A file that is not UTF-8 is read again by
-    :func:`open_csv`, so the first error reported is the one streaming finds.
+    The file is read once, by :func:`_read_text`, so a byte that is not
+    UTF-8 is reported before any other fault.  A plain text (see
+    :func:`_plain_fields`) is split at its commas; any other goes through
+    ``csv.reader``, with the same values and errors.
     """
 
     def wanted(header: list[str]) -> list[int | None]:
@@ -283,19 +272,14 @@ def _read_columns(
             raise CorpusError(f"{path}: missing {what} {', '.join(missing)}")
         return [index.get(name) for name in (*required, optional) if name is not None]
 
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        text = None
-    plain = None if text is None else _plain_fields(text)
+    text = _read_text(path)
+    plain = _plain_fields(text)
     if plain is not None:
         header, fields = plain
         step = len(header) + 1
         n_rows = (len(fields) + 1) // step
         return [[None] * n_rows if i is None else fields[i::step] for i in wanted(header)]
-    lines = open_csv(path) if text is None else _csv_rows(path, io.StringIO(text, newline=""))
-    with lines as reader:
+    with _csv_rows(path, text) as reader:
         picks = wanted(next(reader, None) or [])
         rows = [row for row in reader if row]
     width = max(i for i in picks if i is not None) + 1
@@ -331,7 +315,7 @@ def _raise_earliest(path: str, errors: list[tuple[int, str] | None]) -> None:
     found = [(e[0], order, e[1]) for order, e in enumerate(errors) if e is not None]
     if found:
         row, _, message = min(found)
-        with open_csv(path) as reader:
+        with _csv_rows(path, _read_text(path)) as reader:
             next(reader)
             lines = (reader.line_num for fields in reader if fields)
             raise CorpusError(f"{path}:{next(islice(lines, row, None))}: {message}")

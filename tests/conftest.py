@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from cumuldyn.core import (
     SeriesPoint,
 )
 from cumuldyn.growth import rho
-from cumuldyn.ingest import CitationRecord, CorpusError, CorpusNode, TechnologyQuery, open_csv
+from cumuldyn.ingest import CitationRecord, CorpusError, CorpusNode, TechnologyQuery
 from cumuldyn.fitting import _chi_square_tail
 from cumuldyn.predictions import binomial_path_pmf, log_factorials
 
@@ -131,14 +134,46 @@ def node_path_counts(graph: KnowledgeGraph, n: int) -> list[dict[int, int]]:
     return vectors
 
 
+def _undecodable(path: str) -> tuple[int, str] | None:
+    """The line of the first byte of ``path`` that is not UTF-8 and the
+    decoder's reason, or None."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Counted as csv counts lines: a line ends at \n, \r or \r\n.
+        head = data[: exc.start].decode("utf-8")
+        return sum(1 for _ in io.StringIO(head + "_", newline="")), exc.reason
+    return None
+
+
+@contextmanager
+def open_csv(path: str) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` streaming over a UTF-8 file, skipping a leading byte-order mark.
+
+    A file holding a byte that is not UTF-8 raises :class:`CorpusError`
+    naming the line of the first one before any row is read, whatever the
+    file's size.  A csv error raises it naming ``file:line``.
+    """
+    bad = _undecodable(path)
+    if bad is not None:
+        raise CorpusError(f"{path}:{bad[0]}: not UTF-8 ({bad[1]})")
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def reference_read_columns(
     path: str, required: tuple[str, ...], optional: str | None, what: str = "required column(s)"
 ) -> list[list[str | None]]:
     """``ingest._read_columns`` as ``csv.reader`` gives it, for every file.
 
-    Deliberately without the reader's plain-text split: every row comes from
-    one ``csv.reader`` streaming over the file, so its values and errors are
-    csv's own.
+    Deliberately without the reader's plain-text split and its whole-file
+    decode: every row comes from one ``csv.reader`` streaming over the file,
+    so its values and errors are csv's own.
     """
     with open_csv(path) as reader:
         index = {name: i for i, name in enumerate(next(reader, None) or [])}

@@ -723,6 +723,38 @@ class TestEmptyOut:
         assert not any(work.iterdir())
 
 
+class TestEmptyInputPath:
+    """An empty input path is refused, never read as an absent optional input."""
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--nodes", ["measure", "--edges", "e.csv", "--prefix", "A"]),
+            ("--edges", ["measure", "--nodes", "n.csv", "--prefix", "A"]),
+            ("--tech-table", ["sweep", "--nodes", "n.csv", "--edges", "e.csv"]),
+            ("--series", ["fit"]),
+            ("--backlinks", ["fit", "--series", "series.csv"]),
+            ("--fits", ["gof", "--backlink-dist", "b.csv"]),
+            ("--backlink-dist", ["gof", "--pathlen-dist", "p.csv", "--q", "0.01", "--m0", "2"]),
+            ("--pathlen-dist", ["gof", "--backlink-dist", "b.csv", "--q", "0.01", "--m0", "2"]),
+            ("--config", ["simulate", "--q", "0.01", "--m1", "2", "--n", "5"]),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    def test_exit_2_naming_the_flag(self, tmp_path, capsys, monkeypatch, flag, argv, source):
+        monkeypatch.chdir(tmp_path)
+        if source == "argv":
+            argv = [*argv, flag, ""]
+        elif flag == "--config":
+            argv = [*argv, f"{flag}="]
+        else:  # as a config entry, "key=" with nothing after it
+            Path("run.cfg").write_text(f"{flag[2:].replace('-', '_')}=\n")
+            argv = [*argv, "--config", "run.cfg"]
+        assert run(*argv, "--out", "o") == 2
+        assert f"argument {flag}: expected a file, got ''" in capsys.readouterr().err
+        assert not Path("o").exists()
+
+
 class TestReportBundleWrite:
     CELLS = [
         0.1, 1 / 3, np.float64(0.1), np.float64(1 / 3), math.inf, -math.inf, math.nan,
@@ -1246,8 +1278,12 @@ class TestTableReaders:
             ("series", SERIES.encode() + b"40,2.5,\xff,6,0.0\n", ":5: not UTF-8"),
             ("tech-table", b"group_name,prefix\nalpha,A01\nbeta,B\xe90\n", ":3: not UTF-8"),
             ("nodes", b"node_id,year,classes\r\nA,2000,X\r\nB,2001,\xc3\n", ":3: not UTF-8"),
+            # Past one 8 KB read chunk, and lacking the intercept column: the
+            # bad byte is still the error reported.
+            ("fits", b"quantity,slope\n" + b"ipl,0.5\n" * 2000 + b"id,0.\xff1\n",
+             ":2002: not UTF-8 (invalid start byte)"),
         ],
-        ids=["series", "tech-table", "nodes"],
+        ids=["series", "tech-table", "nodes", "fits-past-8KB-missing-column"],
     )
     def test_undecodable_table_exit_2_naming_the_line(
         self, tmp_path, capsys, reader, content, message
@@ -1756,6 +1792,17 @@ class TestConfigFile:
         cfg.write_bytes(b"q=0.01\r\nm1=2\r\nn=\xff50\r\n")
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert f"{cfg}:3: not UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_config_past_8kb_reports_the_byte_first(self, tmp_path, capsys):
+        # The unknown key on line 1 would be reported first by a reader that
+        # decodes the file in 8 KB chunks as it goes.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"nosuchkey=1\n" + b"# padding\n" * 3000 + b"q=0.\xff01\n")
+        assert cfg.stat().st_size > 8192
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"cumuldyn: {cfg}:3002: not UTF-8 (invalid start byte)\n"
+        )
 
     @pytest.mark.parametrize("argv", [("--config", "--out", "o"), ("--out", "o", "--config")])
     def test_config_without_a_path_exit_2(self, tmp_path, capsys, monkeypatch, argv):

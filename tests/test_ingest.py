@@ -127,6 +127,26 @@ class TestLoadCorpus:
             load_corpus(str(tmp_path / "n.csv"), str(tmp_path / "e.csv"))
 
     @pytest.mark.parametrize(
+        "bad, reason",
+        [(b"\xff", "invalid start byte"), (b"\xc3", "unexpected end of data")],
+        ids=["invalid-byte", "cut-sequence"],
+    )
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+    def test_first_undecodable_byte_is_reported_at_any_size(self, tmp_path, bad, reason, bom):
+        # The header lacks classes, but the file's last byte is not UTF-8:
+        # that byte is reported, at its line, whether or not the file is
+        # longer than one 8 KB read chunk and whatever byte-order mark it has.
+        edges = write(tmp_path / "e.csv", "citing_id,cited_id\n")
+        nodes = tmp_path / "n.csv"
+        for rows in (3, 2000):
+            body = "".join(f"n{i:05d},2000\n" for i in range(rows)).encode()
+            nodes.write_bytes(bom + b"node_id,year\n" + body + b"bad," + bad)
+            assert (nodes.stat().st_size > 8192) == (rows == 2000)
+            with pytest.raises(CorpusError) as raised:
+                load_corpus(str(nodes), edges)
+            assert str(raised.value) == f"{nodes}:{rows + 2}: not UTF-8 ({reason})"
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             ("A,2000,true,X\nA,x,maybe\n", ":3: duplicate node id 'A'"),
@@ -650,26 +670,20 @@ class TestReadColumns:
                 not_utf8.append(data)
 
         check()
-        # Every decodable file is split or left to csv.reader; neither way,
-        # nor the streaming read of the rest, is left untested.  At this
-        # writing the 600 files split 340 times, go to csv.reader 222 times
-        # and are not UTF-8 38 times.
+        # Every decodable file is split or left to csv.reader, and the rest
+        # fail to decode; no way is left untested.  At this writing the 600
+        # files split 340 times, go to csv.reader 222 times and are not
+        # UTF-8 38 times.
         assert paths_taken["split"] >= 250, paths_taken
         assert paths_taken["csv.reader"] >= 150, paths_taken
         assert len(not_utf8) >= 20, len(not_utf8)
 
     @pytest.mark.parametrize(
-        "data, opens",
-        [
-            (b"a,b\n1,2\n3,4\n", 1),
-            (b'a,b\n"1,5",2\n3,"4"\n', 1),
-            (b"a,b\n1,2\n3,\xff\n", 2),
-        ],
+        "data",
+        [b"a,b\n1,2\n3,4\n", b'a,b\n"1,5",2\n3,"4"\n', b"a,b\n1,2\n3,\xff\n"],
         ids=["plain", "quoted", "not-utf8"],
     )
-    def test_each_file_is_opened_once_unless_it_is_not_utf8(
-        self, tmp_path, monkeypatch, data, opens
-    ):
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch, data):
         path = tmp_path / "t.csv"
         path.write_bytes(data)
         opened = []
@@ -681,4 +695,4 @@ class TestReadColumns:
         expected = _outcome(reference_read_columns, str(path), ("a", "b"), None)
         monkeypatch.setattr(ingest, "open", counting_open, raising=False)
         assert _outcome(_read_columns, str(path), ("a", "b"), None) == expected
-        assert opened == [str(path)] * opens
+        assert opened == [str(path)]
