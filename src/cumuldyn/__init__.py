@@ -43,7 +43,7 @@ from .ingest import (
     build_graph,
     load_corpus,
 )
-from .measures import Checkpoint, measure_checkpoints
+from .measures import Checkpoint, measure_checkpoints, measure_series
 from .predictions import (
     analytic_ipl,
     analytic_path_counts,

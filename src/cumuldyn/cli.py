@@ -54,7 +54,7 @@ from .ingest import (
     build_graph,
     load_corpus,
 )
-from .measures import measure_checkpoints, resolve_mode
+from .measures import measure_checkpoints, measure_series, resolve_mode
 from .predictions import rate_predictions
 
 __all__ = ["main", "entry_point"]
@@ -336,14 +336,16 @@ def cmd_simulate(args: argparse.Namespace) -> ReportBundle:
     )
 
 
-def _measure_technology(corpus, query: TechnologyQuery, args: argparse.Namespace) -> tuple:
-    """The technology's graph, its checkpoints at ``--stride``, its ingest
+def _measure_technology(
+    corpus, query: TechnologyQuery, args: argparse.Namespace, measure: Callable
+) -> tuple:
+    """The technology's graph, ``measure`` of it at ``--stride``, its ingest
     diagnostics and the arithmetic that ``--mode`` resolves to."""
     graph, diagnostics = build_graph(
         corpus, query, origin=args.origin, granted_only=args.granted_only
     )
-    checkpoints = measure_checkpoints(graph, args.stride, args.mode)
-    return graph, checkpoints, diagnostics.as_dict(), resolve_mode(args.mode, graph.n_nodes)
+    measured = measure(graph, args.stride, args.mode)
+    return graph, measured, diagnostics.as_dict(), resolve_mode(args.mode, graph.n_nodes)
 
 
 def _corpus_params(args: argparse.Namespace) -> dict:
@@ -355,7 +357,9 @@ def _corpus_params(args: argparse.Namespace) -> dict:
 def cmd_measure(args: argparse.Namespace) -> ReportBundle:
     query = _query_from_args(args)
     corpus = load_corpus(args.nodes, args.edges)
-    graph, checkpoints, diagnostics, mode = _measure_technology(corpus, query, args)
+    graph, checkpoints, diagnostics, mode = _measure_technology(
+        corpus, query, args, measure_checkpoints
+    )
     return ReportBundle(
         command="measure",
         params={
@@ -585,8 +589,7 @@ def _read_tech_table(path: str) -> dict[str, set[str]]:
 def _sweep_one(corpus, name, prefixes, args, warned) -> tuple[list, dict]:
     """The technology's ``sweep.csv`` row, [tech, n, id, ipl, q, p, rate], and its diagnostics."""
     query = TechnologyQuery(name, prefixes, args.year_cutoff)
-    graph, checkpoints, diagnostics, mode = _measure_technology(corpus, query, args)
-    series = tuple(cp.point for cp in checkpoints)
+    graph, series, diagnostics, mode = _measure_technology(corpus, query, args, measure_series)
     q_hat = p_hat = math.nan
     if len(series) >= 3:
         q_hat = fit_series(series, "id").slope

@@ -196,20 +196,24 @@ class PathLengthDistribution(NamedTuple):
     @classmethod
     def from_logs(cls, n: int, logs: np.ndarray) -> PathLengthDistribution:
         """Distribution with ``log(counts[k]) = logs[k]``, normalized in log space."""
-        peak = float(np.max(logs))
-        log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
-        norm = np.exp(logs - log_total)
-        ks = np.arange(len(logs))
+        norm, ipl = cls.log_normalized(logs)
         with np.errstate(over="ignore"):
             raw = np.exp(logs)
         return cls(
             n=n,
             counts=dict(enumerate(raw.tolist())),
             normalized=dict(enumerate(norm.tolist())),
-            ipl=float(np.dot(ks, norm)),
+            ipl=ipl,
             mipl=len(logs) - 1,
             log_counts=dict(enumerate(logs.tolist())),
         )
+
+    @staticmethod
+    def log_normalized(logs: np.ndarray) -> tuple[np.ndarray, float]:
+        """The counts whose natural logs are ``logs``, normalized to sum 1, and their mean k."""
+        peak = float(np.max(logs))
+        norm = np.exp(logs - (peak + math.log(float(np.sum(np.exp(logs - peak))))))
+        return norm, float(np.dot(np.arange(len(logs)), norm))
 
     @property
     def total_paths(self) -> int | float:

@@ -244,7 +244,7 @@ def _plain_fields(text: str) -> tuple[list[str], list[str]] | None:
         ):
             return None
     limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, header + fields)) > limit:
+    if len(text) > limit and max(max(map(len, header)), max(map(len, fields), default=0)) > limit:
         return None
     return header, fields
 

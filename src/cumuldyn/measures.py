@@ -1,12 +1,14 @@
 """Cumulativeness indicators on knowledge-graph prefixes.
 
-:func:`measure_checkpoints` is the one entry point: one sweep measures every
-indicator at n = stride, 2*stride, ..., N, one :class:`Checkpoint` per
-prefix size.  The transversal indicators (internal dependence ``id``,
-external dependence ``ed``, the backlink histogram) are running counts.  The
-longitudinal indicators (internal path length ``ipl``, maximum path length
-``mipl``) require the full distribution of path lengths, where a path starts
-at an invention without internal backward links and follows links forward in
+:func:`measure_checkpoints` measures every indicator at n = stride,
+2*stride, ..., N in one sweep, one :class:`Checkpoint` per prefix size.
+:func:`measure_series` runs the same sweep and returns only its series, the
+checkpoints' points bit for bit, with no histogram or distribution.  The
+transversal indicators (internal dependence ``id``, external dependence
+``ed``, the backlink histogram) are running counts.  The longitudinal
+indicators (internal path length ``ipl``, maximum path length ``mipl``)
+require the full distribution of path lengths, where a path starts at an
+invention without internal backward links and follows links forward in
 time.  One engine counts them level by level: the paths of length k ending
 at a node sum, over the nodes it cites, their paths of length k-1, one
 ``bincount`` over the edges whose cited node's longest path reaches k-1.
@@ -35,6 +37,7 @@ from .core import BacklinkDistribution, KnowledgeGraph, PathLengthDistribution, 
 __all__ = [
     "EXACT_MODE_LIMIT",
     "measure_checkpoints",
+    "measure_series",
     "resolve_mode",
     "Checkpoint",
 ]
@@ -188,22 +191,10 @@ def _packed_tail(
     return [[int.from_bytes(r[i : i + w], "little") for i in range(0, len(r), w)] for r in raws]
 
 
-def _count_distribution(n: int, totals: list, logs: bool) -> PathLengthDistribution:
-    total = sum(totals)
-    return PathLengthDistribution(
-        n=n,
-        counts=dict(enumerate(totals)),
-        normalized=dict(enumerate(map(truediv, totals, repeat(total)))),
-        ipl=sum(map(mul, count(), totals)) / total,
-        mipl=len(totals) - 1,
-        log_counts=dict(enumerate(map(math.log, totals))) if logs else None,
-    )
-
-
-def _path_distributions(
-    graph: KnowledgeGraph, sizes: Sequence[int], mode: str
-) -> list[PathLengthDistribution]:
-    """Path-length distribution of each prefix in ``sizes`` (ascending)."""
+def _path_totals(graph: KnowledgeGraph, sizes: Sequence[int], mode: str) -> list:
+    """Each prefix's path totals by length, k = 0..mipl, for the prefixes of
+    ``sizes`` (ascending): a list of counts, or an array of their natural
+    logs where float mode summed the prefix's levels in logs."""
     exact = mode == "exact"
     depth = _depths(graph, sizes[-1])
     bounds = np.array([0, *sizes])
@@ -224,14 +215,54 @@ def _path_distributions(
         columns.append((column.astype(np.int64) if exact else column).tolist())
     if escalated and exact:
         tails = _packed_tail(*counts, sizes)
-    dists = []
-    for n, row, m, tail in zip(sizes, zip(*columns), levels, tails):
-        if exact or m <= plain:
-            dists.append(_count_distribution(n, [*row[:m], *tail], logs=not exact))
-        else:
-            logs = np.concatenate((np.log(row[:plain]), row[plain:m]))
-            dists.append(PathLengthDistribution.from_logs(n, logs))
-    return dists
+    return [
+        [*row[:m], *tail] if exact or m <= plain
+        else np.concatenate((np.log(row[:plain]), row[plain:m]))
+        for row, m, tail in zip(zip(*columns), levels, tails)
+    ]
+
+
+def _ipl(totals: list | np.ndarray) -> float:
+    """The mean path length of one prefix's totals (see :func:`_path_totals`)."""
+    if isinstance(totals, np.ndarray):
+        return PathLengthDistribution.log_normalized(totals)[1]
+    return sum(map(mul, count(), totals)) / sum(totals)
+
+
+def _series(graph: KnowledgeGraph, stride: int, mode: Mode) -> tuple[tuple, list, bool]:
+    """The prefixes' :class:`SeriesPoint` fields by column, their path totals
+    (see :func:`_path_totals`) and whether those are exact."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if graph.n_nodes == 0:
+        raise ValueError("cannot measure an empty graph")
+    sizes = [*range(stride, graph.n_nodes, stride), graph.n_nodes]
+    mode = resolve_mode(mode, graph.n_nodes)
+    rows = _path_totals(graph, sizes, mode)
+    edge_totals = graph.indptr[sizes].tolist()
+    external_totals = np.cumsum(graph.external_backlink_counts)[np.subtract(sizes, 1)].tolist()
+    columns = (
+        sizes,
+        list(map(truediv, edge_totals, sizes)),
+        list(map(_ipl, rows)),
+        [len(row) - 1 for row in rows],
+        list(map(truediv, external_totals, sizes)),
+    )
+    return columns, rows, mode == "exact"
+
+
+def _count_distribution(
+    n: int, totals: list, ipl: float, mipl: int, logs: bool
+) -> PathLengthDistribution:
+    total = sum(totals)
+    return PathLengthDistribution(
+        n=n,
+        counts=dict(enumerate(totals)),
+        normalized=dict(enumerate(map(truediv, totals, repeat(total)))),
+        ipl=ipl,
+        mipl=mipl,
+        log_counts=dict(enumerate(map(math.log, totals))) if logs else None,
+    )
 
 
 class Checkpoint(NamedTuple):
@@ -260,22 +291,24 @@ def measure_checkpoints(
     mode unless a level passes the float bound over the whole graph but not
     over the prefix; its logs then agree within 1e-9.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if graph.n_nodes == 0:
-        raise ValueError("cannot measure an empty graph")
-    sizes = [*range(stride, graph.n_nodes, stride), graph.n_nodes]
-    dists = _path_distributions(graph, sizes, resolve_mode(mode, graph.n_nodes))
+    columns, rows, exact = _series(graph, stride, mode)
     links = graph.backlink_counts
-    edge_totals = graph.indptr.tolist()
-    external_totals = np.cumsum(graph.external_backlink_counts).tolist()
     histogram = np.zeros(int(links.max()) + 1, np.int64)
     checkpoints = []
-    for start, n, path_dist in zip([0, *sizes], sizes, dists):
+    for start, n, id_, ipl, mipl, ed, totals in zip([0, *columns[0]], *columns, rows):
         histogram += np.bincount(links[start:n], minlength=len(histogram))
         counts = {m: c for m, c in enumerate(histogram.tolist()) if c}
-        backlink_dist = BacklinkDistribution(n=n, counts=counts)
-        checkpoints.append(
-            Checkpoint(n, edge_totals[n] / n, external_totals[n - 1] / n, path_dist, backlink_dist)
-        )
+        if isinstance(totals, np.ndarray):
+            path_dist = PathLengthDistribution.from_logs(n, totals)
+        else:
+            path_dist = _count_distribution(n, totals, ipl, mipl, logs=not exact)
+        checkpoints.append(Checkpoint(n, id_, ed, path_dist, BacklinkDistribution(n, counts)))
     return checkpoints
+
+
+def measure_series(
+    graph: KnowledgeGraph, stride: int, mode: Mode = "auto"
+) -> tuple[SeriesPoint, ...]:
+    """``tuple(cp.point for cp in measure_checkpoints(graph, stride, mode))``,
+    bit for bit, from the same sweep but without building the distributions."""
+    return tuple(map(SeriesPoint, *_series(graph, stride, mode)[0]))

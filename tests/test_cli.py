@@ -640,7 +640,13 @@ BENCH_WORKLOADS = [
 
 
 class TestTraceLayers:
-    """The benchmark's layer wrappers still find every name the commands call."""
+    """The benchmark's layer wrappers still find every name the commands call.
+
+    ``measures.dp`` wraps ``measure_checkpoints`` only.  ``sweep`` measures
+    each technology with ``measure_series``, which no wrapper wraps, so on a
+    traced ``ingest_sweep`` run its 8 engine calls count under ``cli.self.s``
+    and ``measures.dp`` covers ``measure``'s one call.
+    """
 
     LAYER_NAMES = (
         "load_corpus", "build_graph", "measure_checkpoints", "simulate", "fit_series",
@@ -822,6 +828,40 @@ class TestSweep:
         cross = {r["relation"] for r in read_csv(out / "cross_fits.csv")}
         assert "id_on_ipl" in cross
         assert "rate_on_q_loglog" in cross
+
+    # A fourth technology, FIB, has 150 nodes, node i citing i-1 and i-2:
+    # past 2^53 paths, its exact and float ipl differ in the last bits, and
+    # so do their slopes.  At a limit of 59 nodes, auto measures gamma (40
+    # nodes) exactly and the others in float mode.
+    @pytest.mark.parametrize("mode", [None, "exact", "float", "auto at limit 59"])
+    def test_rows_equal_measure_then_fit(self, tmp_path, multi_corpus, monkeypatch, mode):
+        nodes, edges, table = multi_corpus
+        (tmp_path / "fib").mkdir()
+        fib_nodes, fib_edges = two_predecessor_corpus(tmp_path / "fib", 150)
+        for path, extra in ((nodes, fib_nodes), (edges, fib_edges)):
+            path.write_text(path.read_text() + extra.read_text().split("\n", 1)[1])
+        table.write_text(table.read_text() + "fib,FIB\n")
+        corpus = ["--nodes", str(nodes), "--edges", str(edges), "--stride", "10"]
+        if mode in ("exact", "float"):
+            corpus += ["--mode", mode]
+        if mode == "auto at limit 59":
+            monkeypatch.setattr("cumuldyn.measures.EXACT_MODE_LIMIT", 59)
+        sweep = tmp_path / "sweep"
+        assert run("sweep", *corpus, "--tech-table", str(table), "--out", str(sweep)) == 0
+        modes = json.loads((sweep / "meta.json").read_text())["diagnostics"]["technologies"]
+        if mode == "auto at limit 59":
+            assert [modes[t]["mode"] for t in sorted(modes)] == ["float", "float", "float", "exact"]
+        rows = read_csv(sweep / "sweep.csv")
+        for row, prefix in zip(rows, ["A01", "B02", "FIB", "C03"], strict=True):
+            out = tmp_path / row["tech"]
+            argv = ["--name", row["tech"], "--prefix", prefix, "--out", str(out)]
+            assert run("measure", *corpus, *argv) == 0
+            assert run("fit", "--series", str(out / "series.csv"), "--out", str(out)) == 0
+            last = read_csv(out / "series.csv")[-1]
+            slopes = {fit["quantity"]: fit["slope"] for fit in read_csv(out / "fits.csv")}
+            assert [row[k] for k in ("n", "id", "ipl", "q", "p")] == [
+                last["n"], last["id"], last["ipl"], slopes["id"], slopes["ipl"]
+            ]
 
     def test_single_technology_skips_cross_fits(self, tmp_path, multi_corpus, capsys):
         nodes, edges, _ = multi_corpus

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cumuldyn import measures
-from cumuldyn.measures import measure_checkpoints
+from cumuldyn.measures import measure_checkpoints, measure_series
 
 from conftest import (
     brute_force_path_counts,
@@ -581,3 +581,70 @@ class TestPathEnginePropertiesEscalated:
                 assert_float_matches_exact(f.path_dist, alone.path_dist)
                 assert f.backlink_dist == e.backlink_dist
                 assert_prefix_sums(e, graph)
+
+
+def assert_series_is_the_points(graph, stride, mode):
+    """``measure_series`` gives the points of ``measure_checkpoints``, floats
+    compared by their hex form, so bit for bit."""
+
+    def fields(points):
+        return [(p.n, p.mipl, *map(float.hex, (p.id, p.ipl, p.ed))) for p in points]
+
+    points = tuple(cp.point for cp in measure_checkpoints(graph, stride, mode))
+    series = measure_series(graph, stride, mode)
+    assert type(series) is tuple
+    assert fields(series) == fields(points)
+
+
+class TestMeasureSeries:
+    """``measure_series`` equals the checkpoints' points of the same sweep."""
+
+    MODES = ("auto", "exact", "float")
+
+    def test_random_dags_at_every_stride(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            graph = random_dag(rng)
+            for stride in range(1, graph.n_nodes + 1):
+                for mode in self.MODES:
+                    assert_series_is_the_points(graph, stride, mode)
+
+    @pytest.mark.parametrize("bound", [1.0, 3.0, 10.0, 50.0])
+    def test_random_dags_past_the_escalation_bounds(self, bound, monkeypatch):
+        tails = []
+        packed_tail = measures._packed_tail
+        monkeypatch.setattr(
+            measures, "_packed_tail", lambda *args: tails.append(1) or packed_tail(*args)
+        )
+        rng = np.random.default_rng(31)
+        mixed = 0  # float series whose early prefixes stay in float64, later ones in logs
+        with escalation_bounds(bound):
+            for _ in range(30):
+                graph = random_dag(rng, n_max=20, density=0.8)
+                for stride in range(1, graph.n_nodes + 1):
+                    for mode in self.MODES:
+                        assert_series_is_the_points(graph, stride, mode)
+                    rows = measures._series(graph, stride, "float")[1]
+                    logs = [isinstance(row, np.ndarray) for row in rows]
+                    mixed += not logs[0] and logs[-1]
+        assert tails and mixed
+
+    @pytest.mark.parametrize("stride", [1, 5, 7, 40])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_past_2_53(self, stride, mode):
+        # WIDE_DAG hands over to the packed tail within its series, the
+        # two-predecessor chain at level 53.
+        for graph in (WIDE_DAG, two_predecessor_dag(TestArithmeticLadder.N)):
+            assert_series_is_the_points(graph, stride, mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_past_the_float_range(self, mode):
+        assert_series_is_the_points(fibonacci_chain(), 100, mode)
+
+    def test_rejects_what_measure_checkpoints_rejects(self, example_graph):
+        with pytest.raises(ValueError, match="stride"):
+            measure_series(example_graph, 0)
+        with pytest.raises(ValueError, match="empty"):
+            measure_series(make_graph(0, []), 1)
+        with pytest.raises(ValueError, match="mode"):
+            measure_series(example_graph, 1, "fast")

@@ -61,7 +61,9 @@ def resolves(name: str) -> bool:
 
 def test_the_section_names_calls_and_types():
     names = documented_names()
-    assert {"measure_checkpoints", "Checkpoint", "Corpus.class_mask", "SeriesPoint"} <= names
+    assert {
+        "measure_checkpoints", "measure_series", "Checkpoint", "Corpus.class_mask", "SeriesPoint"
+    } <= names
 
 
 def test_the_listed_named_tuples_are_tuples():
