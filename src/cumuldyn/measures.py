@@ -222,16 +222,16 @@ def _path_totals(graph: KnowledgeGraph, sizes: Sequence[int], mode: str) -> list
     ]
 
 
-def _ipl(totals: list | np.ndarray) -> float:
-    """The mean path length of one prefix's totals (see :func:`_path_totals`)."""
-    if isinstance(totals, np.ndarray):
+def _ipl(totals: list | np.ndarray, total: int | float | None) -> float:
+    """The mean length of one prefix's path totals, given their sum (None for logs)."""
+    if total is None:
         return PathLengthDistribution.log_normalized(totals)[1]
-    return sum(map(mul, count(), totals)) / sum(totals)
+    return sum(map(mul, count(), totals)) / total
 
 
-def _series(graph: KnowledgeGraph, stride: int, mode: Mode) -> tuple[tuple, list, bool]:
+def _series(graph: KnowledgeGraph, stride: int, mode: Mode) -> tuple[tuple, list, list]:
     """The prefixes' :class:`SeriesPoint` fields by column, their path totals
-    (see :func:`_path_totals`) and whether those are exact."""
+    (see :func:`_path_totals`) and the sum of each list of them (None for logs)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if graph.n_nodes == 0:
@@ -239,22 +239,22 @@ def _series(graph: KnowledgeGraph, stride: int, mode: Mode) -> tuple[tuple, list
     sizes = [*range(stride, graph.n_nodes, stride), graph.n_nodes]
     mode = resolve_mode(mode, graph.n_nodes)
     rows = _path_totals(graph, sizes, mode)
+    sums = [None if isinstance(row, np.ndarray) else sum(row) for row in rows]
     edge_totals = graph.indptr[sizes].tolist()
     external_totals = np.cumsum(graph.external_backlink_counts)[np.subtract(sizes, 1)].tolist()
     columns = (
         sizes,
         list(map(truediv, edge_totals, sizes)),
-        list(map(_ipl, rows)),
+        list(map(_ipl, rows, sums)),
         [len(row) - 1 for row in rows],
         list(map(truediv, external_totals, sizes)),
     )
-    return columns, rows, mode == "exact"
+    return columns, rows, sums
 
 
 def _count_distribution(
-    n: int, totals: list, ipl: float, mipl: int, logs: bool
+    n: int, totals: list, total: int | float, ipl: float, mipl: int, logs: bool
 ) -> PathLengthDistribution:
-    total = sum(totals)
     return PathLengthDistribution(
         n=n,
         counts=dict(enumerate(totals)),
@@ -291,17 +291,18 @@ def measure_checkpoints(
     mode unless a level passes the float bound over the whole graph but not
     over the prefix; its logs then agree within 1e-9.
     """
-    columns, rows, exact = _series(graph, stride, mode)
+    columns, rows, sums = _series(graph, stride, mode)
+    logs = resolve_mode(mode, graph.n_nodes) == "float"
     links = graph.backlink_counts
     histogram = np.zeros(int(links.max()) + 1, np.int64)
     checkpoints = []
-    for start, n, id_, ipl, mipl, ed, totals in zip([0, *columns[0]], *columns, rows):
+    for start, n, id_, ipl, mipl, ed, totals, total in zip([0, *columns[0]], *columns, rows, sums):
         histogram += np.bincount(links[start:n], minlength=len(histogram))
         counts = {m: c for m, c in enumerate(histogram.tolist()) if c}
-        if isinstance(totals, np.ndarray):
+        if total is None:
             path_dist = PathLengthDistribution.from_logs(n, totals)
         else:
-            path_dist = _count_distribution(n, totals, ipl, mipl, logs=not exact)
+            path_dist = _count_distribution(n, totals, total, ipl, mipl, logs)
         checkpoints.append(Checkpoint(n, id_, ed, path_dist, BacklinkDistribution(n, counts)))
     return checkpoints
 
