@@ -215,10 +215,6 @@ class PathLengthDistribution(NamedTuple):
         norm = np.exp(logs - (peak + math.log(float(np.sum(np.exp(logs - peak))))))
         return norm, float(np.dot(np.arange(len(logs)), norm))
 
-    @property
-    def total_paths(self) -> int | float:
-        return sum(self.counts.values())
-
 
 class BacklinkTable(NamedTuple):
     """Backward-link histograms held by column, one row per prefix size.
@@ -239,11 +235,15 @@ class BacklinkTable(NamedTuple):
     ) -> tuple[BacklinkTable | None, list[tuple[int, str]]]:
         """The table whose row ``i`` is run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``, or
         None if a row has a fault (a count past ``ns[i]`` may be past the float range), and
-        each row's fault as ``(i, message)``: counts that do not total ``ns[i]``, or no rows."""
+        each row's fault as ``(i, message)``: an entry no prefix can have (see
+        :func:`_entry_faults`), counts that do not total ``ns[i]``, or no rows."""
+        entry_faults = _entry_faults(ns, bounds, links, "m", counts)
         faults = []
         for row, (n, lo, hi) in enumerate(zip(ns, bounds, bounds[1:])):
             total = sum(counts[lo:hi])
-            if total != n:
+            if row in entry_faults:
+                faults.append((row, entry_faults[row]))
+            elif total != n:
                 faults.append((row, f"histogram total {total} != prefix size {n}"))
             elif lo == hi:
                 faults.append((row, f"empty backlink histogram at n={n}"))
@@ -288,8 +288,9 @@ class PathLengthTable(NamedTuple):
         normalized: np.ndarray,
     ) -> tuple[PathLengthTable, list[tuple[int, str]]]:
         """The table whose row ``i`` is run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``,
-        and each row's fault as ``(i, message)``: no positive count, a positive normalized
-        value where the count is 0, or normalized values more than 1e-9 from summing to 1.
+        and each row's fault as ``(i, message)``: an entry no prefix can have (see
+        :func:`_entry_faults`), no positive count, a positive normalized value where the
+        count is 0, or normalized values more than 1e-9 from summing to 1.
         A run's sums add its rows in order: ``ipl`` and ``variance`` from ``lengths`` and
         ``normalized``, ``samples`` from ``counts`` (exact for ints); ``mipl`` is its
         longest length with a positive count, so no weight lies past it."""
@@ -297,6 +298,7 @@ class PathLengthTable(NamedTuple):
         squares = (lengths * lengths * normalized).tolist()
         positive = [k if c > 0 else -1 for k, c in zip(lengths.tolist(), counts)]
         strays = ((normalized > 0.0) & (np.array(positive) < 0)).tolist()
+        entry_faults = _entry_faults(ns, bounds, lengths, "k", counts, normalized)
         ipl, variance, mipl, samples, faults = [], [], [], [], []
         for row, (n, lo, hi) in enumerate(zip(ns, bounds, bounds[1:])):
             mean = sum(moments[lo:hi])
@@ -308,7 +310,9 @@ class PathLengthTable(NamedTuple):
             except OverflowError:  # past the float range
                 samples.append(math.inf)
             total = math.fsum(shares[lo:hi])
-            if mipl[-1] < 0:
+            if row in entry_faults:
+                faults.append((row, entry_faults[row]))
+            elif mipl[-1] < 0:
                 faults.append((row, f"distribution at n={n} has no paths"))
             elif True in strays[lo:hi]:
                 k = lengths[strays.index(True, lo, hi)]
@@ -331,6 +335,33 @@ class PathLengthTable(NamedTuple):
             [dist.counts[k] for dist in dists for k in dist.normalized],
             np.array([w for dist in dists for w in dist.normalized.values()], dtype=float),
         ))
+
+
+def _entry_faults(
+    ns: list[int], bounds: list[int], keys: np.ndarray, name: str, counts: list,
+    values: np.ndarray | None = None,
+) -> dict[int, str]:
+    """The fault of each run ``i`` of the rows, ``bounds[i]:bounds[i + 1]``, with an
+    entry that no prefix of ``ns[i]`` nodes can have, by run: its first key ``name``
+    outside 0..ns[i]-1, negative count or value outside [0, 1]."""
+    outside = ((keys < 0) | (keys >= np.repeat(ns, np.diff(bounds)))).tolist()
+    negative = [c < 0 for c in counts]
+    stray = np.logical_or(outside, negative)
+    if values is not None:
+        stray |= ~((0.0 <= values) & (values <= 1.0))
+    stray = stray.tolist()
+    faults = {}
+    for row, (n, lo, hi) in enumerate(zip(ns, bounds, bounds[1:])):
+        if True in stray[lo:hi]:
+            j = stray.index(True, lo, hi)
+            key = f"{name}={keys[j]}"
+            if outside[j]:
+                faults[row] = f"{key} at n={n} lies outside 0..{n - 1}"
+            elif negative[j]:
+                faults[row] = f"count {counts[j]} at n={n}, {key} is negative"
+            else:
+                faults[row] = f"normalized value {values[j]} at n={n}, {key} lies outside [0, 1]"
+    return faults
 
 
 def _raise_first(made: tuple[tuple, list[tuple[int, str]]]) -> tuple:
@@ -415,7 +446,9 @@ def validate_graph(graph: KnowledgeGraph) -> list[str]:
     """Check every KnowledgeGraph invariant; return one message per violation.
 
     An empty list means the graph is valid.  This is a diagnostic: it never
-    raises, so it can be used on graphs of unknown provenance.
+    raises, so it can be used on graphs of unknown provenance.  Where
+    ``indptr`` is not N + 1 offsets rising from 0 to ``len(indices)``, its
+    faults are reported in place of the edges'.
     """
     violations: list[str] = []
     n = graph.n_nodes
@@ -440,8 +473,20 @@ def validate_graph(graph: KnowledgeGraph) -> list[str]:
         for i in np.flatnonzero(external < 0).tolist()
     )
 
+    indptr, cited = graph.indptr, graph.indices
+    csr = []
+    if len(indptr) != n + 1:
+        csr.append(f"indptr has {len(indptr)} entries for {n} nodes")
+    if len(indptr) and indptr[0] != 0:
+        csr.append(f"indptr starts at {indptr[0]}, not 0")
+    falls = np.flatnonzero(np.diff(indptr) < 0)
+    if len(falls):
+        csr.append(f"indptr decreases at entry {falls[0] + 1}")
+    if len(indptr) and indptr[-1] != len(cited):
+        csr.append(f"indptr ends at {indptr[-1]} for {len(cited)} indices")
+    if csr:
+        return violations + csr
     citing = np.repeat(np.arange(n), graph.backlink_counts)
-    cited = graph.indices
     missing = (cited < 0) | (cited >= n)
     # CSR order puts the copies of an edge next to each other.
     repeated = np.concatenate(([False], (citing[1:] == citing[:-1]) & (cited[1:] == cited[:-1])))

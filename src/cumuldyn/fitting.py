@@ -419,7 +419,8 @@ def pathlength_gof(table: PathLengthTable, family: str = "binomial-type") -> Dis
     if not table.ns:
         return DistributionFits(family, (), (0,), (), (), (), (), ())
     # A distribution with a single positive weight is a degenerate row: one
-    # plot point (1, 1) at k = 0.
+    # plot point (1, 1) at k = 0 and no samples, which the shared kernels
+    # report as correlation 1 and chi-square (nan, 0, nan).
     entries = np.diff(table.bounds)
     positive = np.concatenate(([0], np.cumsum(table.normalized > 0.0)))[table.bounds]
     degenerate = np.diff(positive) < 2
@@ -441,8 +442,6 @@ def pathlength_gof(table: PathLengthTable, family: str = "binomial-type") -> Dis
     for row in np.flatnonzero(np.isinf(samples)).tolist():
         chi_square[row] = (math.inf, int(lengths[row]) - 1, 0.0)
     for row in np.flatnonzero(degenerate).tolist():
-        correlations[row] = 1.0
-        chi_square[row] = (math.nan, 0, math.nan)
         warned[row] = (
             "degenerate path-length distribution with a single length; "
             "correlation reported as 1",

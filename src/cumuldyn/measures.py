@@ -111,10 +111,10 @@ def _path_levels(graph: KnowledgeGraph, depth: np.ndarray, mode: str) -> Iterato
     ``depth`` (:func:`_depths`).  Level k+1 sums level k over the edges whose
     cited node has depth k or more: a prefix of the edges sorted, stably, by
     cited depth, descending.  Levels are summed in float64 until one's total
-    reaches the bound of ``mode``; float mode sums that level, from the
+    reaches the bound of ``mode``.  Float mode sums that level, from the
     previous one, and every later one in natural logs (``escalated``).  Exact
-    mode's last item is ``((nodes, bounds, cited, value), True)`` for
-    :func:`_packed_tail`: the edges live at level k, in node order, and level k.
+    mode returns before that level, so it never escalates; the levels from
+    there on are :func:`_packed_tail`'s.
     """
     n = len(depth)
     bound = _INT_BOUND if mode == "exact" else _LOG_BOUND
@@ -126,23 +126,19 @@ def _path_levels(graph: KnowledgeGraph, depth: np.ndarray, mode: str) -> Iterato
     order = np.argsort(keys, kind="stable")
     lives = keys[order].searchsorted(top - np.arange(top), "right").tolist()
     into, out = np.repeat(np.arange(n), degree)[order], cited[order]
-    del order
+    del keys, order
     counts = (degree == 0).astype(np.float64)
     escalated = False
-    for k, m in enumerate(lives):
+    for m in lives:
         yield counts, escalated
         if not escalated:
             level = np.bincount(into[:m], counts[out[:m]], n)
             if level.sum() < bound:
                 counts = level
                 continue
-            escalated = True
             if mode == "exact":
-                live = keys <= top - k  # in node order
-                nodes = np.repeat(np.arange(n), degree)[live]
-                bounds = np.flatnonzero(np.concatenate(([True], nodes[1:] != nodes[:-1], [True])))
-                yield (nodes[bounds[:-1]], bounds, cited[live], counts), escalated
                 return
+            escalated = True
             with np.errstate(divide="ignore"):
                 counts = np.log(counts)
         logs = counts[out[:m]]
@@ -154,21 +150,29 @@ def _path_levels(graph: KnowledgeGraph, depth: np.ndarray, mode: str) -> Iterato
 
 
 def _packed_tail(
-    nodes: np.ndarray, bounds: np.ndarray, cited: np.ndarray, value: np.ndarray, sizes: list
+    graph: KnowledgeGraph, depth: np.ndarray, k: int, value: np.ndarray, sizes: list
 ) -> list[list[int]]:
     """Each prefix's path totals of lengths k+1, k+2, ..., up to its longest.
 
-    Node ``nodes[i]`` cites ``cited[bounds[i]:bounds[i + 1]]``, on level k,
-    where ``value`` holds the length-k counts.  Node h's int is ``value[h] +
-    (p << W)``: ``p``, the sum of the ints h cites, packs its counts of
-    lengths k+1, ... W bits each.  The sum of each ``p`` is read at each
-    prefix size.  W, in whole bytes, spans the number of paths longer than k
-    (the same pass at W = 0), which bounds every field and sum, so no field
-    carries into the next.  Each int is dropped after its last citing node.
+    ``value`` holds the length-k counts of the nodes of ``depth``; node
+    ``nodes[i]`` cites ``cited[bounds[i]:bounds[i + 1]]``, those of depth k
+    or more.  Node h's int is ``value[h] + (p << W)``: ``p``, the sum of the
+    ints h cites, packs its counts of lengths k+1, ... W bits each.  The sum
+    of each ``p`` is read at each prefix size.  W, in whole bytes, spans the
+    number of paths longer than k (the same pass at W = 0), which bounds
+    every field and sum, so no field carries into the next.  Each int is
+    dropped after its last citing node.
     """
-    last = np.arange(len(value))  # the last node citing each node, or the node itself
+    n = len(depth)
+    cited = graph.indices[: graph.indptr[n]]
+    live = depth[cited] >= k  # in node order
+    citing = np.repeat(np.arange(n), np.diff(graph.indptr[: n + 1]))[live]
+    cited = cited[live]
+    bounds = np.flatnonzero(np.concatenate(([True], citing[1:] != citing[:-1], [True])))
+    nodes = citing[bounds[:-1]]
+    last = np.arange(n)  # the last node citing each node, or the node itself
     targets = last.astype(object)[cited].tolist()  # one int object per node
-    np.maximum.at(last, cited, np.repeat(nodes, np.diff(bounds)))
+    np.maximum.at(last, cited, citing)
     order = np.argsort(last).tolist()
     ends = [0, *last[order].searchsorted(nodes, side="right").tolist()]
 
@@ -194,7 +198,8 @@ def _packed_tail(
 def _path_totals(graph: KnowledgeGraph, sizes: Sequence[int], mode: str) -> list:
     """Each prefix's path totals by length, k = 0..mipl, for the prefixes of
     ``sizes`` (ascending): a list of counts, or an array of their natural
-    logs where float mode summed the prefix's levels in logs."""
+    logs where float mode summed the prefix's levels in logs.  Exact mode's
+    levels past those of :func:`_path_levels` come from :func:`_packed_tail`."""
     exact = mode == "exact"
     depth = _depths(graph, sizes[-1])
     bounds = np.array([0, *sizes])
@@ -202,10 +207,7 @@ def _path_totals(graph: KnowledgeGraph, sizes: Sequence[int], mode: str) -> list
     levels = (np.maximum.accumulate(depth)[last] + 1).tolist()  # up to each longest path
     columns = []  # per level: its total over each prefix size
     plain = 0  # the number of levels summed in float64
-    tails = [[]] * len(sizes)  # exact mode: each prefix's totals past those levels
     for counts, escalated in _path_levels(graph, depth, mode):
-        if escalated and exact:
-            break  # leaving the loop frees the levels' edge arrays before the tail
         if escalated:
             columns.append(np.logaddexp.accumulate(_log_segment_sum(counts, bounds)).tolist())
             continue
@@ -213,8 +215,9 @@ def _path_totals(graph: KnowledgeGraph, sizes: Sequence[int], mode: str) -> list
         column = counts.cumsum()[last]
         # Exact mode's go to Python ints, before any sum across levels.
         columns.append((column.astype(np.int64) if exact else column).tolist())
-    if escalated and exact:
-        tails = _packed_tail(*counts, sizes)
+    tails = [[]] * len(sizes)  # exact mode: each prefix's totals past those levels
+    if exact and plain < levels[-1]:
+        tails = _packed_tail(graph, depth, plain - 1, counts, sizes)
     return [
         [*row[:m], *tail] if exact or m <= plain
         else np.concatenate((np.log(row[:plain]), row[plain:m]))
@@ -229,9 +232,10 @@ def _ipl(totals: list | np.ndarray, total: int | float | None) -> float:
     return sum(map(mul, count(), totals)) / total
 
 
-def _series(graph: KnowledgeGraph, stride: int, mode: Mode) -> tuple[tuple, list, list]:
+def _series(graph: KnowledgeGraph, stride: int, mode: Mode) -> tuple[tuple, list, list, str]:
     """The prefixes' :class:`SeriesPoint` fields by column, their path totals
-    (see :func:`_path_totals`) and the sum of each list of them (None for logs)."""
+    (see :func:`_path_totals`), the sum of each list of them (None for logs)
+    and the mode they were counted in (see :func:`resolve_mode`)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if graph.n_nodes == 0:
@@ -249,7 +253,7 @@ def _series(graph: KnowledgeGraph, stride: int, mode: Mode) -> tuple[tuple, list
         [len(row) - 1 for row in rows],
         list(map(truediv, external_totals, sizes)),
     )
-    return columns, rows, sums
+    return columns, rows, sums, mode
 
 
 def _count_distribution(
@@ -291,8 +295,7 @@ def measure_checkpoints(
     mode unless a level passes the float bound over the whole graph but not
     over the prefix; its logs then agree within 1e-9.
     """
-    columns, rows, sums = _series(graph, stride, mode)
-    logs = resolve_mode(mode, graph.n_nodes) == "float"
+    columns, rows, sums, mode = _series(graph, stride, mode)
     links = graph.backlink_counts
     histogram = np.zeros(int(links.max()) + 1, np.int64)
     checkpoints = []
@@ -302,7 +305,7 @@ def measure_checkpoints(
         if total is None:
             path_dist = PathLengthDistribution.from_logs(n, totals)
         else:
-            path_dist = _count_distribution(n, totals, total, ipl, mipl, logs)
+            path_dist = _count_distribution(n, totals, total, ipl, mipl, mode == "float")
         checkpoints.append(Checkpoint(n, id_, ed, path_dist, BacklinkDistribution(n, counts)))
     return checkpoints
 

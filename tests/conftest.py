@@ -424,6 +424,8 @@ def reference_load_backlinks(path: str, n: int) -> list[int]:
         if backlinks[i] is not None:
             raise ValueError(f"duplicate ordinal {i}")
         backlinks[i] = _in_range("m", int(m), 0, n - 1)
+        if backlinks[i] > i:
+            raise ValueError(f"m must be at most ordinal {i}, got {backlinks[i]}")
 
     _reference_read_table(path, ("ordinal", "m"), place)
     missing = backlinks.count(None)
@@ -690,7 +692,7 @@ def reference_pathlength_gof(
     the empirical and binomial-type probabilities looked up one k at a time,
     plot points built pair by pair, chi-square bins pooled element-wise.
     """
-    total = dist.total_paths
+    total = sum(dist.counts.values())
     if not dist.counts or total <= 0:
         raise ValueError("path-length distribution has no paths")
     if sum(1 for w in dist.normalized.values() if w > 0.0) < 2:

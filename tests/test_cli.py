@@ -1184,17 +1184,18 @@ class TestTableReaders:
             ("fits", "quantity,slope,intercept\nid,0.1,1.0\nipl,0.2,1.0\nid,0.2,2.0\n",
              ":4: repeated row for quantity id"),
             ("backlinks", "ordinal,node_id\n0,a\n", ": missing column(s) m"),
-            ("backlinks", "ordinal,node_id,m\n0,a,1\n1,b,x\n", ":3: invalid literal"),
+            ("backlinks", "ordinal,node_id,m\n0,a,0\n1,b,x\n", ":3: invalid literal"),
             ("backlinks", "ordinal,node_id,m\n0,a\n", ":2: too few fields"),
             ("backlinks", "ordinal,node_id,m\n0,a,0\n1,b,-3\n", ":3: m must lie in [0, 29]"),
             ("backlinks", f"ordinal,node_id,m\n0,a,0\n1,b,{10**400}\n",
              f":3: m must lie in [0, 29], got {10**400}"),
             ("backlinks", "ordinal,m\n0,0\n0,3\n5,1\n", ":3: duplicate ordinal 0"),
             ("backlinks", "ordinal,m\n0,0\n5,1\n", ": no row for ordinal 1 (28 of ordinals 0..29"),
-            ("backlinks", "ordinal,m\n" + "".join(f"{i},1\n" for i in range(30) if i != 17),
+            ("backlinks", "ordinal,m\n" + "".join(f"{i},{i % 2}\n" for i in range(30) if i != 17),
              ": no row for ordinal 17 (1 of ordinals 0..29 missing)"),
             ("backlinks", "ordinal,m\n0,0\n30,1\n", ":3: ordinal must lie in [0, 29], got 30"),
             ("backlinks", "ordinal,m\n-1,0\n", ":2: ordinal must lie in [0, 29], got -1"),
+            ("backlinks", "ordinal,m\n1,1\n0,29\n", ":3: m must be at most ordinal 0, got 29"),
             ("backlink-dist", "n,m\n10,0\n", ": missing column(s) count"),
             ("backlink-dist", "n,m,count\n10,0,x\n", ":2: invalid literal"),
             ("backlink-dist", "n,m,count\n10,-1,5\n10,1,5\n", ":2: m must lie in [0, inf]"),
@@ -1263,6 +1264,7 @@ class TestTableReaders:
             "backlinks-duplicate-ordinal", "backlinks-missing-ordinals",
             "backlinks-missing-ordinal",
             "backlinks-ordinal-past-series", "backlinks-negative-ordinal",
+            "backlinks-m-past-ordinal",
             "backlink-dist-missing", "backlink-dist-bad",
             "backlink-dist-negative-m", "backlink-dist-negative-count", "backlink-dist-total",
             "backlink-dist-first-total-in-file", "backlink-dist-total-of-a-later-n",
@@ -1387,7 +1389,7 @@ def _tables(draw, reader):
         header = "ordinal,m"
         n_final = draw(st.integers(1, 8))
         ordinals = draw(st.permutations(range(n_final)))
-        rows = [[str(i), str(draw(st.integers(0, n_final - 1)))] for i in ordinals]
+        rows = [[str(i), str(draw(st.integers(0, i)))] for i in ordinals]
     else:
         ns = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True))
         rows = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from cumuldyn.core import (
     InventionNode,
     KnowledgeGraph,
     ModelParams,
+    PathLengthDistribution,
+    PathLengthTable,
     validate_graph,
 )
+from cumuldyn.fitting import geometric_gof, pathlength_gof
 
 from conftest import make_graph, reference_validate_graph
 
@@ -67,6 +71,22 @@ class TestValidateGraph:
         g = make_graph(3, [], years=[2000, None, 2001])
         assert validate_graph(g) == []
 
+    @pytest.mark.parametrize(
+        "indptr, indices, message",
+        [
+            ([0, 1], [0], "indptr has 2 entries for 2 nodes"),
+            ([0, 0, 1], [0, 0], "indptr ends at 1 for 2 indices"),
+            ([1, 1, 2], [0, 0], "indptr starts at 1, not 0"),
+            ([0, 2, 1], [0], "indptr decreases at entry 2"),
+        ],
+        ids=["short", "end-short-of-indices", "start-past-0", "falling"],
+    )
+    def test_malformed_csr_columns_reported(self, indptr, indices, message):
+        g = KnowledgeGraph(
+            ("a", "b"), (None, None), np.array(indptr), np.array(indices), np.zeros(2, np.int64)
+        )
+        assert validate_graph(g) == [message]
+
     def test_node_order_is_topological(self):
         # Acyclicity comes from the ordinal constraint: any valid graph has
         # every edge pointing backward, so node order is a topological order.
@@ -102,6 +122,20 @@ class TestValidateGraphOracle:
         graph = KnowledgeGraph.from_edges([f"n{i}" for i in range(n)], edges, external, years)
         expected = reference_validate_graph(n, edges, external, years)
         assert sorted(validate_graph(graph)) == sorted(expected)
+
+
+_SMALL = st.lists(st.integers(-3, 6), max_size=8).map(lambda v: np.array(v, np.int64))
+
+
+class TestValidateGraphColumns:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 5), indptr=_SMALL, indices=_SMALL, external=_SMALL,
+        years=st.lists(st.none() | st.integers(1998, 2002), max_size=7),
+    )
+    def test_any_small_columns_give_a_list(self, n, indptr, indices, external, years):
+        graph = KnowledgeGraph(tuple(map(str, range(n))), tuple(years), indptr, indices, external)
+        assert all(isinstance(v, str) for v in validate_graph(graph))
 
 
 _HUGE = [-(2**63), -(2**62), -(2**40), 2**40, 2**62, 2**63 - 2, 2**63 - 1]
@@ -221,3 +255,44 @@ class TestBacklinkDistribution:
         hist = BacklinkDistribution(n=5, counts={0: 2, 1: 2})
         with pytest.raises(ValueError, match="^histogram total 4 != prefix size 5$"):
             BacklinkTable.from_hists([BacklinkDistribution(n=1, counts={0: 1}), hist])
+
+
+class TestStrayEntries:
+    """Keys, counts and values no prefix can have are run faults of the tables."""
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({-1: 5, 1: 5}, "m=-1 at n=10 lies outside 0..9"),
+            ({0: 5, 10: 5}, "m=10 at n=10 lies outside 0..9"),
+            ({0: -5, 1: 15}, "count -5 at n=10, m=0 is negative"),
+        ],
+        ids=["negative-m", "m-at-n", "negative-count"],
+    )
+    def test_backlink_histogram(self, counts, message):
+        # Each totals n, so only the stray entry is at fault.
+        hists = [BacklinkDistribution(4, {0: 4}), BacklinkDistribution(10, counts)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            geometric_gof(BacklinkTable.from_hists(hists), ModelParams(0.1, 2.0))
+        made, faults = BacklinkTable.from_runs(
+            [10], [0, 2], np.array(list(counts)), list(counts.values())
+        )
+        assert (made, faults) == (None, [(0, message)])
+
+    @pytest.mark.parametrize(
+        "counts, normalized, message",
+        [
+            (
+                {0: 3, 1: -1}, {0: 1.5, 1: -0.5},
+                "normalized value 1.5 at n=5, k=0 lies outside [0, 1]",
+            ),
+            ({0: 3, 1: -1}, {0: 1.0, 1: 0.0}, "count -1 at n=5, k=1 is negative"),
+            ({-1: 2, 0: 3}, {-1: 0.4, 0: 0.6}, "k=-1 at n=5 lies outside 0..4"),
+            ({0: 3, 5: 2}, {0: 0.6, 5: 0.4}, "k=5 at n=5 lies outside 0..4"),
+        ],
+        ids=["normalized-outside", "negative-count", "negative-k", "k-at-n"],
+    )
+    def test_path_length_distribution(self, counts, normalized, message):
+        dist = PathLengthDistribution(5, counts, normalized, 0.0, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pathlength_gof(PathLengthTable.from_dists([dist]))

@@ -199,7 +199,7 @@ class TestCumulativenessSeries:
             g = random_dag(rng)
             checkpoints = measure_checkpoints(g, stride=1)
             mipls = [cp.path_dist.mipl for cp in checkpoints]
-            totals = [cp.path_dist.total_paths for cp in checkpoints]
+            totals = [sum(cp.path_dist.counts.values()) for cp in checkpoints]
             assert mipls == sorted(mipls)
             assert totals == sorted(totals)
 
@@ -383,21 +383,48 @@ def two_predecessor_dag(n: int):
     return make_graph(n, [(i, i - d) for i in range(1, n) for d in (1, 2) if i >= d])
 
 
+class ScatterRecorder:
+    """numpy, with the index and value arrays of each ``np.maximum.at`` call kept."""
+
+    def __init__(self):
+        self.scatters = []
+        self.maximum = self
+
+    def at(self, target, indices, values):
+        self.scatters.append((indices, values))
+        np.maximum.at(target, indices, values)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestArithmeticLadder:
     N = 120  # level k's total is 2^k while 2k < N, so it reaches 2^53 at k = 53
 
-    def test_level_totals_cross_the_exact_float_range(self):
+    def test_level_totals_cross_the_exact_float_range(self, monkeypatch):
         graph = two_predecessor_dag(self.N)
         depth = measures._depths(graph, self.N)
         assert depth.tolist() == list(range(self.N))
         levels = list(measures._path_levels(graph, depth, "exact"))
-        # Levels 0..52 in float64, then the hand-over of the edges into level 53.
-        assert [e for _, e in levels] == [False] * 53 + [True]
-        (nodes, bounds, cited, value), _ = levels[-1]
-        assert (nodes[0], cited.min(), len(cited)) == (53, 52, bounds[-1])
-        assert value is levels[52][0]
+        # Levels 0..52 in float64; level 53's total reaches 2^53, so they stop.
+        assert [e for _, e in levels] == [False] * 53
+        # The packed tail starts from level 52, over the edges into level 53.
+        tails = []
+        packed_tail = measures._packed_tail
+        monkeypatch.setattr(
+            measures, "_packed_tail", lambda *args: tails.append(args) or packed_tail(*args)
+        )
+        measures._path_totals(graph, [self.N], "exact")
+        ((_, _, k, value, sizes),) = tails
+        assert k == 52
         assert not value[:52].any()
         assert value[52:].tolist() == [math.comb(52, i - 52) for i in range(52, self.N)]
+        recorder = ScatterRecorder()
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "np", recorder)
+            packed_tail(graph, depth, k, value, sizes)
+        ((cited, citing),) = recorder.scatters
+        assert (citing[0], cited.min(), len(cited)) == (53, 52, len(citing))
         floating = list(measures._path_levels(graph, depth, "float"))
         assert len(floating) == self.N
         assert not any(e for _, e in floating)
